@@ -57,20 +57,17 @@ Primary cases (each emits one ``BENCH_<case>.json``):
     through a real loopback :class:`~repro.ingest.server.IngestServer`
     into a bus topic — the network front door's admission hot path
     (framing, batching, ack round-trips) under client concurrency.
-``engine_serial`` / ``engine_multiprocess`` / ``engine_shm``
+``engine_serial`` / ``engine_shm``
     The same full-size parser workload pushed through a
     :class:`~repro.streaming.engine.StreamingContext` micro-batch on the
-    serial backend versus the process backend with the pickle pipe
-    transport (``engine_multiprocess``, the PR 8 wire format) versus
-    the process backend with the shared-memory columnar transport
-    (``engine_shm``, the default).  The trio isolates the transport
-    question: identical records, identical operator graph, only the
-    backend/transport differs.  Worker processes are started and warmed
+    serial backend versus the process backend (columnar frames through
+    shared-memory arenas): identical records, identical operator graph,
+    only the backend differs.  Worker processes are started and warmed
     during setup, so the timed samples measure steady-state batches,
     not spawn cost.  The ``engine_batch_records`` param (0 = one batch)
     splits the workload into fixed-size micro-batches for batch-size
-    sweeps: ``loglens bench --case engine_multiprocess --case
-    engine_shm --set engine_batch_records=256``.
+    sweeps: ``loglens bench --case engine_shm --set
+    engine_batch_records=256``.
 
 Derived cases (computed from primary samples, no extra timing):
 
@@ -80,14 +77,11 @@ Derived cases (computed from primary samples, no extra timing):
 ``service_metrics_overhead``
     Per-repeat ratio of metrics-on to metrics-off service time; the
     observability tax, lower is better.
-``engine_multicore_speedup``
-    Per-repeat ratio of serial-backend to process-backend (pickle
-    transport) engine time; the multicore payoff, higher is better.  On
-    single-core runners the honest value is *below* 1 (IPC overhead
-    with no parallelism to buy back); see ``docs/PARALLELISM.md``.
 ``engine_shm_speedup``
-    The same ratio against the shm-transport backend — the transport
-    win on top of (or despite) the parallelism story.
+    Per-repeat ratio of serial-backend to process-backend engine time;
+    the multicore payoff, higher is better.  On single-core runners the
+    honest value is *below* 1 (IPC overhead with no parallelism to buy
+    back); see ``docs/PARALLELISM.md``.
 """
 
 from __future__ import annotations
@@ -408,9 +402,7 @@ class _EngineParseOp:
 
 
 def _engine_cases(params: Dict[str, Any]) -> List[BenchCase]:
-    """Serial vs process backend (per transport) over one parser workload."""
-    from ..streaming.execution import ProcessBackend
-
+    """Serial vs process backend over one parser workload."""
     templates = params["templates"]
     logs = params["logs"]
     batch_records = params.get("engine_batch_records", 0)
@@ -446,15 +438,10 @@ def _engine_cases(params: Dict[str, Any]) -> List[BenchCase]:
     def make_setup(execution):
         def setup():
             w, recs = load()
-            backend = (
-                execution
-                if isinstance(execution, str)
-                else ProcessBackend(transport=execution[1])
-            )
             ctx = StreamingContext(
                 num_partitions=partitions,
                 metrics=NullRegistry(),
-                execution=backend,
+                execution=execution,
             )
             model_bv = ctx.broadcast(w.model)
             collector = (
@@ -507,18 +494,9 @@ def _engine_cases(params: Dict[str, Any]) -> List[BenchCase]:
             group="engine",
         ),
         BenchCase(
-            name="engine_multiprocess",
-            params=case_params("pickle"),
-            setup=make_setup(("processes", "pickle")),
-            run=run_engine,
-            records=lambda s: len(s[2]),
-            check=make_check("engine_multiprocess"),
-            group="engine",
-        ),
-        BenchCase(
             name="engine_shm",
             params=case_params("shm"),
-            setup=make_setup(("processes", "shm")),
+            setup=make_setup("processes"),
             run=run_engine,
             records=lambda s: len(s[2]),
             check=make_check("engine_shm"),
@@ -999,8 +977,8 @@ def build_cases(
     """The primary case catalog at quick (CI) or full (local) size.
 
     ``execution`` selects the streaming backend the *service* cases run
-    on; the ``engine_serial`` / ``engine_multiprocess`` / ``engine_shm``
-    trio always pins its own backends (that contrast is the case).
+    on; the ``engine_serial`` / ``engine_shm`` pair always pins its own
+    backends (that contrast is the case).
     ``overrides`` replaces individual workload params (the CLI's
     ``--set key=value``); unknown keys are rejected so a typo cannot
     silently benchmark the default workload.
@@ -1086,16 +1064,6 @@ def _derived(results: List[CaseResult]) -> List[CaseResult]:
                 per_record=False,
             )
         )
-    if "engine_serial" in by_name and "engine_multiprocess" in by_name:
-        out.append(
-            derive_ratio(
-                "engine_multicore_speedup",
-                by_name["engine_serial"],
-                by_name["engine_multiprocess"],
-                better="higher",
-                per_record=False,
-            )
-        )
     if "engine_serial" in by_name and "engine_shm" in by_name:
         out.append(
             derive_ratio(
@@ -1113,7 +1081,6 @@ def _derived(results: List[CaseResult]) -> List[CaseResult]:
 _DERIVED_GROUPS: Dict[str, str] = {
     "parser_speedup": "parser",
     "service_metrics_overhead": "service",
-    "engine_multicore_speedup": "engine",
     "engine_shm_speedup": "engine",
 }
 

@@ -155,9 +155,9 @@ def _execution_parent() -> argparse.ArgumentParser:
         "--execution",
         choices=EXECUTION_BACKENDS,
         default=None,
-        help="streaming execution backend: 'serial' (default), "
-             "'threads', or 'processes' (one worker process per "
-             "partition — true multicore; see docs/PARALLELISM.md)",
+        help="streaming execution backend: 'serial' (default) or "
+             "'processes' (one worker process per partition — true "
+             "multicore; see docs/PARALLELISM.md)",
     )
     return parent
 

@@ -18,7 +18,6 @@ from typing import Any, List, Optional, Sequence
 
 __all__ = [
     "LogLensError",
-    "DeprecationError",
     "OperatorError",
     "QuarantinedRecordError",
     "TopicNotFoundError",
@@ -33,23 +32,6 @@ __all__ = [
 
 class LogLensError(Exception):
     """Base class for every error raised by the LogLens reproduction."""
-
-
-class DeprecationError(LogLensError, TypeError):
-    """A removed API was called after its deprecation cycle ended.
-
-    The message always names the replacement, so a stack trace is a
-    complete migration hint.  Raised instead of ``DeprecationWarning``
-    once an alias has been through one full warning cycle.
-    """
-
-    def __init__(self, removed: str, replacement: str) -> None:
-        self.removed = removed
-        self.replacement = replacement
-        super().__init__(
-            "%s was removed after its deprecation cycle; use %s instead"
-            % (removed, replacement)
-        )
 
 
 class AlertDeliveryError(LogLensError):

@@ -39,7 +39,7 @@ class ManualClock:
     ``sleep`` advances :meth:`monotonic` by the requested amount and logs
     the request; ``advance`` moves time forward without logging (used by
     slow-call fault injection to simulate a long-running operator).
-    Thread-safe: parallel partitions may sleep concurrently.
+    Thread-safe: several threads may sleep concurrently.
     """
 
     def __init__(self, start: float = 0.0) -> None:

@@ -18,9 +18,9 @@ rules advance the plan's clock instead of sleeping, so a per-attempt
 timeout can be exercised without wall-clock delay.
 
 Determinism: rule counters are per-rule and lock-protected, so a serial
-streaming context replays the exact same failure schedule every run.
-Under ``parallel=True`` the *set* of injected failures is still exact;
-only their interleaving across partitions varies.
+streaming context replays the exact same failure schedule every run,
+and ``execution="processes"`` reproduces it (see
+:meth:`FaultPlan.has_live_call_budget`).
 """
 
 from __future__ import annotations

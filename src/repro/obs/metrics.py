@@ -15,8 +15,8 @@ Three primitives cover the system's needs:
 * :class:`Histogram` — fixed-bucket latency distribution with
   interpolated quantiles (p50/p95/p99), the shape Prometheus popularised.
 
-All three are safe under free-threaded access: the streaming engine runs
-operators on a thread pool (``StreamingContext(parallel=True)``), so every
+All three are safe under free-threaded access: the ingest server thread
+updates the same registry as the thread stepping the service, so every
 mutation takes the metric's lock — plain ``+=`` on an int can lose updates
 across bytecode boundaries.
 

@@ -23,9 +23,8 @@ the log's first datatype (the first-token dispatch table), so lookups
 skip non-candidate groups of patterns entirely.  Wildcard patterns match
 any shape and are always checked.
 
-Streaming workers running under ``StreamingContext(parallel=True)`` may
-share one index through a broadcast parser, so group building/memoisation
-is guarded by a lock and all counters are atomic
+Several threads may share one index through a shared parser, so group
+building/memoisation is guarded by a lock and all counters are atomic
 (:mod:`repro.obs`).  The fast path — probing an already-memoised group —
 stays lock-free: dict reads are atomic under the GIL and published groups
 are never mutated afterwards.

@@ -148,7 +148,7 @@ class ParserStats:
     A thin façade over :mod:`repro.obs` counters: the instance keeps
     exact local counts while every increment also feeds the registry's
     ``parser.parsed`` / ``parser.anomalies`` families — atomic even when
-    parallel streaming workers share one parser.
+    several threads share one parser.
     """
 
     def __init__(self, metrics: Optional[MetricsRegistry] = None) -> None:
@@ -203,9 +203,8 @@ class FastLogParser:
         (:meth:`flush_metrics`), instead of taking the registry locks per
         record.  Only safe for a parser driven by a single thread — e.g.
         the service's per-worker parsers.  A parser *shared* across
-        parallel streaming workers must keep the exact default: those
-        workers rely on every increment being atomic and immediately
-        visible.
+        threads must keep the exact default: its callers rely on every
+        increment being atomic and immediately visible.
     """
 
     def __init__(

@@ -6,10 +6,7 @@
     config = ServiceConfig(num_partitions=8, storage="sqlite:loglens.db")
     service = LogLensService(config=config)
 
-The legacy loose-keyword spelling completed its deprecation cycle:
-``LogLensService(num_partitions=8)`` now raises
-:class:`~repro.errors.DeprecationError` with a per-keyword migration
-hint.  The config is frozen so a service's construction parameters are
+The config is frozen so a service's construction parameters are
 immutable facts a running system can report; derive variants with
 :meth:`replace`.
 
@@ -27,7 +24,7 @@ unavailable)::
     spec = "sqlite:loglens.db"
 
     [execution]
-    backend = "threads"
+    backend = "processes"
 
     [ingest]
     batch_lines = 512
@@ -60,7 +57,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from ..alerts.rules import AlertRule
 from ..alerts.sinks import SinkSpec
-from ..errors import ConfigFileError, DeprecationError
+from ..errors import ConfigFileError
 from ..faults import FaultPlan
 from ..ingest.limits import IngestLimits
 from ..obs import MetricsRegistry
@@ -177,9 +174,8 @@ class ServiceConfig:
         :class:`~repro.service.backends.StorageConfig`.
     execution:
         How both streaming stages execute partitions: ``"serial"``
-        (default), ``"threads"``, or ``"processes"`` (one long-lived
-        worker process per partition — true multicore; see
-        ``docs/PARALLELISM.md``).
+        (default) or ``"processes"`` (one long-lived worker process
+        per partition — true multicore; see ``docs/PARALLELISM.md``).
     ingest:
         Framing and backpressure limits the network front door applies
         when this service is served (``loglens serve`` /
@@ -211,41 +207,6 @@ class ServiceConfig:
                 "execution must be one of %s; got %r"
                 % (", ".join(map(repr, EXECUTION_BACKENDS)), self.execution)
             )
-
-    @classmethod
-    def from_kwargs(cls, **kwargs: Any) -> "ServiceConfig":
-        """The retired legacy-keyword folding surface.
-
-        ``LogLensService(num_partitions=8, ...)`` folded loose keywords
-        into a config for one deprecation cycle (PR 6); that cycle is
-        complete.  Unknown names still raise ``TypeError`` with the
-        valid field list (a typo fails as loudly as ever); known legacy
-        keywords now raise :class:`~repro.errors.DeprecationError`
-        carrying a per-keyword migration hint naming the
-        :class:`ServiceConfig` field to use instead.
-        """
-        if not kwargs:
-            return cls()
-        valid = {f.name for f in fields(cls)}
-        unknown = sorted(set(kwargs) - valid)
-        if unknown:
-            raise TypeError(
-                "unknown service option(s) %s; valid options: %s"
-                % (", ".join(unknown), ", ".join(sorted(valid)))
-            )
-        passed = sorted(kwargs)
-        raise DeprecationError(
-            "LogLensService(%s) legacy keyword construction"
-            % ", ".join("%s=..." % name for name in passed),
-            "LogLensService(config=ServiceConfig(%s)) — %s"
-            % (
-                ", ".join("%s=..." % name for name in passed),
-                "; ".join(
-                    "%s= is ServiceConfig.%s" % (name, name)
-                    for name in passed
-                ),
-            ),
-        )
 
     def replace(self, **changes: Any) -> "ServiceConfig":
         """A copy with the given fields swapped (config is frozen)."""

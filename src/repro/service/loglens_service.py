@@ -42,7 +42,6 @@ import time as _time
 
 from ..alerts import AlertEvaluator, AlertHistory
 from ..core.anomaly import Anomaly
-from ..errors import DeprecationError
 from ..faults import ManualClock
 from ..obs import NullRegistry, get_registry
 from ..parsing.parser import FastLogParser, ParsedLog, PatternModel
@@ -446,11 +445,7 @@ class LogLensService:
     See :class:`~repro.service.config.ServiceConfig` for every knob
     (partitions, heartbeat cadence, expiry, metrics, retry, faults,
     storage, network-ingestion limits, and alerting) — or build one
-    from a declarative file with ``ServiceConfig.from_file``.  The
-    pre-config keyword arguments (``LogLensService(num_partitions=8,
-    ...)``) completed their deprecation cycle and now raise
-    :class:`~repro.errors.DeprecationError` naming the config field to
-    use; mixing ``config=`` with legacy keywords is an error.
+    from a declarative file with ``ServiceConfig.from_file``.
 
     Storage note: when a persistent database already holds model
     versions from an earlier run, the latest models are republished into
@@ -459,19 +454,9 @@ class LogLensService:
     archive.  Call :meth:`close` to checkpoint and release the database.
     """
 
-    def __init__(
-        self,
-        config: Optional[ServiceConfig] = None,
-        **legacy_kwargs: Any,
-    ) -> None:
-        if config is not None and legacy_kwargs:
-            raise TypeError(
-                "pass either config=ServiceConfig(...) or legacy keyword "
-                "arguments, not both (got config plus %s)"
-                % ", ".join(sorted(legacy_kwargs))
-            )
+    def __init__(self, config: Optional[ServiceConfig] = None) -> None:
         if config is None:
-            config = ServiceConfig.from_kwargs(**legacy_kwargs)
+            config = ServiceConfig()
         #: The frozen construction parameters of this service.
         self.config = config
         num_partitions = config.num_partitions
@@ -616,6 +601,11 @@ class LogLensService:
         #: Timestamp-less anomaly docs held until the end of the step
         #: (stamped with log-time "now" by _flush_unstamped_anomalies).
         self._unstamped_anomalies: List[Dict[str, Any]] = []
+        #: Anomalies stored since the top of the current step, split the
+        #: way StepReport reports them (counted where they are stored, so
+        #: a step never reads the anomaly table back).
+        self._step_stateless = 0
+        self._step_sequence = 0
         self._parsed_buffer: List[StreamRecord] = []
         # Second list recycled against _parsed_buffer each step, so the
         # steady state allocates no fresh buffer per micro-batch.
@@ -677,12 +667,19 @@ class LogLensService:
             # stamp it with that.
             self._unstamped_anomalies.append(doc)
             return
-        self.anomaly_storage.store(doc)
+        self._store_counted(doc)
         if (
             self._last_anomaly_millis is None
             or ts > self._last_anomaly_millis
         ):
             self._last_anomaly_millis = ts
+
+    def _store_counted(self, doc: Dict[str, Any]) -> None:
+        self.anomaly_storage.store(doc)
+        if doc["type"] == "unparsed_log":
+            self._step_stateless += 1
+        else:
+            self._step_sequence += 1
 
     def _flush_unstamped_anomalies(self) -> None:
         """Store held timestamp-less anomalies at log-time "now"."""
@@ -691,7 +688,7 @@ class LogLensService:
         now = self.log_time_now()
         for doc in self._unstamped_anomalies:
             doc["timestamp_millis"] = now
-            self.anomaly_storage.store(doc)
+            self._store_counted(doc)
         self._unstamped_anomalies.clear()
         if now is not None and (
             self._last_anomaly_millis is None
@@ -775,7 +772,8 @@ class LogLensService:
     def step(self, max_records: int = 100000) -> StepReport:
         """Advance one end-to-end micro-batch period."""
         self._steps += 1
-        before_anomalies = self.anomaly_storage.count()
+        self._step_stateless = 0
+        self._step_sequence = 0
 
         self.log_manager.cycle()
         messages = self._ingest_consumer.poll_many(max_records=max_records)
@@ -833,17 +831,11 @@ class LogLensService:
                 self.alert_evaluator.evaluate(self.log_time_now())
             )
 
-        after = self.anomaly_storage.count()
-        stateless = sum(
-            1
-            for d in self.anomaly_storage.all()[before_anomalies:]
-            if d["type"] == "unparsed_log"
-        )
         return StepReport(
             ingested=len(parse_batch),
             parsed=len(parsed_records),
-            stateless_anomalies=stateless,
-            sequence_anomalies=(after - before_anomalies) - stateless,
+            stateless_anomalies=self._step_stateless,
+            sequence_anomalies=self._step_sequence,
             heartbeats=len(heartbeats),
             model_updates_applied=(
                 parse_metrics.model_updates_applied
@@ -875,9 +867,9 @@ class LogLensService:
     def close(self) -> None:
         """Release execution and storage resources (idempotent).
 
-        Shuts down both streaming contexts' execution backends (thread
-        pools / worker processes — serial contexts make this a no-op)
-        and closes the persistent storage database if one is attached.
+        Shuts down both streaming contexts' execution backends (worker
+        processes — serial contexts make this a no-op) and closes the
+        persistent storage database if one is attached.
         After closing, another service constructed with the same
         ``sqlite:PATH`` spec resumes from everything this one persisted.
         """
@@ -1078,21 +1070,4 @@ class LogLensService:
             ),
             metrics=self.metrics.to_dict() if include_metrics else None,
             sections=sections,
-        )
-
-    # ------------------------------------------------------------------
-    # Retired aliases (pre-report() surface; warning cycle completed)
-    # ------------------------------------------------------------------
-    def metrics_snapshot(self) -> Dict[str, Any]:
-        """Removed: use :meth:`report` (``report().metrics``)."""
-        raise DeprecationError(
-            "LogLensService.metrics_snapshot()",
-            "LogLensService.report().metrics",
-        )
-
-    def stats(self) -> Dict[str, Any]:
-        """Removed: use :meth:`report` (``report().counters()``)."""
-        raise DeprecationError(
-            "LogLensService.stats()",
-            "LogLensService.report(include_metrics=False).counters()",
         )

@@ -14,7 +14,6 @@ from .execution import (
     ExecutionBackend,
     ProcessBackend,
     SerialBackend,
-    ThreadBackend,
 )
 from .engine import (
     BatchMetrics,
@@ -42,7 +41,6 @@ __all__ = [
     "EXECUTION_BACKENDS",
     "ExecutionBackend",
     "SerialBackend",
-    "ThreadBackend",
     "ProcessBackend",
     "BatchMetrics",
     "CollectedRecords",

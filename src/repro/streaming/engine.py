@@ -50,14 +50,13 @@ from typing import (
     Union,
 )
 
-from ..errors import DeprecationError, PartitioningError
+from ..errors import PartitioningError
 from ..faults.clock import ManualClock
 from ..obs import Counter, MetricsRegistry, get_registry
 from .broadcast import BlockManager, BroadcastManager, BroadcastVariable
 from .execution import (
     ExecutionBackend,
     PartitionExecutor,
-    ThreadBackend,
     resolve_backend,
 )
 from .partitioner import HashPartitioner, HeartbeatAwarePartitioner, partition_records
@@ -107,7 +106,7 @@ class _Node:
 
 
 class Collector:
-    """A terminal sink safe to read while parallel workers append.
+    """A terminal sink safe to read while another thread appends.
 
     :meth:`snapshot` returns a consistent copy taken under the same lock
     the appenders hold; call it at batch boundaries (after ``run_batch``
@@ -150,7 +149,7 @@ class CollectedRecords(Sequence):
 
     Every access (``len``, iteration, indexing, slicing) reads a
     consistent snapshot taken under the collector's lock, so no caller
-    ever holds the live mutable list that parallel workers append to.
+    ever holds the live mutable list that the engine appends to.
     """
 
     __slots__ = ("_collector",)
@@ -214,8 +213,8 @@ class QuarantineStore:
 class DStream:
     """A (discretised) stream: a node in the operator graph.
 
-    Transformations return new streams; ``sink``/``collect`` terminate a
-    branch.  All operators receive and emit :class:`StreamRecord`.
+    Transformations return new streams; ``sink``/``collector`` terminate
+    a branch.  All operators receive and emit :class:`StreamRecord`.
     """
 
     def __init__(self, ctx: "StreamingContext", node: _Node) -> None:
@@ -262,20 +261,6 @@ class DStream:
     def sink(self, fn: Callable[[StreamRecord], None]) -> "DStream":
         """Terminal side-effecting consumer."""
         return self._attach("sink", fn)
-
-    def collect(self) -> "CollectedRecords":
-        """Removed: use :meth:`collector` (warning cycle completed).
-
-        ``collector()`` is the documented terminal API — its
-        ``snapshot()``/``drain()`` make the copy semantics explicit, and
-        ``collector().view()`` reproduces exactly what ``collect()``
-        used to return.
-        """
-        raise DeprecationError(
-            "DStream.collect()",
-            "DStream.collector() (read with .snapshot()/.drain(), or "
-            ".view() for the old sequence surface)",
-        )
 
     def collector(self) -> Collector:
         """Terminal sink into a :class:`Collector` (snapshot semantics).
@@ -335,14 +320,11 @@ class StreamingContext:
     partitioner:
         Defaults to :class:`HeartbeatAwarePartitioner`.
     execution:
-        ``"serial"`` (default), ``"threads"``, ``"processes"``, or a
-        pre-built :class:`~repro.streaming.execution.ExecutionBackend`.
+        ``"serial"`` (default), ``"processes"``, or a pre-built
+        :class:`~repro.streaming.execution.ExecutionBackend`.
         ``"processes"`` runs each partition in a long-lived worker
         process — operator functions must be picklable; see
         ``docs/PARALLELISM.md``.
-    parallel:
-        Legacy alias for ``execution="threads"``.  Conflicting
-        combinations raise ``ValueError``.
     retry_policy:
         Re-execute failing operator calls per this policy; records that
         exhaust it are quarantined instead of aborting the batch.  With
@@ -362,12 +344,11 @@ class StreamingContext:
         self,
         num_partitions: int = 4,
         partitioner: Optional[HashPartitioner] = None,
-        parallel: bool = False,
         metrics: Optional[MetricsRegistry] = None,
         retry_policy: Optional[RetryPolicy] = None,
         dead_letter: Optional[Callable[[QuarantinedRecord], None]] = None,
         fault_plan: Optional[Any] = None,
-        execution: Union[str, ExecutionBackend, None] = None,
+        execution: Union[str, ExecutionBackend] = "serial",
     ) -> None:
         if num_partitions < 1:
             raise ValueError("num_partitions must be >= 1")
@@ -423,7 +404,7 @@ class StreamingContext:
         self._bucket_buffers: List[List[StreamRecord]] = [
             [] for _ in range(num_partitions)
         ]
-        # Execution plane: the graph walk (shared by driver threads and
+        # Execution plane: the graph walk (shared by the driver and
         # worker processes) plus the backend that schedules it.
         self._executor = PartitionExecutor(
             self._roots,
@@ -433,18 +414,9 @@ class StreamingContext:
             on_backoff=self._retry_backoff_seconds.observe,
             on_quarantine=self._record_quarantined,
         )
-        if execution is None:
-            execution = "threads" if parallel else "serial"
-        elif parallel and not (
-            execution == "threads" or isinstance(execution, ThreadBackend)
-        ):
-            raise ValueError(
-                "parallel=True conflicts with execution=%r; drop the "
-                "legacy flag or pass execution='threads'" % (execution,)
-            )
         self._backend = resolve_backend(execution)
         self._backend.attach(self)
-        #: Resolved backend name ("serial" | "threads" | "processes").
+        #: Resolved backend name ("serial" | "processes").
         self.execution = self._backend.name
 
     @property
@@ -537,7 +509,7 @@ class StreamingContext:
         return [self.run_batch(batch) for batch in batches]
 
     def shutdown(self) -> None:
-        """Release backend resources (thread pool / worker processes).
+        """Release backend resources (worker processes).
 
         Idempotent; serial contexts make it a no-op.  Long-lived owners
         (the service, ``serve``/``watch``) call this on teardown.

@@ -3,10 +3,8 @@
 The driver/worker split that :class:`~repro.streaming.engine.StreamingContext`
 schedules over is abstracted behind an :class:`ExecutionBackend`:
 
-* :class:`SerialBackend` — partitions run inline on the driver thread,
-  bit-identical to the engine's historical default;
-* :class:`ThreadBackend` — partitions run on a thread pool (the old
-  ``parallel=True``), overlapping I/O but still GIL-bound;
+* :class:`SerialBackend` — partitions run inline on the driver thread
+  (the default, and the reference the equivalence suites compare to);
 * :class:`ProcessBackend` — each partition runs in a **long-lived worker
   process** (``multiprocessing`` spawn context).  Workers keep their
   :class:`~repro.streaming.engine.WorkerContext` / state maps resident
@@ -16,26 +14,23 @@ schedules over is abstracted behind an :class:`ExecutionBackend`:
   counters, and fault-plan/clock bookkeeping which the driver replays
   so observable semantics match serial execution.
 
-With the default ``transport="shm"`` the bulk payloads — record buckets
-going out, sink emissions coming back — travel as single columnar
-frames (:mod:`repro.streaming.codec`) through per-worker shared-memory
-arenas (:mod:`repro.streaming.shm`); only a tiny frame descriptor plus
-the control metadata (deltas, fault-plan state, clock readings,
-counters) crosses the pipe.  ``transport="pickle"`` preserves the PR 8
-wire format (whole buckets pickled through the pipe), kept for
-benchmark comparison.  While a fault plan has a live call-ordinal
-budget (``fail_first``/``fail_nth``), partitions are chained
-sequentially in partition order so budget counting is *exactly* the
-serial schedule even across partitions; once every budget is spent the
-batch fans out fully parallel again.
+The bulk payloads — record buckets going out, sink emissions coming
+back — travel as single columnar frames (:mod:`repro.streaming.codec`)
+through per-worker shared-memory arenas (:mod:`repro.streaming.shm`);
+only a tiny frame descriptor plus the control metadata (deltas,
+fault-plan state, clock readings, counters) crosses the pipe.  While a
+fault plan has a live call-ordinal budget (``fail_first``/``fail_nth``),
+partitions are chained sequentially in partition order so budget
+counting is *exactly* the serial schedule even across partitions; once
+every budget is spent the batch fans out fully parallel again.
 
 The operator-graph walk itself — fault injection, retry loop, quarantine
 — lives in :class:`PartitionExecutor`, shared verbatim between the
-driver-side backends and the worker processes; the only behavioural
-switch is *sink capture*: worker processes do not run sink functions
-(they may close over driver resources such as storage handles), they
-record ``(node_id, record)`` pairs which the driver replays in partition
-order — reproducing exactly the total sink order of serial execution.
+driver and the worker processes; the only behavioural switch is *sink
+capture*: worker processes do not run sink functions (they may close
+over driver resources such as storage handles), they record
+``(node_id, record)`` pairs which the driver replays in partition order
+— reproducing exactly the total sink order of serial execution.
 
 See ``docs/PARALLELISM.md`` for the protocol and its determinism
 caveats.
@@ -45,7 +40,6 @@ from __future__ import annotations
 
 import multiprocessing
 import signal
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import (
     Any,
@@ -71,12 +65,11 @@ __all__ = [
     "ProcessBackend",
     "RemoteBatchResult",
     "SerialBackend",
-    "ThreadBackend",
     "resolve_backend",
 ]
 
 #: Valid names for ``StreamingContext(execution=...)`` / the CLI flag.
-EXECUTION_BACKENDS = ("serial", "threads", "processes")
+EXECUTION_BACKENDS = ("serial", "processes")
 
 #: Sentinel distinguishing "operator quarantined the record" from an
 #: empty output list (which still propagates nothing but is a success).
@@ -97,8 +90,8 @@ class PartitionExecutor:
     This is the engine's execution core — fault injection at
     ``operator:<kind>:<node_id>`` sites, the retry loop with measured
     per-attempt timeouts, and quarantine on exhaustion — factored out of
-    :class:`~repro.streaming.engine.StreamingContext` so driver threads
-    and worker processes run the identical code path.
+    :class:`~repro.streaming.engine.StreamingContext` so the driver and
+    worker processes run the identical code path.
 
     Accounting is externalised through callbacks: the driver wires
     ``on_retry``/``on_backoff``/``on_quarantine`` to its live counters,
@@ -307,37 +300,6 @@ class SerialBackend(ExecutionBackend):
             ctx._executor.run_partition(worker, bucket)
 
 
-class ThreadBackend(ExecutionBackend):
-    """Partitions run on a thread pool (the old ``parallel=True``)."""
-
-    name = "threads"
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._pool: Optional[ThreadPoolExecutor] = None
-
-    def attach(self, ctx: Any) -> None:
-        super().attach(ctx)
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=ctx.num_partitions
-            )
-
-    def run_batch(self, buckets: List[List[StreamRecord]]) -> None:
-        ctx = self._ctx
-        futures = [
-            self._pool.submit(ctx._executor.run_partition, worker, bucket)
-            for worker, bucket in zip(ctx.workers, buckets)
-        ]
-        for future in futures:
-            future.result()
-
-    def shutdown(self) -> None:
-        super().shutdown()
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-
-
 # ----------------------------------------------------------------------
 # Process backend: driver side
 # ----------------------------------------------------------------------
@@ -355,10 +317,9 @@ class _WorkerInit:
     retry_policy: Optional[RetryPolicy]
     fault_plan: Optional[Any]
     broadcast_values: Dict[int, Any]
-    #: Shared-memory segment names (driver -> worker / worker -> driver);
-    #: ``None`` for the pickle transport.
-    shm_in: Optional[str] = None
-    shm_out: Optional[str] = None
+    #: Shared-memory segment names (driver -> worker / worker -> driver).
+    shm_in: str
+    shm_out: str
 
 
 @dataclass
@@ -425,17 +386,8 @@ class ProcessBackend(ExecutionBackend):
 
     name = "processes"
 
-    def __init__(
-        self, mp_context: str = "spawn", transport: str = "shm"
-    ) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        if transport not in ("shm", "pickle"):
-            raise ValueError(
-                "unknown process transport %r; expected 'shm' or "
-                "'pickle'" % (transport,)
-            )
-        self._mp_context = mp_context
-        self._transport = transport
         self._procs: List[Any] = []
         self._conns: List[Any] = []
         #: Driver-owned arenas: record buckets out, emissions back.  All
@@ -464,19 +416,17 @@ class ProcessBackend(ExecutionBackend):
         if self._procs:
             return
         ctx = self._ctx
-        mp = multiprocessing.get_context(self._mp_context)
+        mp = multiprocessing.get_context("spawn")
         spec = _graph_spec(ctx._roots)
         snapshot = ctx.broadcast_manager.sync_snapshot()
         values = {bv_id: value for bv_id, (_, value) in snapshot.items()}
         self._synced_versions = {
             bv_id: version for bv_id, (version, _) in snapshot.items()
         }
-        shm = self._transport == "shm"
         for partition_id in range(ctx.num_partitions):
-            if shm:
-                self._in_arenas.append(ShmArena.create())
-                self._out_arenas.append(ShmArena.create())
-                self._pending_out.append(None)
+            self._in_arenas.append(ShmArena.create())
+            self._out_arenas.append(ShmArena.create())
+            self._pending_out.append(None)
             parent_conn, child_conn = mp.Pipe()
             proc = mp.Process(
                 target=_worker_main,
@@ -494,8 +444,8 @@ class ProcessBackend(ExecutionBackend):
                 retry_policy=ctx.retry_policy,
                 fault_plan=ctx._fault_plan,
                 broadcast_values=values,
-                shm_in=self._in_arenas[-1].name if shm else None,
-                shm_out=self._out_arenas[-1].name if shm else None,
+                shm_in=self._in_arenas[-1].name,
+                shm_out=self._out_arenas[-1].name,
             )
             self._send(partition_id, ("init", init))
         for partition_id in range(ctx.num_partitions):
@@ -605,13 +555,9 @@ class ProcessBackend(ExecutionBackend):
         plan_sent: Optional[Any],
         clock_now: Optional[float],
     ) -> None:
-        if self._transport == "shm":
-            ref = self._ship_bucket(partition_id, encode_records(bucket))
-            out_spec = self._pending_out[partition_id]
-            self._pending_out[partition_id] = None
-        else:
-            ref = ("records", bucket)
-            out_spec = None
+        ref = self._ship_bucket(partition_id, encode_records(bucket))
+        out_spec = self._pending_out[partition_id]
+        self._pending_out[partition_id] = None
         self._send(
             partition_id,
             ("batch", ref, out_spec, deltas, plan_sent, clock_now),
@@ -695,7 +641,6 @@ def resolve_backend(execution: Any) -> ExecutionBackend:
         return execution
     factories = {
         "serial": SerialBackend,
-        "threads": ThreadBackend,
         "processes": ProcessBackend,
     }
     try:
@@ -720,12 +665,8 @@ class _WorkerProcessState:
         self.worker = WorkerContext(
             init.partition_id, BlockManager(init.partition_id)
         )
-        self.arena_in = (
-            ShmArena.attach(init.shm_in) if init.shm_in else None
-        )
-        self.arena_out = (
-            ShmArena.attach(init.shm_out) if init.shm_out else None
-        )
+        self.arena_in = ShmArena.attach(init.shm_in)
+        self.arena_out = ShmArena.attach(init.shm_out)
         for bv_id, value in init.broadcast_values.items():
             self.worker.block_manager.put(bv_id, value)
         self.retry_policy = init.retry_policy
@@ -749,14 +690,11 @@ class _WorkerProcessState:
     def resolve_records(self, ref: Any) -> Sequence[StreamRecord]:
         """Turn a batch message's bucket reference into records."""
         kind = ref[0]
-        if kind == "records":  # pickle transport: the bucket itself
-            return ref[1]
         if kind == "inline":  # frame too big for any arena
             return decode_records(ref[1])
         if kind == "grow":  # driver replaced the in-arena
             _, name, _capacity, offset, length = ref
-            if self.arena_in is not None:
-                self.arena_in.close()
+            self.arena_in.close()
             self.arena_in = ShmArena.attach(name)
             ref = ("frame", offset, length)
         view = self.arena_in.read(ref[1], ref[2])
@@ -767,20 +705,16 @@ class _WorkerProcessState:
 
     def reattach_out(self, name: str, _capacity: int) -> None:
         """Adopt a grown out-arena announced by the driver."""
-        if self.arena_out is not None:
-            self.arena_out.close()
+        self.arena_out.close()
         self.arena_out = ShmArena.attach(name)
 
     def pack_emits(self, result: "RemoteBatchResult") -> Any:
         """Move captured emissions into the out-arena; return the ref.
 
-        Returns ``None`` for the pickle transport (emissions stay in
-        the result) and for empty batches.  An ``("inline", frame,
+        Returns ``None`` for empty batches.  An ``("inline", frame,
         needed)`` reference ships the frame over the pipe and asks the
         driver to grow the out-arena before the next batch.
         """
-        if self.arena_out is None:
-            return None
         emitted = result.emitted
         result.emitted = []
         if not emitted:
@@ -793,10 +727,8 @@ class _WorkerProcessState:
 
     def close(self) -> None:
         """Drop this process's arena mappings (driver owns unlinking)."""
-        if self.arena_in is not None:
-            self.arena_in.close()
-        if self.arena_out is not None:
-            self.arena_out.close()
+        self.arena_in.close()
+        self.arena_out.close()
 
     def run_batch(
         self,

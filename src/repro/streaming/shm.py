@@ -3,13 +3,11 @@
 ``multiprocessing.Pipe`` pickles every payload and copies it twice
 (writer -> kernel -> reader).  For the record buckets and emission
 batches that cross the driver/worker boundary every micro-batch, that
-serialisation tax is the dominant IPC cost (the checked-in
-``engine_multicore_speedup`` baseline sat *below* 1.0 because of it).
-A :class:`ShmArena` removes both copies from the hot path: the writer
-encodes a batch once into a ``multiprocessing.shared_memory`` segment
-and ships only a tiny ``(offset, length)`` descriptor over the pipe;
-the reader decodes straight out of the mapped page via ``memoryview``
-slices.
+serialisation tax is the dominant IPC cost.  A :class:`ShmArena`
+removes both copies from the hot path: the writer encodes a batch once
+into a ``multiprocessing.shared_memory`` segment and ships only a tiny
+``(offset, length)`` descriptor over the pipe; the reader decodes
+straight out of the mapped page via ``memoryview`` slices.
 
 Layout and protocol
 -------------------

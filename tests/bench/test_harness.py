@@ -232,8 +232,5 @@ class TestBuildCaseOverrides:
             )
         }
         assert cases["engine_shm"].params["engine_batch_records"] == 256
-        assert (
-            cases["engine_multiprocess"].params["engine_batch_records"] == 256
-        )
+        assert cases["engine_serial"].params["engine_batch_records"] == 256
         assert cases["engine_shm"].params["transport"] == "shm"
-        assert cases["engine_multiprocess"].params["transport"] == "pickle"

@@ -20,7 +20,7 @@ heartbeats_enabled = true
 spec = "sqlite:/tmp/x.db"
 
 [execution]
-backend = "threads"
+backend = "processes"
 
 [ingest]
 max_line_bytes = 65536
@@ -55,7 +55,7 @@ def full_config():
         expiry_factor=4.0,
         min_expiry_millis=1500,
         storage="sqlite:/tmp/x.db",
-        execution="threads",
+        execution="processes",
         alerts=AlertsConfig(
             rules=(
                 AlertRule(name="burst", condition=">=", threshold=2.0,
@@ -76,7 +76,7 @@ class TestFromFile:
         assert config.expiry_factor == 4.0
         assert config.min_expiry_millis == 1500
         assert config.storage == "sqlite:/tmp/x.db"
-        assert config.execution == "threads"
+        assert config.execution == "processes"
         assert config.ingest.max_line_bytes == 65536
         assert config.ingest.batch_lines == 128
         assert [r.name for r in config.alerts.rules] == [
@@ -128,10 +128,13 @@ class TestFromFile:
         with pytest.raises(ConfigFileError, match="condition"):
             ServiceConfig.from_file(path)
 
-    def test_bad_execution_backend_names_the_file(self, tmp_path):
+    @pytest.mark.parametrize("name", ["gpu", "threads"])
+    def test_bad_execution_backend_names_the_file(self, tmp_path, name):
         path = tmp_path / "svc.toml"
-        path.write_text('[execution]\nbackend = "gpu"\n')
-        with pytest.raises(ConfigFileError, match="svc.toml"):
+        path.write_text('[execution]\nbackend = "%s"\n' % name)
+        with pytest.raises(
+            ConfigFileError, match="svc.toml.*'serial', 'processes'"
+        ):
             ServiceConfig.from_file(path)
 
     def test_invalid_toml_rejected(self, tmp_path):
@@ -152,7 +155,7 @@ class TestRoundTrip:
         assert loaded.heartbeat_period_steps == 2
         assert loaded.expiry_factor == 4.0
         assert loaded.storage == "sqlite:/tmp/x.db"
-        assert loaded.execution == "threads"
+        assert loaded.execution == "processes"
         assert loaded.ingest == config.ingest
         assert loaded.alerts.rules == config.alerts.rules
         assert loaded.alerts.sinks == config.alerts.sinks
@@ -171,7 +174,7 @@ class TestDescribe:
     def test_describe_covers_the_whole_surface(self):
         described = full_config().describe()
         assert described["num_partitions"] == 3
-        assert described["execution"] == "threads"
+        assert described["execution"] == "processes"
         assert described["storage"] == "sqlite:/tmp/x.db"
         assert described["ingest"]["max_line_bytes"] > 0
         assert described["alerts"]["rules"][0]["name"] == "burst"

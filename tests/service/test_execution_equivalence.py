@@ -67,9 +67,6 @@ class TestBackendEquivalence:
     def test_processes_match_serial_end_to_end(self):
         assert replay("serial") == replay("processes")
 
-    def test_threads_match_serial_end_to_end(self):
-        assert replay("serial") == replay("threads")
-
     def test_generated_corpus_equivalent(self):
         """A bigger seeded D1 corpus: real parse misses, open events,
         heartbeat expiries — the full anomaly surface, not a toy."""
@@ -166,7 +163,7 @@ class TestServiceLifecycle:
     def test_close_shuts_down_both_streaming_contexts(self):
         """Pin for the historical leak: service teardown never called
         ``StreamingContext.shutdown()``, stranding backend resources."""
-        service = make_service("threads")
+        service = make_service("serial")
         assert not service.parse_ctx._backend.closed
         assert not service.seq_ctx._backend.closed
         service.close()
@@ -205,6 +202,10 @@ class TestServiceLifecycle:
         config = ServiceConfig(execution="processes")
         assert config.describe()["execution"] == "processes"
 
-    def test_config_rejects_unknown_execution(self):
-        with pytest.raises(ValueError):
-            ServiceConfig(execution="hamsters")
+    @pytest.mark.parametrize("name", ["hamsters", "threads"])
+    def test_config_rejects_unknown_execution(self, name):
+        with pytest.raises(
+            ValueError,
+            match="execution must be one of 'serial', 'processes'",
+        ):
+            ServiceConfig(execution=name)

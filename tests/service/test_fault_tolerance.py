@@ -134,18 +134,6 @@ class TestReportFacade:
         assert doc["quarantine"]["quarantined"] == 1
         assert set(doc) >= LEGACY_STATS_KEYS
 
-    def test_retired_aliases_raise_with_migration_hint(self):
-        from repro.errors import DeprecationError
-
-        service = trained_service()
-        with pytest.raises(DeprecationError, match="report"):
-            service.stats()
-        with pytest.raises(DeprecationError, match="report"):
-            service.metrics_snapshot()
-        # The hint names the replacement, which still works.
-        assert service.report(include_metrics=False).counters()
-        assert service.report().metrics is not None
-
 
 class TestHeartbeatFaults:
     def test_one_sources_failure_does_not_silence_the_others(self):

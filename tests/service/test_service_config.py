@@ -4,7 +4,6 @@ import dataclasses
 
 import pytest
 
-from repro.errors import DeprecationError
 from repro.ingest import IngestLimits
 from repro.obs import MetricsRegistry
 from repro.service import LogLensService, ServiceConfig
@@ -23,33 +22,13 @@ class TestConfigConstruction:
         assert len(service.parse_ctx.workers) == 2
         service.close()
 
-    def test_legacy_kwargs_raise_with_migration_hint(self):
-        # The deprecation cycle is complete: folding kwargs into a
-        # config is gone, and the error names the replacement field
-        # for every kwarg that was passed.
-        with pytest.raises(DeprecationError) as excinfo:
-            LogLensService(num_partitions=3, expiry_factor=4.0)
-        message = str(excinfo.value)
-        assert "num_partitions= is ServiceConfig.num_partitions" in message
-        assert "expiry_factor= is ServiceConfig.expiry_factor" in message
-        assert "LogLensService(config=ServiceConfig(" in message
-
-    def test_config_plus_kwargs_is_an_error(self):
-        with pytest.raises(TypeError, match="not both"):
-            LogLensService(
-                config=ServiceConfig(), num_partitions=2
-            )
-
-    def test_unknown_kwarg_lists_the_valid_fields(self):
-        with pytest.raises(TypeError) as excinfo:
-            LogLensService(num_partitons=2)  # typo on purpose
-        message = str(excinfo.value)
-        assert "num_partitons" in message
-        assert "num_partitions" in message  # the fix is in the list
-
-    def test_from_kwargs_rejects_unknowns_directly(self):
-        with pytest.raises(TypeError, match="bogus"):
-            ServiceConfig.from_kwargs(bogus=1)
+    def test_loose_keywords_are_plain_type_errors(self):
+        with pytest.raises(TypeError, match="num_partitions") as excinfo:
+            LogLensService(num_partitions=8)
+        assert type(excinfo.value) is TypeError
+        with pytest.raises(TypeError, match="num_partitions"):
+            LogLensService(config=ServiceConfig(), num_partitions=2)
+        assert not hasattr(ServiceConfig, "from_kwargs")
 
 
 class TestFrozenSemantics:

@@ -167,22 +167,6 @@ class TestModelUpdates:
         assert [r.value for r in out] == [1, 2]
 
 
-class TestParallelMode:
-    def test_parallel_execution_matches_sequential(self):
-        results = []
-        for parallel in (False, True):
-            ctx = StreamingContext(num_partitions=4, parallel=parallel)
-            out = ctx.source().map(
-                lambda r, w: StreamRecord(value=r.value * 3, key=r.key)
-            ).collector().view()
-            ctx.run_batch(
-                [StreamRecord(value=i, key="k%d" % i) for i in range(50)]
-            )
-            ctx.shutdown()
-            results.append(sorted(r.value for r in out))
-        assert results[0] == results[1]
-
-
 class TestBatchMetrics:
     def test_run_batches(self):
         ctx = StreamingContext(num_partitions=1)

@@ -1,58 +1,28 @@
-"""Deeper engine tests: stateful operators under the thread pool, and
+"""Deeper engine tests: stateful operators across partitions, and
 engine/partitioner interaction invariants."""
 
-import threading
+import pytest
 
+from repro.streaming import EXECUTION_BACKENDS
 from repro.streaming.engine import StreamingContext
 from repro.streaming.records import StreamRecord, heartbeat_record
 
 
-def _counting_op(record, state, worker):
-    n = state.get(record.key, 0) + 1
-    state.put(record.key, n)
-    yield StreamRecord(value=(record.key, n), key=record.key)
+def _heartbeat_partition(record, state, worker):
+    if record.is_heartbeat:
+        yield StreamRecord(value=worker.partition_id)
 
 
-class TestParallelStateful:
-    def test_parallel_keyed_counts_match_sequential(self):
-        batches = [
-            [
-                StreamRecord(value=i, key="k%d" % (i % 7))
-                for i in range(50)
-            ]
-            for _ in range(4)
-        ]
-        finals = []
-        for parallel in (False, True):
-            ctx = StreamingContext(num_partitions=4, parallel=parallel)
-            out = ctx.source().map_with_state(_counting_op).collector().view()
-            for batch in batches:
-                ctx.run_batch(batch)
+class TestPartitionedState:
+    @pytest.mark.parametrize("execution", EXECUTION_BACKENDS)
+    def test_heartbeat_fanout(self, execution):
+        ctx = StreamingContext(num_partitions=4, execution=execution)
+        hits = ctx.source().map_with_state(_heartbeat_partition).collector()
+        try:
+            ctx.run_batch([heartbeat_record("s", 1)])
+        finally:
             ctx.shutdown()
-            counts = {}
-            for record in out:
-                key, n = record.value
-                counts[key] = max(counts.get(key, 0), n)
-            finals.append(counts)
-        assert finals[0] == finals[1]
-        # Every key saw all four batches' worth of records.
-        assert all(n >= 4 for n in finals[0].values())
-
-    def test_parallel_heartbeat_fanout(self):
-        ctx = StreamingContext(num_partitions=4, parallel=True)
-        hits = []
-        lock = threading.Lock()
-
-        def op(record, state, worker):
-            if record.is_heartbeat:
-                with lock:
-                    hits.append(worker.partition_id)
-            return []
-
-        ctx.source().map_with_state(op)
-        ctx.run_batch([heartbeat_record("s", 1)])
-        ctx.shutdown()
-        assert sorted(hits) == [0, 1, 2, 3]
+        assert [r.value for r in hits.snapshot()] == [0, 1, 2, 3]
 
     def test_state_never_shared_across_partitions(self):
         ctx = StreamingContext(num_partitions=4)

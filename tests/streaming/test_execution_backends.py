@@ -1,13 +1,13 @@
-"""Cross-backend equivalence: serial, threads, and processes.
+"""Cross-backend equivalence: serial and processes.
 
 The execution backend is a pure scheduling concern — every observable
 output of a micro-batch (emissions and their order, quarantine contents,
 counters, injected-clock time, fault-plan accounting) must be identical
-across backends, modulo thread interleaving for ``threads``.  All
-operator functions live at module level so ``spawn`` worker processes
+across backends.  All operator functions live at module level so ``spawn`` worker processes
 can unpickle them by import.
 """
 
+import inspect
 import random
 
 import pytest
@@ -17,6 +17,7 @@ from repro.faults import FaultPlan, ManualClock
 from repro.obs import MetricsRegistry
 from repro.streaming import (
     EXECUTION_BACKENDS,
+    ProcessBackend,
     RetryPolicy,
     StreamRecord,
     StreamingContext,
@@ -115,13 +116,6 @@ class TestStatelessEquivalence:
         assert run_stateless("serial", records) == run_stateless(
             "processes", records
         )
-
-    def test_threads_match_serial_as_multiset(self):
-        records = workload()
-        serial = run_stateless("serial", records)
-        threads = run_stateless("threads", records)
-        assert sorted(serial[0]) == sorted(threads[0])
-        assert serial[1:] == threads[1:]
 
 
 class TestStatefulEquivalence:
@@ -324,26 +318,18 @@ class TestLifecycle:
             ctx.call_partition(2, state_items)
         ctx.shutdown()
 
-    def test_legacy_parallel_flag_maps_to_threads(self):
-        ctx = StreamingContext(
-            num_partitions=2, metrics=MetricsRegistry(), parallel=True
-        )
-        assert ctx.execution == "threads"
-        ctx.shutdown()
-
-    def test_parallel_flag_conflicts_with_other_backend(self):
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("name", ["hamsters", "threads"])
+    def test_unknown_backend_rejected(self, name):
+        with pytest.raises(ValueError, match="'serial', 'processes'"):
             StreamingContext(
                 num_partitions=2,
                 metrics=MetricsRegistry(),
-                parallel=True,
-                execution="processes",
+                execution=name,
             )
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            StreamingContext(
-                num_partitions=2,
-                metrics=MetricsRegistry(),
-                execution="hamsters",
-            )
+    def test_removed_options_are_plain_type_errors(self):
+        with pytest.raises(TypeError, match="parallel"):
+            StreamingContext(num_partitions=2, parallel=True)
+        with pytest.raises(TypeError, match="transport"):
+            ProcessBackend(transport="shm")
+        assert list(inspect.signature(ProcessBackend).parameters) == []

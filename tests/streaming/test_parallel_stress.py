@@ -1,19 +1,25 @@
-"""Stress the parallel streaming path against the thread-safety fixes.
+"""Thread-safety of a shared parser, and engine record accounting.
 
-Many batches × rebroadcasts × one *shared* ``FastLogParser`` broadcast to
-all workers: every partition thread races on the same ``PatternIndex``
-(group builds/memoisation) and the same stats counters.  The assertions
-pin the invariants that the pre-fix code could violate — lost records via
-``zip`` truncation, torn counter increments, double-built groups leaking
-inconsistent counts.
+One *shared* ``FastLogParser`` driven by many plain threads: every
+thread races on the same ``PatternIndex`` (group builds/memoisation) and
+the same stats counters — the locks exist because callers may share a
+parser across threads.  The engine half runs many batches ×
+rebroadcasts on both execution backends and pins the invariants the
+scheduler must keep — no record lost to ``zip`` truncation, per-partition
+counters summing to the input.
 """
+
+import sys
+import threading
 
 import pytest
 
-from repro.obs import MetricsRegistry
+from repro.obs import MetricsRegistry, NullRegistry
 from repro.parsing.grok import GrokPattern
 from repro.parsing.parser import FastLogParser, PatternModel
 from repro.parsing.tokenizer import Tokenizer
+from repro.service.loglens_service import ParseOperator
+from repro.streaming import EXECUTION_BACKENDS
 from repro.streaming.engine import Collector, StreamingContext
 from repro.streaming.partitioner import HashPartitioner
 from repro.streaming.records import StreamRecord
@@ -64,50 +70,56 @@ BATCH_SIZE = 160
 REBROADCAST_EVERY = 6
 
 
-class TestParallelSharedParserStress:
-    def test_no_lost_records_and_consistent_counters(self):
+class TestSharedParserThreadStress:
+    def test_no_lost_parses_and_consistent_counters(self):
         metrics = MetricsRegistry()
-        ctx = StreamingContext(
-            num_partitions=NUM_PARTITIONS, parallel=True, metrics=metrics
-        )
-        parser_bv = ctx.broadcast(
-            FastLogParser(_model(), metrics=metrics)
-        )
-        parsers = [parser_bv.get_value()]
-
-        def parse_op(record, worker):
-            # Every worker thread reads the SAME parser object.
-            parser = parser_bv.get_value(worker.block_manager)
-            result = parser.parse(record.value, source="stress")
-            return StreamRecord(value=(record.value, result),
-                                key=record.key)
-
-        collector = ctx.source().map(parse_op).collector()
-
+        parsers = []
+        results = []
+        results_lock = threading.Lock()
         total = 0
-        for b in range(BATCHES):
-            if b and b % REBROADCAST_EVERY == 0:
-                # Zero-downtime model update: a fresh shared parser whose
-                # index must be (re)built concurrently by all workers.
-                fresh = FastLogParser(
-                    _model(), tokenizer=Tokenizer(), metrics=metrics
-                )
-                parsers.append(fresh)
-                ctx.rebroadcast(parser_bv, fresh)
-            lines = _make_lines(b, BATCH_SIZE)
-            batch = [
-                StreamRecord(value=line, key="k%d" % (i % 31))
-                for i, line in enumerate(lines)
-            ]
-            ctx.run_batch(batch)
-            total += len(batch)
-        ctx.shutdown()
 
-        # --- No record lost, none duplicated -------------------------
-        out = collector.snapshot()
-        assert len(out) == total
-        seen = [raw for raw, _ in (r.value for r in out)]
-        assert len(set(seen)) == total
+        def drive(parser, lines, barrier):
+            barrier.wait(timeout=30)
+            local = [
+                (line, parser.parse(line, source="stress"))
+                for line in lines
+            ]
+            with results_lock:
+                results.extend(local)
+
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for b in range(BATCHES):
+                if b % REBROADCAST_EVERY == 0:
+                    # A fresh shared parser whose index must be (re)built
+                    # concurrently by every thread.
+                    parsers.append(
+                        FastLogParser(
+                            _model(), tokenizer=Tokenizer(), metrics=metrics
+                        )
+                    )
+                lines = _make_lines(b, BATCH_SIZE)
+                total += len(lines)
+                barrier = threading.Barrier(NUM_PARTITIONS)
+                threads = [
+                    threading.Thread(
+                        target=drive,
+                        args=(parsers[-1], lines[i::NUM_PARTITIONS], barrier),
+                    )
+                    for i in range(NUM_PARTITIONS)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(switch_interval)
+
+        # --- No line lost, none duplicated ---------------------------
+        assert len(results) == total
+        assert len({raw for raw, _ in results}) == total
 
         # --- Per-parser counters are exact ---------------------------
         # Each lookup increments exactly one of group_hits/group_builds;
@@ -122,6 +134,62 @@ class TestParallelSharedParserStress:
         assert metrics.counter("parser.parsed").value + \
             metrics.counter("parser.anomalies").value == total
         assert metrics.counter("index.lookups").value == total
+
+        # --- Parse results are real parses, not torn state -----------
+        parsed = [res for _, res in results if not _is_anomaly(res)]
+        assert parsed, "expected a parseable slice of the stream"
+        assert all(res.pattern_id in (1, 2, 3) for res in parsed)
+
+
+class TestEngineRecordAccounting:
+    @pytest.mark.parametrize("execution", EXECUTION_BACKENDS)
+    def test_no_lost_records_across_batches_and_rebroadcasts(
+        self, execution
+    ):
+        metrics = MetricsRegistry()
+        ctx = StreamingContext(
+            num_partitions=NUM_PARTITIONS,
+            metrics=metrics,
+            execution=execution,
+        )
+        model_bv = ctx.broadcast(_model())
+        # The service's own parse stage: picklable, one resident parser
+        # per worker, rebuilt when the broadcast model changes.
+        parse = ParseOperator(model_bv, Tokenizer, NullRegistry())
+        collector = ctx.source().flat_map(parse).collector()
+
+        total = 0
+        try:
+            for b in range(BATCHES):
+                if b and b % REBROADCAST_EVERY == 0:
+                    # Zero-downtime model update between two batches.
+                    ctx.rebroadcast(model_bv, _model())
+                lines = _make_lines(b, BATCH_SIZE)
+                batch = [
+                    StreamRecord(
+                        value={"raw": line, "source": "stress"},
+                        key="k%d" % (i % 31),
+                    )
+                    for i, line in enumerate(lines)
+                ]
+                ctx.run_batch(batch)
+                total += len(batch)
+        finally:
+            ctx.shutdown()
+
+        # --- No record lost, none duplicated -------------------------
+        out = collector.snapshot()
+        assert len(out) == total
+        results = [r.value for r in out]
+        raws = {
+            res.logs[0] if _is_anomaly(res) else res.raw for res in results
+        }
+        assert len(raws) == total
+        parsed = [res for res in results if not _is_anomaly(res)]
+        assert parsed, "expected a parseable slice of the stream"
+        assert all(res.pattern_id in (1, 2, 3) for res in parsed)
+
+        # --- Engine counters saw every record exactly once -----------
         assert metrics.counter("engine.records").value == total
         per_partition = sum(
             metrics.counter(
@@ -130,12 +198,6 @@ class TestParallelSharedParserStress:
             for i in range(NUM_PARTITIONS)
         )
         assert per_partition == total
-
-        # --- Parse results are real parses, not torn state -----------
-        parsed = [res for _, res in (r.value for r in out)
-                  if not _is_anomaly(res)]
-        assert parsed, "expected a parseable slice of the stream"
-        assert all(res.pattern_id in (1, 2, 3) for res in parsed)
 
         # --- Engine/batch instrumentation saw every batch ------------
         assert metrics.histogram("engine.batch_seconds").count == BATCHES

@@ -10,7 +10,6 @@ from repro.streaming import (
     StreamingContext,
 )
 from repro.streaming import execution as execution_module
-from repro.streaming.execution import ProcessBackend
 from repro.streaming.shm import DEFAULT_ARENA_BYTES
 
 
@@ -44,34 +43,15 @@ def run_stateless(execution, records):
 
 
 # ---------------------------------------------------------------------------
-# Transport selection and equivalence
+# Equivalence
 # ---------------------------------------------------------------------------
 
-class TestTransports:
-    def test_default_transport_is_shm(self):
-        assert ProcessBackend()._transport == "shm"
-
-    def test_unknown_transport_rejected(self):
-        with pytest.raises(ValueError):
-            ProcessBackend(transport="carrier-pigeon")
-
-    def test_pickle_transport_matches_shm(self):
+class TestTransport:
+    def test_shm_matches_serial(self):
         records = workload()
-        shm = run_stateless(ProcessBackend(transport="shm"), records)
-        pickled = run_stateless(ProcessBackend(transport="pickle"), records)
-        assert shm == pickled == run_stateless("serial", records)
-
-    def test_pickle_transport_creates_no_arenas(self):
-        ctx = StreamingContext(
-            num_partitions=2,
-            metrics=MetricsRegistry(),
-            execution=ProcessBackend(transport="pickle"),
+        assert run_stateless("processes", records) == run_stateless(
+            "serial", records
         )
-        ctx.source().map(double).collector()
-        ctx.run_batch(workload(4))
-        assert ctx._backend._in_arenas == []
-        assert ctx._backend._out_arenas == []
-        ctx.shutdown()
 
 
 class TestGrowthAndFallback:
