@@ -9,8 +9,16 @@ knowledge base:
 
 * **Caching matched formats** — logs from one source reuse the same few
   formats, so previously-matched formats are tried first (19.4x of the 22x).
-* **Filtering** — cheap keyword/shape checks reject tokens that cannot start
-  a timestamp before any format regex runs.
+* **Filtering** — a *gate* derived from the knowledge base rejects tokens
+  that cannot start a timestamp before any format regex runs.  Each format's
+  *head* is the regex of its first whitespace chunk; a window can only
+  fullmatch a format if its first token starts with that head, ending at
+  whitespace or at the token's end.  One regex
+  ``(?:head₁|head₂|…)(?=\\s|\\Z)`` over all formats is the gate, one per
+  token span skips doomed spans of the sweep, and the characters that can
+  start a head let the tokenizer reject most tokens with a set lookup.
+  The gate is exact by construction, so user formats that open with a
+  literal (``[``, ``T``) are found like any other.
 
 Formats are written in Java ``SimpleDateFormat`` notation (the notation the
 paper adopts) and compiled to Python regexes.  A timestamp may span several
@@ -21,8 +29,8 @@ works on a *window* of tokens.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 __all__ = [
     "TimestampFormat",
@@ -54,25 +62,41 @@ _DAY_ABBR = [d[:3] for d in _DAYS]
 _MONTH_TO_NUM = {name: i + 1 for i, name in enumerate(_MONTHS)}
 _MONTH_TO_NUM.update({name: i + 1 for i, name in enumerate(_MONTH_ABBR)})
 
-# SimpleDateFormat token → (regex fragment, field name).  Ordered longest
-# first so the tokenizer is greedy (``SSS`` before ``ss`` etc.).
-_SDF_TOKENS: List[Tuple[str, str, str]] = [
-    ("SSSSSS", r"(?P<micro>[0-9]{6})", "micro"),
-    ("yyyy", r"(?P<year>[0-9]{4})", "year"),
-    ("SSS", r"(?P<milli>[0-9]{3})", "milli"),
-    ("MMMM", r"(?P<monthname>%s)" % "|".join(_MONTHS), "monthname"),
-    ("MMM", r"(?P<monthabbr>%s)" % "|".join(_MONTH_ABBR), "monthabbr"),
-    ("EEEE", r"(?:%s)" % "|".join(_DAYS), ""),
-    ("EEE", r"(?:%s)" % "|".join(_DAY_ABBR), ""),
-    ("yy", r"(?P<year2>[0-9]{2})", "year2"),
-    ("MM", r"(?P<month>0[1-9]|1[0-2])", "month"),
-    ("dd", r"(?P<day>0[1-9]|[12][0-9]|3[01])", "day"),
-    ("HH", r"(?P<hour>[01][0-9]|2[0-3])", "hour"),
-    ("mm", r"(?P<minute>[0-5][0-9])", "minute"),
-    ("ss", r"(?P<second>[0-5][0-9])", "second"),
-    ("M", r"(?P<month1>1[0-2]|0?[1-9])", "month1"),
-    ("d", r"(?P<day1>3[01]|[12][0-9]|0?[1-9])", "day1"),
-    ("H", r"(?P<hour1>2[0-3]|1[0-9]|0?[0-9])", "hour1"),
+#: Non-ASCII letters ``re.IGNORECASE`` folds onto ASCII ones, so a month
+#: name that matched may contain them.
+_NON_ASCII_FOLD = str.maketrans(
+    {"\u0130": "i", "\u0131": "i", "\u017f": "s", "\u212a": "k"}
+)
+
+_DIGITS = frozenset("0123456789")
+
+
+def _initials(names: Sequence[str]) -> FrozenSet[str]:
+    return frozenset(n[0] for n in names) | frozenset(
+        n[0].upper() for n in names
+    )
+
+
+# SimpleDateFormat token → (regex body, field group name, characters a
+# match can start with).  An empty name is an unnamed group.  Ordered
+# longest first so the tokenizer is greedy (``SSS`` before ``ss`` etc.).
+_SDF_TOKENS: List[Tuple[str, str, str, FrozenSet[str]]] = [
+    ("SSSSSS", "[0-9]{6}", "micro", _DIGITS),
+    ("yyyy", "[0-9]{4}", "year", _DIGITS),
+    ("SSS", "[0-9]{3}", "milli", _DIGITS),
+    ("MMMM", "|".join(_MONTHS), "monthname", _initials(_MONTHS)),
+    ("MMM", "|".join(_MONTH_ABBR), "monthabbr", _initials(_MONTHS)),
+    ("EEEE", "|".join(_DAYS), "", _initials(_DAYS)),
+    ("EEE", "|".join(_DAY_ABBR), "", _initials(_DAYS)),
+    ("yy", "[0-9]{2}", "year2", _DIGITS),
+    ("MM", "0[1-9]|1[0-2]", "month", _DIGITS),
+    ("dd", "0[1-9]|[12][0-9]|3[01]", "day", _DIGITS),
+    ("HH", "[01][0-9]|2[0-3]", "hour", _DIGITS),
+    ("mm", "[0-5][0-9]", "minute", _DIGITS),
+    ("ss", "[0-5][0-9]", "second", _DIGITS),
+    ("M", "1[0-2]|0?[1-9]", "month1", _DIGITS),
+    ("d", "3[01]|[12][0-9]|0?[1-9]", "day1", _DIGITS),
+    ("H", "2[0-3]|1[0-9]|0?[0-9]", "hour1", _DIGITS),
 ]
 
 
@@ -92,7 +116,12 @@ class TimestampMatch:
 
 @dataclass
 class DetectorStats:
-    """Counters exposed for the Section VI-A optimisation experiment."""
+    """Counters exposed for the Section VI-A optimisation experiment.
+
+    They count :meth:`TimestampDetector.identify` calls only.  Tokens the
+    tokenizer's pre-check rejects (start character, then the gate) never
+    reach ``identify``, so ``lookups`` and ``filtered_out`` leave them out.
+    """
 
     lookups: int = 0
     cache_hits: int = 0
@@ -120,14 +149,29 @@ class TimestampFormat:
 
     def __init__(self, sdf: str) -> None:
         self.sdf = sdf
-        if sdf == "EPOCH_SECONDS":
-            regex, self._epoch_scale = r"(?P<epochs>1[0-9]{9})", 1000
-        elif sdf == "EPOCH_MILLIS":
-            regex, self._epoch_scale = r"(?P<epochms>1[0-9]{12})", 1
+        #: Epoch unit in milliseconds for the ``EPOCH_*`` formats, else 0.
+        self.epoch_scale = 0
+        if sdf in ("EPOCH_SECONDS", "EPOCH_MILLIS"):
+            digits = "1[0-9]{9}" if sdf == "EPOCH_SECONDS" else "1[0-9]{12}"
+            regex, head, starts = "(%s)" % digits, digits, frozenset("1")
+            self.epoch_scale = 1000 if sdf == "EPOCH_SECONDS" else 1
         else:
-            self._epoch_scale = 0
-            regex = _sdf_to_regex(sdf)
-        self._regex = re.compile(regex, re.IGNORECASE)
+            regex, head, starts = _sdf_to_regex(sdf)
+        compiled = re.compile(regex, re.IGNORECASE)
+        #: Full-match a window: the ``re.Match`` or ``None``.
+        self.match = compiled.fullmatch
+        #: Regex of the first whitespace chunk, named groups dropped: a
+        #: window's first token must start with it (the detector's gate).
+        self.head = head
+        #: ASCII characters a match can start with (``None``: any).
+        self.start_chars = starts
+        index = compiled.groupindex
+        #: Group index of each field :meth:`TimestampDetector._convert`
+        #: reads (0 when the format lacks it), in ``_FIELD_GROUPS`` order.
+        self.fields = tuple(
+            next((index[name] for name in names if name in index), 0)
+            for names in _FIELD_GROUPS
+        )
         #: Number of whitespace-separated chunks this format spans.
         self.token_span = len(sdf.replace("'T'", "T").split(" "))
         #: Separator characters every matching window must contain —
@@ -137,18 +181,17 @@ class TimestampFormat:
             c for c in sdf if c in self.SEPARATORS
         )
 
-    def match(self, text: str) -> Optional[dict]:
-        """Full-match ``text``; return the named-group dict or ``None``."""
-        m = self._regex.fullmatch(text)
-        if m is None:
-            return None
-        groups = {k: v for k, v in m.groupdict().items() if v is not None}
-        if self._epoch_scale:
-            groups["_epoch_scale"] = self._epoch_scale
-        return groups
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "TimestampFormat(%r)" % self.sdf
+
+
+#: The fields :meth:`TimestampDetector._convert` reads, each as the group
+#: names that can carry it, preferred first.
+_FIELD_GROUPS = (
+    ("year",), ("year2",), ("month", "month1"), ("monthname", "monthabbr"),
+    ("day", "day1"), ("hour", "hour1"), ("minute",), ("second",),
+    ("milli",), ("micro",),
+)
 
 
 #: Shared compiled-format cache.  A TimestampFormat is immutable after
@@ -170,29 +213,100 @@ def compiled_format(sdf: str) -> "TimestampFormat":
     return fmt
 
 
-def _sdf_to_regex(sdf: str) -> str:
-    """Translate a SimpleDateFormat string into a Python regex source."""
-    out: List[str] = []
+#: ``gate(token)`` returns a match when ``token`` may begin a timestamp.
+_Gate = Callable[[str], Optional["re.Match[str]"]]
+
+#: Every ASCII character and the empty token: the start set of a
+#: knowledge base holding a format whose start cannot be derived.
+_ANY_START = frozenset(map(chr, range(128))) | {""}
+
+#: Shared gate cache, keyed by a detector's tuple of formats — like
+#: ``_FORMAT_CACHE``, so detectors built per worker or per model swap
+#: compile their gates once per knowledge base.
+_GATE_CACHE: Dict[
+    Tuple[str, ...], Tuple[_Gate, Dict[int, _Gate], FrozenSet[str]]
+] = {}
+
+
+def _gates(
+    formats: Sequence[TimestampFormat],
+) -> Tuple[_Gate, Dict[int, _Gate], FrozenSet[str]]:
+    """The overall gate, one gate per token span, and the start chars."""
+    key = tuple(fmt.sdf for fmt in formats)
+    gates = _GATE_CACHE.get(key)
+    if gates is None:
+        heads_by_span: Dict[int, List[str]] = {}
+        starts: FrozenSet[str] = frozenset()
+        for fmt in formats:
+            heads_by_span.setdefault(fmt.token_span, []).append(fmt.head)
+            starts |= _ANY_START if fmt.start_chars is None \
+                else fmt.start_chars
+        gates = (
+            _gate([fmt.head for fmt in formats]),
+            {span: _gate(heads) for span, heads in heads_by_span.items()},
+            starts,
+        )
+        _GATE_CACHE[key] = gates
+    return gates
+
+
+def _gate(heads: Sequence[str]) -> _Gate:
+    """Match a token that starts with one of ``heads`` ending at
+    whitespace or at the token's end; a window whose first token fails
+    cannot fullmatch any of the heads' formats."""
+    alternatives = "|".join(dict.fromkeys(heads)) if heads else "(?!)"
+    return re.compile(
+        r"(?:%s)(?=\s|\Z)" % alternatives, re.IGNORECASE
+    ).match
+
+
+def _sdf_to_regex(
+    sdf: str,
+) -> Tuple[str, str, Optional[FrozenSet[str]]]:
+    """Translate a SimpleDateFormat string into a Python regex source.
+
+    Also returns the format's head — the regex of everything before the
+    first whitespace character, named groups dropped — and the characters
+    a match can start with.  Those are ``None`` (any) when the head is
+    empty or opens with a non-ASCII literal, whose case-folding under
+    ``IGNORECASE`` reaches beyond its own upper and lower case.
+    """
+    # One (sdf source, regex, head regex, start chars) per field or
+    # literal character.
+    units: List[Tuple[str, str, str, Optional[FrozenSet[str]]]] = []
     i = 0
     n = len(sdf)
     while i < n:
         if sdf[i] == "'":
             end = sdf.index("'", i + 1)
-            out.append(re.escape(sdf[i + 1:end]))
+            units += [_literal_unit(c, re.escape(c)) for c in sdf[i + 1:end]]
             i = end + 1
             continue
-        for token, fragment, _ in _SDF_TOKENS:
+        for token, body, name, starts in _SDF_TOKENS:
             if sdf.startswith(token, i):
-                out.append(fragment)
+                unnamed = "(?:%s)" % body
+                named = "(?P<%s>%s)" % (name, body) if name else unnamed
+                units.append((token, named, unnamed, starts))
                 i += len(token)
                 break
         else:
-            if sdf[i] == " ":
-                out.append(r"\s+")
-            else:
-                out.append(re.escape(sdf[i]))
+            c = sdf[i]
+            regex = r"\s+" if c == " " else re.escape(c)
+            units.append(_literal_unit(c, regex))
             i += 1
-    return "".join(out)
+    cut = next(
+        (k for k, unit in enumerate(units) if unit[0].isspace()), len(units)
+    )
+    regex = "".join(unit[1] for unit in units)
+    head = "".join(unit[2] for unit in units[:cut])
+    return regex, head, units[0][3] if cut else None
+
+
+def _literal_unit(
+    c: str, regex: str
+) -> Tuple[str, str, str, Optional[FrozenSet[str]]]:
+    starts = frozenset((c.lower(), c.upper())) if c.isascii() else None
+    return c, regex, regex, starts
 
 
 # Duplicate-group names break ``re`` if a format repeats a field; the
@@ -318,7 +432,8 @@ class TimestampDetector:
     use_cache:
         Enable the matched-format cache optimisation.
     use_filter:
-        Enable the keyword/shape pre-filter optimisation.
+        Enable the filtering optimisation: the gate derived from the
+        formats' heads, and the per-format separator check.
     default_year / default_date:
         Fallbacks for formats that omit the year or the whole date.
     """
@@ -345,11 +460,23 @@ class TimestampDetector:
         self._rebuild_span_index()
 
     def _rebuild_span_index(self) -> None:
-        self._by_span: Dict[int, List[int]] = {}
+        by_span: Dict[int, List[int]] = {}
         for idx, fmt in enumerate(self._formats):
-            self._by_span.setdefault(fmt.token_span, []).append(idx)
-        self._spans_desc = sorted(self._by_span, reverse=True)
-        self._max_span = max(self._spans_desc, default=1)
+            by_span.setdefault(fmt.token_span, []).append(idx)
+        span_gates: Dict[int, _Gate] = {}
+        #: ``gate(token)`` is ``None`` when no format can start at
+        #: ``token``; ``start_chars`` holds every ASCII character such a
+        #: token can start with (a non-ASCII one must go to the gate).
+        #: Both are ``None`` with ``use_filter=False``.
+        self.gate: Optional[_Gate] = None
+        self.start_chars: Optional[FrozenSet[str]] = None
+        if self.use_filter:
+            self.gate, span_gates, self.start_chars = _gates(self._formats)
+        # The sweep, widest span first: (span, format indices, span gate).
+        self._sweep = [
+            (span, by_span[span], span_gates.get(span))
+            for span in sorted(by_span, reverse=True)
+        ]
 
     # ------------------------------------------------------------------
     @property
@@ -378,84 +505,64 @@ class TimestampDetector:
         windows are preferred so ``2016/02/23 09:00:31`` is consumed as one
         timestamp rather than a date followed by an unrelated time.
         """
-        self.stats.lookups += 1
+        stats = self.stats
+        stats.lookups += 1
         if start >= len(tokens):
             return None
         first = tokens[start]
-        if self.use_filter and not self._could_start_timestamp(first):
-            self.stats.filtered_out += 1
+        if self.gate is not None and self.gate(first) is None:
+            stats.filtered_out += 1
             return None
         available = len(tokens) - start
         # Cache pass first (the paper's "find if there is a cache hit"):
         # sources reuse a handful of formats, so a warm cache resolves a
-        # genuine timestamp with a single join + regex, skipping the whole
-        # span sweep below.
+        # genuine timestamp with one regex match and one conversion,
+        # skipping the whole span sweep below.
         if self.use_cache:
-            windows: Dict[int, str] = {}
+            formats = self._formats
+            window_span = 0
+            window = first
             for idx in self._cache:
-                fmt = self._formats[idx]
+                fmt = formats[idx]
                 span = fmt.token_span
                 if span > available:
                     continue
-                window = windows.get(span)
-                if window is None:
+                if span != window_span:
                     window = (
                         first
                         if span == 1
                         else " ".join(tokens[start:start + span])
                     )
-                    windows[span] = window
-                self.stats.formats_tried += 1
-                groups = fmt.match(window)
-                if groups is None:
+                    window_span = span
+                stats.formats_tried += 1
+                m = fmt.match(window)
+                if m is None:
                     continue
-                try:
-                    result = self._build_match(groups, fmt, span)
-                except _InvalidDate:
+                result = self._convert(m, fmt, span)
+                if result is None:
                     continue
-                self.stats.cache_hits += 1
-                self.stats.matches += 1
+                stats.cache_hits += 1
+                stats.matches += 1
                 return result
-        # Cache miss: sweep spans widest-first over non-cached formats.
-        first_is_datelike: Optional[bool] = None
-        for span in self._spans_desc:
+        # Cache miss: sweep spans widest-first over non-cached formats,
+        # skipping every span whose gate rejects the first token.
+        for span, indices, span_gate in self._sweep:
             if span > available:
                 continue
-            if span > 1 and self.use_filter:
-                # Multi-token windows must open with a date-like token;
-                # computing this once avoids joining doomed windows.
-                if first_is_datelike is None:
-                    first_is_datelike = self._looks_datelike(first)
-                if not first_is_datelike:
-                    continue
+            if span_gate is not None and span_gate(first) is None:
+                continue
             window = first if span == 1 else " ".join(
                 tokens[start:start + span]
             )
-            match = self._match_window(window, span)
+            match = self._match_window(window, span, indices)
             if match is not None:
                 return match
         return None
 
-    @staticmethod
-    def _looks_datelike(token: str) -> bool:
-        """Can ``token`` open a multi-token timestamp window?
-
-        Every multi-token format starts with either a numeric date
-        (digits with some separator character — any non-alphanumeric, so
-        user-added formats with unusual separators still pass), a compact
-        all-digit date, a month name, or a weekday name.
-        """
-        has_digit = any(c.isdigit() for c in token)
-        if has_digit and any(not c.isalnum() for c in token):
-            return True
-        if token.isdigit():
-            # Compact dates (>= 4 digits) or a bare day-of-month number
-            # (the "dd MMM yyyy" family opens with one).
-            return len(token) >= 4 or 1 <= int(token) <= 31
-        return token[:3].lower() in _KEYWORD_PREFIXES
-
     # ------------------------------------------------------------------
-    def _match_window(self, window: str, span: int) -> Optional[TimestampMatch]:
+    def _match_window(
+        self, window: str, span: int, indices: List[int]
+    ) -> Optional[TimestampMatch]:
         # The separator containment test is part of the *filtering*
         # optimisation (Section VI-A): windows lacking a format's required
         # separators cannot match it, so the regex is skipped.
@@ -464,7 +571,7 @@ class TimestampDetector:
             separators_present = frozenset(
                 c for c in TimestampFormat.SEPARATORS if c in window
             )
-        for idx in self._by_span.get(span, ()):
+        for idx in indices:
             if self.use_cache and idx in self._cached:
                 continue  # already tried via the cache pass
             fmt = self._formats[idx]
@@ -474,99 +581,71 @@ class TimestampDetector:
             ):
                 continue
             self.stats.formats_tried += 1
-            groups = fmt.match(window)
-            if groups is not None:
-                try:
-                    result = self._build_match(groups, fmt, span)
-                except _InvalidDate:
-                    continue
-                if self.use_cache:
-                    self._cache.append(idx)
-                    self._cached.add(idx)
-                self.stats.matches += 1
-                return result
+            m = fmt.match(window)
+            if m is None:
+                continue
+            result = self._convert(m, fmt, span)
+            if result is None:
+                continue
+            if self.use_cache:
+                self._cache.append(idx)
+                self._cached.add(idx)
+            self.stats.matches += 1
+            return result
         return None
 
-    def _build_match(
-        self, groups: dict, fmt: TimestampFormat, span: int
-    ) -> TimestampMatch:
-        scale = groups.get("_epoch_scale")
-        if scale:
-            raw = groups.get("epochs") or groups.get("epochms")
-            epoch_ms = int(raw) * int(scale)
+    def _convert(
+        self, m: "re.Match[str]", fmt: TimestampFormat, span: int
+    ) -> Optional[TimestampMatch]:
+        """The :class:`TimestampMatch` for ``fmt``'s match ``m``.
+
+        ``None`` when the civil date is impossible (the regex admits Feb
+        31), so a later format may claim the window.
+        """
+        group = m.group
+        if fmt.epoch_scale:
+            epoch_ms = int(group(1)) * fmt.epoch_scale
             y, mo, d, h, mi, s, ms = _from_epoch_millis(epoch_ms)
         else:
-            y, mo, d, h, mi, s, ms = self._fields_from_groups(groups)
+            (year, year2, month, name, day,
+             hour, minute, second, milli, micro) = fmt.fields
+            if month:
+                mo = int(group(month))
+            elif name:
+                text = group(name)
+                mo = _MONTH_TO_NUM.get(text.lower()) or _MONTH_TO_NUM[
+                    text.translate(_NON_ASCII_FOLD).lower()
+                ]
+            else:
+                mo = 0
+            d = int(group(day)) if day else 0
+            if not mo and not d:
+                y, mo, d = self.default_date
+            else:
+                if year:
+                    y = int(group(year))
+                elif year2:
+                    y = 2000 + int(group(year2))
+                else:
+                    y = self.default_year
+                mo = mo or 1
+                d = d or 1
+            h = int(group(hour)) if hour else 0
+            mi = int(group(minute)) if minute else 0
+            s = int(group(second)) if second else 0
+            if milli:
+                ms = int(group(milli))
+            elif micro:
+                ms = int(group(micro)) // 1000
+            else:
+                ms = 0
             if not _valid_date(y, mo, d):
-                # The regex admits impossible civil dates such as Feb 31;
-                # reject them so a later format may claim the window.
-                raise _InvalidDate()
+                return None
             epoch_ms = _to_epoch_millis(y, mo, d, h, mi, s, ms)
         normalized = "%04d/%02d/%02d %02d:%02d:%02d.%03d" % (
             y, mo, d, h, mi, s, ms
         )
         return TimestampMatch(normalized, span, fmt.sdf, epoch_ms)
-
-    def _fields_from_groups(
-        self, groups: dict
-    ) -> Tuple[int, int, int, int, int, int, int]:
-        year = int(groups["year"]) if "year" in groups else None
-        if year is None and "year2" in groups:
-            year = 2000 + int(groups["year2"])
-        month: Optional[int] = None
-        if "month" in groups:
-            month = int(groups["month"])
-        elif "month1" in groups:
-            month = int(groups["month1"])
-        elif "monthname" in groups:
-            month = _MONTH_TO_NUM[groups["monthname"].lower()]
-        elif "monthabbr" in groups:
-            month = _MONTH_TO_NUM[groups["monthabbr"].lower()]
-        day: Optional[int] = None
-        if "day" in groups:
-            day = int(groups["day"])
-        elif "day1" in groups:
-            day = int(groups["day1"])
-        dy, dm, dd = self.default_date
-        if month is None and day is None:
-            year, month, day = dy, dm, dd
-        else:
-            if year is None:
-                year = self.default_year
-            if day is None:
-                day = 1
-            if month is None:
-                month = 1
-        hour = int(groups.get("hour", groups.get("hour1", 0)))
-        minute = int(groups.get("minute", 0))
-        second = int(groups.get("second", 0))
-        if "milli" in groups:
-            milli = int(groups["milli"])
-        elif "micro" in groups:
-            milli = int(groups["micro"]) // 1000
-        else:
-            milli = 0
-        return year, month, day, hour, minute, second, milli
-
-    @staticmethod
-    def _could_start_timestamp(token: str) -> bool:
-        """Cheap filter: can ``token`` possibly begin any timestamp?
-
-        Every format in the knowledge base starts with a digit, a month
-        name, or a weekday name (paper's keyword filter over month/day/hour
-        spellings).
-        """
-        if not token:
-            return False
-        c = token[0]
-        if c.isdigit():
-            return True
-        prefix = token[:3].lower()
-        return prefix in _KEYWORD_PREFIXES
-
-
-class _InvalidDate(Exception):
-    """Internal: regex matched but the civil date is impossible."""
 
 
 def _valid_date(year: int, month: int, day: int) -> bool:
@@ -580,9 +659,6 @@ def _valid_date(year: int, month: int, day: int) -> bool:
 
 def _is_leap(year: int) -> bool:
     return year % 4 == 0 and (year % 100 != 0 or year % 400 == 0)
-
-
-_KEYWORD_PREFIXES = frozenset(_MONTH_ABBR) | frozenset(_DAY_ABBR)
 
 
 def format_epoch_millis(ms: int) -> str:

@@ -293,9 +293,22 @@ class Tokenizer:
         memo = self._infer_memo
         memo_cap = self._infer_memo_cap
         infer = self.registry.infer
-        identify = detector.identify if detector is not None else None
+        identify = gate = starts = None
+        if detector is not None:
+            identify = detector.identify
+            gate, starts = detector.gate, detector.start_chars
         while i < n:
-            if identify is not None:
+            text = texts[i]
+            # Pre-check with the detector's exact gate so most tokens never
+            # cost an identify call: an ASCII first character must be able
+            # to start a head; a non-ASCII one may case-fold onto one.
+            if identify is not None and (
+                gate is None
+                or (
+                    (text[:1] in starts or text[:1] >= "\x80")
+                    and gate(text) is not None
+                )
+            ):
                 match = identify(texts, i)
                 if match is not None:
                     append(Token(match.normalized, "DATETIME"))
@@ -303,7 +316,6 @@ class Tokenizer:
                         ts_millis = match.epoch_millis
                     i += match.tokens_consumed
                     continue
-            text = texts[i]
             datatype = memo_get(text)
             if datatype is None:
                 datatype = infer(text)

@@ -60,9 +60,13 @@ class LogManager:
         self._consumer: Consumer = bus.consumer(in_topic, group="log-manager")
         self.stats = LogManagerStats()
         self._known_sources: List[str] = []
-        # Archived logs carry event time so time-windowed model rebuilds
-        # ("last seven days") can slice the archive.
-        self._timestamps = TimestampDetector()
+        #: Archived logs carry event time so time-windowed model rebuilds
+        #: ("last seven days") can slice the archive.  ``None`` stores no
+        #: event time.  The service swaps in its tokenizer's detector, so
+        #: the archive and the parser share one set of formats.
+        self.timestamp_detector: Optional[TimestampDetector] = (
+            TimestampDetector()
+        )
 
     # ------------------------------------------------------------------
     def cycle(self) -> int:
@@ -106,9 +110,12 @@ class LogManager:
     # ------------------------------------------------------------------
     def _event_time(self, raw: str) -> Optional[int]:
         """Event time from the first timestamp near the line's start."""
+        detector = self.timestamp_detector
+        if detector is None:
+            return None
         tokens = raw.split()
         for start in range(min(3, len(tokens))):
-            match = self._timestamps.identify(tokens, start)
+            match = detector.identify(tokens, start)
             if match is not None:
                 return match.epoch_millis
         return None

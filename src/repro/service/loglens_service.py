@@ -539,6 +539,9 @@ class LogLensService:
             fault_plan=fault_plan,
         )
         self.log_manager = LogManager(self.bus, self.log_storage)
+        self.log_manager.timestamp_detector = (
+            self.tokenizer_factory().timestamp_detector
+        )
         self._ingest_consumer = self.bus.consumer(
             "logs.ingest", group="loglens-parser"
         )

@@ -199,17 +199,29 @@ class TestDetectorOptimisations:
             ["10.0.0.1", "connected"],
             ["13:59:59"],
             ["totally", "plain"],
+            ["0x1f3a", "deadbeef"],
+            ["November", "3", "monitor"],
+            ["Mon", "Feb", "3", "09:00:31", "2016"],
+            ["ſep", "01", "2016", "10:00:00"],
+            ["[10/Oct/2000:13:55:36]"],
+            ["[10/Oct/2000", "13:55:36]"],
+            [""],
+            ["éclair", "中文"],
         ]
         configs = [
             (True, True), (True, False), (False, True), (False, False)
         ]
-        for tokens in samples:
-            results = set()
-            for cache, filt in configs:
-                det = TimestampDetector(use_cache=cache, use_filter=filt)
-                m = det.identify(tokens, 0)
-                results.add(None if m is None else m.normalized)
-            assert len(results) == 1, tokens
+        literal_led = ["[dd/MMM/yyyy:HH:mm:ss]", "[dd/MMM/yyyy HH:mm:ss]"]
+        for extra in ([], literal_led):
+            for tokens in samples:
+                results = set()
+                for cache, filt in configs:
+                    det = TimestampDetector(use_cache=cache, use_filter=filt)
+                    for sdf in extra:
+                        det.add_format(sdf)
+                    m = det.identify(tokens, 0)
+                    results.add(None if m is None else m.normalized)
+                assert len(results) == 1, (extra, tokens)
 
 
 class TestCanonicalHelpers:

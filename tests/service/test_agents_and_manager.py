@@ -117,3 +117,68 @@ class TestLogManager:
     def test_invalid_rate(self):
         with pytest.raises(ValueError):
             LogManager(make_bus(), LogStorage(), max_rate_per_cycle=0)
+
+    def test_no_detector_stores_no_event_time(self):
+        bus = make_bus()
+        storage = LogStorage()
+        manager = LogManager(bus, storage)
+        manager.timestamp_detector = None
+        ReplayAgent(bus, "logs.raw", "s", ["2016/02/23 09:00:31 x"]).drain()
+        manager.cycle()
+        assert storage.count("s") == 1
+        assert storage.time_range("s", 0, 2 ** 62) == []
+
+
+@pytest.fixture(params=["memory", "sqlite"])
+def storage_spec(request, tmp_path):
+    if request.param == "memory":
+        return "memory"
+    return "sqlite:%s" % (tmp_path / "archive.db")
+
+
+class TestArchiveEventTime:
+    """The archive stamps event time with the parser's formats."""
+
+    LINES = [
+        "2016/02/23 09:00:31 default format",
+        "23|02|2016 09:00:32 configured format",
+    ]
+
+    def _service(self, spec, tokenizer_factory):
+        from repro.service.config import ServiceConfig
+        from repro.service.loglens_service import LogLensService
+
+        return LogLensService(config=ServiceConfig(
+            storage=spec, tokenizer_factory=tokenizer_factory
+        ))
+
+    def test_configured_formats_reach_the_archive(self, storage_spec):
+        from repro.core.config import LogLensConfig
+
+        cfg = LogLensConfig(extra_timestamp_formats=["dd|MM|yyyy HH:mm:ss"])
+        service = self._service(storage_spec, cfg.make_tokenizer)
+        try:
+            service.ingest(self.LINES, source="s")
+            service.log_manager.drain()
+            assert service.log_storage.count("s") == 2
+            assert service.log_storage.time_range(
+                "s", 0, 2 ** 62
+            ) == self.LINES
+        finally:
+            service.close()
+
+    def test_tokenizer_without_detector_stores_no_event_time(
+        self, storage_spec
+    ):
+        from repro.parsing.tokenizer import Tokenizer
+
+        service = self._service(
+            storage_spec, lambda: Tokenizer(timestamp_detector=None)
+        )
+        try:
+            service.ingest(self.LINES, source="s")
+            service.log_manager.drain()
+            assert service.log_storage.count("s") == 2
+            assert service.log_storage.time_range("s", 0, 2 ** 62) == []
+        finally:
+            service.close()
