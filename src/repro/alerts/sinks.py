@@ -28,17 +28,19 @@ import urllib.error
 import urllib.parse
 import urllib.request
 from dataclasses import dataclass, fields
-from typing import Any, Callable, Dict, Mapping, Optional, TextIO, Union
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Mapping,
+    Optional,
+    Protocol,
+    TextIO,
+    Union,
+    runtime_checkable,
+)
 
 from ..errors import AlertDeliveryError
-
-try:
-    from typing import Protocol, runtime_checkable
-except ImportError:  # pragma: no cover - ancient interpreters only
-    Protocol = object  # type: ignore[assignment]
-
-    def runtime_checkable(cls):  # type: ignore[no-redef]
-        return cls
 
 __all__ = [
     "AlertSink",

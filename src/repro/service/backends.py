@@ -28,17 +28,11 @@ from typing import (
     Iterable,
     List,
     Optional,
+    Protocol,
     Tuple,
     Union,
+    runtime_checkable,
 )
-
-try:  # Protocol: py3.8+; fall back to a plain base class elsewhere.
-    from typing import Protocol, runtime_checkable
-except ImportError:  # pragma: no cover - ancient interpreters only
-    Protocol = object  # type: ignore[assignment]
-
-    def runtime_checkable(cls):  # type: ignore[no-redef]
-        return cls
 
 __all__ = [
     "StorageBackend",

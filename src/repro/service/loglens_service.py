@@ -487,8 +487,11 @@ class LogLensService:
         self.bus = MessageBus(metrics=self.metrics)
         self.bus.ensure_topic("logs.raw", partitions=num_partitions)
         self.bus.ensure_topic("logs.ingest", partitions=num_partitions)
+        # ``backend(name)`` opens one named document collection (logs,
+        # anomalies, alerts) of the configured kind.
         self.storage_config = parse_storage_spec(config.storage)
         self.storage_database = None
+        journal: Optional[Callable[[], Any]] = None
         if self.storage_config.kind == "sqlite":
             from .sqlite_store import (
                 SQLiteDatabase,
@@ -497,37 +500,23 @@ class LogLensService:
             )
 
             self.storage_database = SQLiteDatabase(self.storage_config.path)
-            self.log_storage = LogStorage(
-                backend=SQLiteDocumentStore(
-                    self.storage_database, "logs", metrics=self.metrics
-                )
+            backend: Callable[[str], Any] = partial(
+                SQLiteDocumentStore,
+                self.storage_database,
+                metrics=self.metrics,
             )
-            self.model_storage = ModelStorage(
-                journal=SQLiteModelJournal(self.storage_database)
-            )
-            self.anomaly_storage = AnomalyStorage(
-                backend=SQLiteDocumentStore(
-                    self.storage_database, "anomalies", metrics=self.metrics
-                )
-            )
+            journal = partial(SQLiteModelJournal, self.storage_database)
         else:
-            self.log_storage = LogStorage(metrics=self.metrics)
-            self.model_storage = ModelStorage()
-            self.anomaly_storage = AnomalyStorage(metrics=self.metrics)
+            backend = partial(DocumentStore, self.metrics)
+        self.log_storage = LogStorage(backend=backend("logs"))
+        self.model_storage = ModelStorage(
+            journal=journal() if journal is not None else None
+        )
+        self.anomaly_storage = AnomalyStorage(backend=backend("anomalies"))
         # Alerting plane: rule evaluation on the heartbeat cycle, with
-        # the history store on the same backend kind as the rest of the
-        # storage plane (the ``alerts`` collection under SQLite).
-        if self.storage_config.kind == "sqlite":
-            from .sqlite_store import SQLiteDocumentStore as _SQLiteStore
-
-            alert_backend: Any = _SQLiteStore(
-                self.storage_database, "alerts", metrics=self.metrics
-            )
-        else:
-            alert_backend = DocumentStore(
-                metrics=self.metrics, name="alerts"
-            )
-        self.alert_history = AlertHistory(backend=alert_backend)
+        # the history store on the same backend as the rest of the
+        # storage plane (the ``alerts`` collection).
+        self.alert_history = AlertHistory(backend=backend("alerts"))
         self.alert_evaluator = AlertEvaluator(
             config.alerts.rules,
             metrics=self.metrics,
@@ -601,11 +590,11 @@ class LogLensService:
         #: Latest anomaly timestamp seen — the log-time fallback clock
         #: when no parsed record has fed the heartbeat controller yet.
         self._last_anomaly_millis: Optional[int] = None
-        #: Timestamp-less anomaly docs held until the end of the step
-        #: (stamped with log-time "now" by _flush_unstamped_anomalies).
-        self._unstamped_anomalies: List[Dict[str, Any]] = []
-        #: Anomalies stored since the top of the current step, split the
-        #: way StepReport reports them (counted where they are stored, so
+        #: Anomaly docs staged by the sinks (and final_flush) during one
+        #: call, written in one batch when that call ends.
+        self._staged_anomalies: List[Dict[str, Any]] = []
+        #: Anomalies staged since the top of the current step, split the
+        #: way StepReport reports them (counted where they are staged, so
         #: a step never reads the anomaly table back).
         self._step_stateless = 0
         self._step_sequence = 0
@@ -646,58 +635,57 @@ class LogLensService:
         )
         parse_src = self.parse_ctx.source()
         parsed = parse_src.flat_map(self._parse_operator)
-        parsed.filter(_is_anomaly_record).sink(self._store_anomaly)
+        parsed.filter(_is_anomaly_record).sink(self._sink_anomaly)
         parsed.filter(_is_parsed_record).sink(self._buffer_parsed)
 
         seq_src = self.seq_ctx.source()
         seq_out = seq_src.map_with_state(self._sequence_operator)
-        seq_out.sink(self._store_anomaly)
+        seq_out.sink(self._sink_anomaly)
         # The stateful node's id locates detectors for checkpoint/restore.
         self._seq_state_node_id = seq_out._node.node_id
 
     # ------------------------------------------------------------------
     # Driver-side sinks and helpers
     # ------------------------------------------------------------------
-    def _store_anomaly(self, record: StreamRecord) -> None:
-        anomaly: Anomaly = record.value
-        doc = anomaly.to_dict()
-        ts = anomaly.timestamp_millis
-        if ts is None:
-            # Timestamp-less anomalies (e.g. an unparsed line carries
-            # no parseable clock) would never match any alert window.
-            # Hold the doc until the end of the step, when the batch's
-            # heartbeat observations have advanced log-time "now", and
-            # stamp it with that.
-            self._unstamped_anomalies.append(doc)
-            return
-        self._store_counted(doc)
-        if (
+    def _sink_anomaly(self, record: StreamRecord) -> None:
+        self._stage_anomaly(record.value.to_dict())
+
+    def _stage_anomaly(self, doc: Dict[str, Any]) -> None:
+        """Stage one anomaly doc for the batched write ending this call."""
+        self._staged_anomalies.append(doc)
+        if doc["type"] == "unparsed_log":
+            self._step_stateless += 1
+        else:
+            self._step_sequence += 1
+        ts = doc["timestamp_millis"]
+        if ts is not None and (
             self._last_anomaly_millis is None
             or ts > self._last_anomaly_millis
         ):
             self._last_anomaly_millis = ts
 
-    def _store_counted(self, doc: Dict[str, Any]) -> None:
-        self.anomaly_storage.store(doc)
-        if doc["type"] == "unparsed_log":
-            self._step_stateless += 1
-        else:
-            self._step_sequence += 1
+    def _write_staged_anomalies(self) -> None:
+        """Write every staged anomaly doc in one ``store_many``.
 
-    def _flush_unstamped_anomalies(self) -> None:
-        """Store held timestamp-less anomalies at log-time "now"."""
-        if not self._unstamped_anomalies:
+        Timestamp-less docs (an unparsed line carries no parseable
+        clock) would never match any alert window, so they are stamped
+        with log-time "now" — by now this call's heartbeat observations
+        have advanced it — and written after the timestamped ones.
+        """
+        staged = self._staged_anomalies
+        if not staged:
             return
-        now = self.log_time_now()
-        for doc in self._unstamped_anomalies:
-            doc["timestamp_millis"] = now
-            self._store_counted(doc)
-        self._unstamped_anomalies.clear()
-        if now is not None and (
-            self._last_anomaly_millis is None
-            or now > self._last_anomaly_millis
-        ):
-            self._last_anomaly_millis = now
+        self._staged_anomalies = []
+        docs = [doc for doc in staged if doc["timestamp_millis"] is not None]
+        if len(docs) < len(staged):
+            now = self.log_time_now()
+            for doc in staged:
+                if doc["timestamp_millis"] is None:
+                    doc["timestamp_millis"] = now
+                    docs.append(doc)
+            if now is not None:
+                self._last_anomaly_millis = now
+        self.anomaly_storage.store_many(docs)
 
     def _buffer_parsed(self, record: StreamRecord) -> None:
         self._parsed_buffer.append(record)
@@ -778,48 +766,57 @@ class LogLensService:
         self._step_stateless = 0
         self._step_sequence = 0
 
-        self.log_manager.cycle()
-        messages = self._ingest_consumer.poll_many(max_records=max_records)
-        parse_batch = [
-            StreamRecord(value=m.value, key=m.key, source=m.value["source"])
-            for m in messages
-        ]
-        parse_metrics = self.parse_ctx.run_batch(parse_batch)
-        # Publish the per-worker parsers' deferred metrics; the workers
-        # are idle between run_batch calls, so this races with nothing.
-        for worker in self.parse_ctx.workers:
-            parser = getattr(worker, "_loglens_parser", None)
-            if parser is not None:
-                parser.flush_metrics()
-
-        parsed_records = self._parsed_buffer
-        spare = self._parsed_spare
-        spare.clear()
-        self._parsed_buffer = spare
-        self._parsed_spare = parsed_records
-        for record in parsed_records:
-            self.heartbeat_controller.observe(
-                record.source or "unknown", record.timestamp_millis
+        # Both stages' sinks stage anomaly docs; the finally writes them
+        # in one batch even when a stage raises, so none is lost.
+        try:
+            self.log_manager.cycle()
+            messages = self._ingest_consumer.poll_many(
+                max_records=max_records
             )
+            parse_batch = [
+                StreamRecord(
+                    value=m.value, key=m.key, source=m.value["source"]
+                )
+                for m in messages
+            ]
+            parse_metrics = self.parse_ctx.run_batch(parse_batch)
+            # Publish the per-worker parsers' deferred metrics; the
+            # workers are idle between run_batch calls, so this races
+            # with nothing.
+            for worker in self.parse_ctx.workers:
+                parser = getattr(worker, "_loglens_parser", None)
+                if parser is not None:
+                    parser.flush_metrics()
 
-        heartbeats: List[StreamRecord] = []
-        if (
-            self.heartbeats_enabled
-            and self._steps % self.heartbeat_period_steps == 0
-        ):
-            heartbeats = self.heartbeat_controller.tick()
+            parsed_records = self._parsed_buffer
+            spare = self._parsed_spare
+            spare.clear()
+            self._parsed_buffer = spare
+            self._parsed_spare = parsed_records
+            for record in parsed_records:
+                self.heartbeat_controller.observe(
+                    record.source or "unknown", record.timestamp_millis
+                )
 
-        seq_batch = [
-            StreamRecord(
-                value=r.value,
-                key=self._event_key(r.value),
-                source=r.source,
-                timestamp_millis=r.timestamp_millis,
-            )
-            for r in parsed_records
-        ] + heartbeats
-        seq_metrics = self.seq_ctx.run_batch(seq_batch)
-        self._flush_unstamped_anomalies()
+            heartbeats: List[StreamRecord] = []
+            if (
+                self.heartbeats_enabled
+                and self._steps % self.heartbeat_period_steps == 0
+            ):
+                heartbeats = self.heartbeat_controller.tick()
+
+            seq_batch = [
+                StreamRecord(
+                    value=r.value,
+                    key=self._event_key(r.value),
+                    source=r.source,
+                    timestamp_millis=r.timestamp_millis,
+                )
+                for r in parsed_records
+            ] + heartbeats
+            seq_metrics = self.seq_ctx.run_batch(seq_batch)
+        finally:
+            self._write_staged_anomalies()
 
         # Alerting rides the heartbeat cycle: rules see every anomaly
         # this step stored, at the extrapolated log-time "now".  With no
@@ -909,16 +906,19 @@ class LogLensService:
 
         Equivalent to heartbeats arbitrarily far in the future; used when a
         replayed dataset ends and remaining open states must be judged.
+        The anomalies take the same staged, one-batch write as a step's.
         """
-        self._flush_unstamped_anomalies()
         count = 0
-        for partition_id in range(self.seq_ctx.num_partitions):
-            flushed = self.seq_ctx.call_partition(
-                partition_id, _partition_flush
-            )
-            for anomaly_dict in flushed:
-                self.anomaly_storage.store(anomaly_dict)
-                count += 1
+        try:
+            for partition_id in range(self.seq_ctx.num_partitions):
+                flushed = self.seq_ctx.call_partition(
+                    partition_id, _partition_flush
+                )
+                for anomaly_dict in flushed:
+                    self._stage_anomaly(anomaly_dict)
+                    count += 1
+        finally:
+            self._write_staged_anomalies()
         return count
 
     # ------------------------------------------------------------------

@@ -15,15 +15,7 @@ contract (pinned by a regression test): ``quarantine`` first, then
 
 from __future__ import annotations
 
-from typing import Any, Dict
-
-try:
-    from typing import Protocol, runtime_checkable
-except ImportError:  # pragma: no cover - ancient interpreters only
-    Protocol = object  # type: ignore[assignment]
-
-    def runtime_checkable(cls):  # type: ignore[no-redef]
-        return cls
+from typing import Any, Dict, Protocol, runtime_checkable
 
 __all__ = ["ReportSection"]
 

@@ -239,6 +239,9 @@ class SQLiteDocumentStore:
         #: permanently route queries to the linear fallback, exactly as
         #: a poisoned in-memory index does).
         self._kinds: Dict[str, str] = {}
+        #: field -> position of its column in an insert row, or -1 for a
+        #: name that can never be a column (checked once per name).
+        self._slots: Dict[str, int] = {}
         self._indexed: set = set()
         with self._db.lock:
             self._db.execute(
@@ -273,7 +276,13 @@ class SQLiteDocumentStore:
                 column = info[1]
                 if column not in ("_id", "_doc"):
                     self._columns[column] = _quote(column)
-            self._g_docs.set(self._count_locked())
+                    self._slots[column] = 1 + len(self._columns)
+            #: Documents in the table: counted once here, then kept
+            #: running by every write.
+            self._count: int = self._db.execute(
+                "SELECT COUNT(*) FROM %s" % self._table
+            ).fetchone()[0]
+            self._g_docs.set(self._count)
 
     # ------------------------------------------------------------------
     # Write path
@@ -283,39 +292,65 @@ class SQLiteDocumentStore:
         return self.insert_many([doc])[0]
 
     def insert_many(self, docs: Iterable[Dict[str, Any]]) -> List[int]:
-        """Batched ingest: one ``executemany`` inside one transaction."""
-        batch = [dict(doc) for doc in docs]
-        if not batch:
-            return []
-        ids: List[int] = []
+        """Batched ingest: one pass, one ``executemany``, one transaction.
+
+        The pass that builds each row classifies every value exactly
+        once: it learns the field's kind, adds a column the first time
+        an indexable field name carries a value, and fills the row.
+        The ``storage.documents`` gauge reads a running count, so no
+        write scans the table.
+        """
         with self._db.lock:
-            kinds_changed = self._learn_fields(batch)
-            field_names = list(self._columns)
-            placeholders = ", ".join(["?"] * (2 + len(field_names)))
+            kinds = self._kinds
+            slots = self._slots
+            kinds_changed = False
+            width = 2 + len(self._columns)
+            first_id = next_id = self._next_id
+            rows: List[List[Any]] = []
+            for doc in docs:
+                stored = dict(doc)
+                row: List[Any] = [None] * width
+                for fname, value in stored.items():
+                    kind = _classify(value)
+                    if kind is None:
+                        continue
+                    slot = slots.get(fname)
+                    if slot is None:
+                        slot = self._add_slot(fname)
+                        if slot > 0:
+                            row.append(None)
+                            width += 1
+                    if slot < 0:
+                        kind = "other"  # no column possible; always fall back
+                    elif kind != "other":
+                        row[slot] = value
+                    old = kinds.get(fname)
+                    if old != kind:
+                        merged = _merge_kind(old, kind)
+                        if merged != old:
+                            kinds[fname] = merged
+                            kinds_changed = True
+                stored["_id"] = row[0] = next_id
+                row[1] = json.dumps(stored)
+                rows.append(row)
+                next_id += 1
+            if not rows:
+                return []
+            for row in rows:
+                if len(row) < width:  # built before a later column existed
+                    row.extend([None] * (width - len(row)))
             insert_sql = "INSERT INTO %s (_id, _doc%s) VALUES (%s)" % (
                 self._table,
-                "".join(", " + self._columns[f] for f in field_names),
-                placeholders,
+                "".join(", " + quoted for quoted in self._columns.values()),
+                ", ".join(["?"] * width),
             )
-            rows: List[List[Any]] = []
-            next_id = self._next_id
-            for doc in batch:
-                stored = dict(doc)
-                stored["_id"] = next_id
-                values: List[Any] = [next_id, json.dumps(stored)]
-                for fname in field_names:
-                    value = stored.get(fname)
-                    values.append(value if _is_clean_scalar(value) else None)
-                rows.append(values)
-                ids.append(next_id)
-                next_id += 1
             with self._db.transaction():
                 self._db.executemany(insert_sql, rows)
                 if kinds_changed:
                     self._db.execute(
                         "UPDATE _store_meta SET next_id = ?, "
                         "field_kinds = ? WHERE store = ?",
-                        (next_id, json.dumps(self._kinds), self.name),
+                        (next_id, json.dumps(kinds), self.name),
                     )
                 else:
                     self._db.execute(
@@ -324,37 +359,26 @@ class SQLiteDocumentStore:
                         (next_id, self.name),
                     )
             self._next_id = next_id
-            self._g_docs.set(self._count_locked())
-        return ids
+            self._count += len(rows)
+            self._g_docs.set(self._count)
+        return list(range(first_id, next_id))
 
-    def _learn_fields(self, batch: List[Dict[str, Any]]) -> bool:
-        """Record field kinds; add columns for new indexable fields.
+    def _add_slot(self, fname: str) -> int:
+        """First sighting of a field with a value: its row slot (lock held).
 
-        Returns whether the persisted kind map changed (lock held).
+        Adds the field's column when the name can be one; ``-1`` marks a
+        name that never gets a column (its queries always fall back).
         """
-        changed = False
-        for doc in batch:
-            for fname, value in doc.items():
-                kind = _classify(value)
-                if kind is None:
-                    continue
-                if not _COLUMN_RE.match(fname):
-                    kind = "other"  # no column possible; always fall back
-                merged = _merge_kind(self._kinds.get(fname), kind)
-                if merged != self._kinds.get(fname):
-                    self._kinds[fname] = merged
-                    changed = True
-                if (
-                    fname not in self._columns
-                    and _COLUMN_RE.match(fname)
-                ):
-                    quoted = _quote(fname)
-                    self._db.execute(
-                        "ALTER TABLE %s ADD COLUMN %s"
-                        % (self._table, quoted)
-                    )
-                    self._columns[fname] = quoted
-        return changed
+        if not _COLUMN_RE.match(fname):
+            self._slots[fname] = -1
+            return -1
+        quoted = _quote(fname)
+        self._db.execute(
+            "ALTER TABLE %s ADD COLUMN %s" % (self._table, quoted)
+        )
+        self._columns[fname] = quoted
+        slot = self._slots[fname] = 1 + len(self._columns)
+        return slot
 
     # ------------------------------------------------------------------
     # Read path
@@ -428,7 +452,7 @@ class SQLiteDocumentStore:
                         seen.append(value)
                 return seen
             if field not in self._columns:
-                return [None] if self._count_locked() else []
+                return [None] if self._count else []
             column = self._columns[field]
             rows = self._db.execute(
                 "SELECT %s, MIN(_id) AS first FROM %s "
@@ -439,7 +463,7 @@ class SQLiteDocumentStore:
     def count(self, match: Optional[Dict[str, Any]] = None) -> int:
         if match is None:
             with self._db.lock:
-                return self._count_locked()
+                return self._count
         return len(self.query(match=match))
 
     def clear(self) -> None:
@@ -456,6 +480,7 @@ class SQLiteDocumentStore:
                     "WHERE store = ?",
                     (self.name,),
                 )
+            self._count = 0
             self._g_docs.set(0)
 
     # ------------------------------------------------------------------
@@ -537,11 +562,6 @@ class SQLiteDocumentStore:
         )
         self._indexed.add(fname)
         self._g_sql_indexes.set(len(self._indexed))
-
-    def _count_locked(self) -> int:
-        return self._db.execute(
-            "SELECT COUNT(*) FROM %s" % self._table
-        ).fetchone()[0]
 
     @staticmethod
     def _decode(doc_json: str) -> ReadOnlyDocument:

@@ -45,6 +45,7 @@ from __future__ import annotations
 import copy
 import threading
 from bisect import bisect_left, bisect_right
+from itertools import repeat
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..obs import MetricsRegistry, get_registry
@@ -143,17 +144,16 @@ class DocumentStore:
     # ------------------------------------------------------------------
     def insert(self, doc: Dict[str, Any]) -> int:
         """Store a copy of ``doc``; returns the assigned document id."""
-        with self._lock:
-            doc_id = self._insert_locked(doc)
-            self._g_docs.set(len(self._docs))
-            return doc_id
+        return self.insert_many([doc])[0]
 
     def insert_many(self, docs: Iterable[Dict[str, Any]]) -> List[int]:
         """Store many documents under one lock acquisition.
 
-        The batch loop hoists the live-index lookups out of the per-doc
-        path, so bulk archiving pays the lock and the index plumbing
-        once per batch instead of once per document.
+        The one write path: every insert maintains the indexes and
+        refreshes the gauges here.  The batch loop hoists the live-index
+        lookups out of the per-doc path, so bulk archiving pays the lock
+        and the index plumbing once per batch instead of once per
+        document.
         """
         with self._lock:
             hash_live = [
@@ -207,9 +207,14 @@ class DocumentStore:
                     keys = sindex.keys
                     try:
                         if not keys or not value < keys[-1]:
+                            # Monotone fast path: log/anomaly timestamps
+                            # arrive (near-)sorted, so the common insert
+                            # is an append.
                             keys.append(value)
                             sindex.docs.append(stored)
                         else:
+                            # bisect_right keeps equal keys in insertion
+                            # order.
                             pos = bisect_right(keys, value)
                             keys.insert(pos, value)
                             sindex.docs.insert(pos, stored)
@@ -225,48 +230,6 @@ class DocumentStore:
             self._g_docs.set(len(self._docs))
             self._refresh_index_gauges()
             return ids
-
-    def _insert_locked(self, doc: Dict[str, Any]) -> int:
-        doc_id = self._next_id
-        self._next_id += 1
-        stored = ReadOnlyDocument(doc)
-        dict.__setitem__(stored, "_id", doc_id)
-        self._docs.append(stored)
-        self._by_id[doc_id] = stored
-        for fname, index in self._hash_index.items():
-            if index is None:
-                continue
-            value = stored.get(fname)
-            try:
-                bucket = index.get(value)
-            except TypeError:  # unhashable value: poison this index
-                self._hash_index[fname] = None
-                continue
-            if bucket is None:
-                index[value] = [stored]
-            else:
-                bucket.append(stored)
-        for fname, sindex in self._sorted_index.items():
-            if sindex is None:
-                continue
-            value = stored.get(fname)
-            if value is None:
-                continue
-            keys = sindex.keys
-            try:
-                if not keys or not value < keys[-1]:
-                    # Monotone fast path: log/anomaly timestamps arrive
-                    # (near-)sorted, so the common insert is an append.
-                    keys.append(value)
-                    sindex.docs.append(stored)
-                else:
-                    # bisect_right keeps equal keys in insertion order.
-                    pos = bisect_right(keys, value)
-                    keys.insert(pos, value)
-                    sindex.docs.insert(pos, stored)
-            except TypeError:  # uncomparable value: poison this index
-                self._sorted_index[fname] = None
-        return doc_id
 
     # ------------------------------------------------------------------
     # Read path
@@ -526,28 +489,26 @@ class LogStorage:
         stored timestamp-less and is therefore invisible to
         :meth:`time_range` forever (see the class docstring).
         """
-        if timestamps is None:
-            self._store.insert_many(
-                {"raw": raw, "source": source, "timestamp_millis": None}
-                for raw in raws
-            )
-            return
         raw_list = list(raws)
-        ts_list = list(timestamps)
+        ts_list = (
+            [None] * len(raw_list) if timestamps is None else list(timestamps)
+        )
         if len(ts_list) != len(raw_list):
             raise ValueError(
                 "store_many got %d timestamps for %d raw lines"
                 % (len(ts_list), len(raw_list))
             )
-        self.store_batch(zip(raw_list, [source] * len(raw_list), ts_list))
+        self.store_batch(zip(raw_list, repeat(source), ts_list))
 
     def store_batch(
         self, entries: Iterable[Tuple[str, str, Optional[int]]]
     ) -> None:
-        """Archive ``(raw, source, timestamp_millis)`` rows in one lock."""
+        """Archive ``(raw, source, timestamp_millis)`` rows in one batch."""
         self._store.insert_many(
-            {"raw": raw, "source": source, "timestamp_millis": ts}
-            for raw, source, ts in entries
+            [
+                {"raw": raw, "source": source, "timestamp_millis": ts}
+                for raw, source, ts in entries
+            ]
         )
 
     def by_source(self, source: str) -> List[str]:
@@ -700,6 +661,10 @@ class AnomalyStorage:
 
     def store(self, anomaly_dict: Dict[str, Any]) -> int:
         return self._store.insert(anomaly_dict)
+
+    def store_many(self, docs: Iterable[Dict[str, Any]]) -> List[int]:
+        """Store many anomaly documents in one batch, in order."""
+        return self._store.insert_many(docs)
 
     def all(self) -> List[Dict[str, Any]]:
         return self._store.query()

@@ -17,6 +17,7 @@ the :class:`StorageBackend` protocol; this suite holds the persistent
 * a full service stop/restart on one database file.
 """
 
+import json
 import random
 
 import pytest
@@ -431,3 +432,83 @@ class TestReadOnlySQL:
         assert run_readonly_sql(
             str(path), "SELECT COUNT(*) FROM logs"
         )[1] == [(2,)]
+
+
+class TestSQLiteWritePath:
+    """One pass per batch: no table scan on write, exact typed columns."""
+
+    def test_writes_never_count_and_the_document_gauge_stays_exact(
+        self, tmp_path
+    ):
+        from repro.obs import MetricsRegistry
+
+        path = tmp_path / "count.db"
+        metrics = MetricsRegistry()
+        db = SQLiteDatabase(path)
+        store = SQLiteDocumentStore(db, "logs", metrics=metrics)
+        gauge = metrics.get("storage.documents", store="logs")
+        statements = []
+        db._conn.set_trace_callback(statements.append)
+        store.insert({"n": 0})
+        store.insert_many([{"n": i} for i in range(1, 6)])
+        assert gauge.value == 6
+        store.clear()
+        assert gauge.value == 0
+        store.insert_many([{"n": i} for i in range(3)])
+        store.insert({"n": 3})
+        db._conn.set_trace_callback(None)
+        assert gauge.value == 4 and store.count() == 4
+        assert statements, "the trace callback saw no statement"
+        assert not [s for s in statements if "COUNT(" in s.upper()]
+        db.close()
+
+        reopened_metrics = MetricsRegistry()
+        db2 = SQLiteDatabase(path)
+        try:
+            reopened = SQLiteDocumentStore(
+                db2, "logs", metrics=reopened_metrics
+            )
+            reopened_gauge = reopened_metrics.get(
+                "storage.documents", store="logs"
+            )
+            assert reopened_gauge.value == 4 and reopened.count() == 4
+            reopened.insert_many([{"n": 4}, {"n": 5}])
+            assert reopened_gauge.value == 6 and reopened.count() == 6
+        finally:
+            db2.close()
+
+    def test_columns_learned_mid_batch_fill_every_row(self, tmp_path):
+        path = tmp_path / "columns.db"
+        db = SQLiteDatabase(path)
+        store = SQLiteDocumentStore(db, "logs")
+        store.insert_many(
+            [
+                {"a": 1, "skip": None},
+                {"b": "x", "_hidden": 3},
+                {"a": 2.5, "c": [1], "b": True},
+                {"c": "late", "skip": None},
+            ]
+        )
+        store.insert({"d": 7, "a": "text"})
+        db.close()
+        columns, rows = run_readonly_sql(
+            str(path), "SELECT * FROM logs ORDER BY _id"
+        )
+        # Columns appear in first-value order; a name that is never
+        # given a value, or cannot be a column, gets none.
+        assert columns == ["_id", "_doc", "a", "b", "c", "d"]
+        assert [row[:1] + row[2:] for row in rows] == [
+            (0, 1, None, None, None),
+            (1, None, "x", None, None),
+            (2, 2.5, None, None, None),
+            (3, None, None, "late", None),
+            (4, "text", None, None, 7),
+        ]
+        kinds = run_readonly_sql(
+            str(path),
+            "SELECT field_kinds FROM _store_meta WHERE store = 'logs'",
+        )[1][0][0]
+        assert json.loads(kinds) == {
+            "a": "mixed", "b": "other", "_hidden": "other", "c": "other",
+            "d": "num",
+        }

@@ -15,6 +15,8 @@ import random
 
 import pytest
 
+from repro.obs import MetricsRegistry
+from repro.service.sqlite_store import SQLiteDatabase, SQLiteDocumentStore
 from repro.service.storage import AnomalyStorage, DocumentStore
 
 
@@ -219,6 +221,57 @@ class TestIndexedEqualsBruteForce:
         ])
         assert [d["n"] for d in store.query(match={"source": "a"})] == [0, 3]
         assert [d["n"] for d in store.query(range_=("ts", 1, 3))] == [0, 1, 3]
+
+
+class TestIndexGaugesAfterSingleInserts:
+    """Pin: a single ``insert`` refreshes the index gauges like a batch."""
+
+    def test_memory_index_gauges_count_every_insert(self):
+        metrics = MetricsRegistry()
+        store = DocumentStore(metrics=metrics, name="g")
+
+        def gauge(name):
+            return metrics.get(name, store="g").value
+
+        store.insert({"ts": 0, "source": "a"})
+        store.query(range_=("ts", 0, 100))  # builds the sorted index
+        for ts in range(1, 6):
+            store.insert({"ts": ts, "source": "a"})
+        assert gauge("storage.index_entries") == 6
+        assert gauge("storage.sorted_index_fields") == 1
+        assert gauge("storage.hash_index_fields") == 0
+
+        store.query(match={"source": "a"})  # builds the hash index
+        store.insert({"ts": 6, "source": "b"})
+        # 7 sorted keys plus 2 distinct hash keys.
+        assert gauge("storage.index_entries") == 9
+        assert gauge("storage.hash_index_fields") == 1
+        assert gauge("storage.documents") == 7
+
+    def test_sqlite_index_gauges_after_single_inserts(self, tmp_path):
+        metrics = MetricsRegistry()
+        db = SQLiteDatabase(tmp_path / "gauges.db")
+        try:
+            store = SQLiteDocumentStore(db, "g", metrics=metrics)
+
+            def gauge(name):
+                return metrics.get(name, store="g").value
+
+            store.insert({"ts": 0, "source": "a"})
+            store.query(range_=("ts", 0, 100))  # creates the SQL index
+            for ts in range(1, 6):
+                store.insert({"ts": ts, "source": "a"})
+            assert gauge("storage.sql_indexes") == 1
+            assert gauge("storage.documents") == 6
+            hit = store.query(range_=("ts", 0, 100))
+            assert [d["ts"] for d in hit] == [0, 1, 2, 3, 4, 5]
+
+            store.query(match={"source": "a"})
+            store.insert({"ts": 6, "source": "b"})
+            assert gauge("storage.sql_indexes") == 2
+            assert gauge("storage.documents") == 7
+        finally:
+            db.close()
 
 
 class TestAnomalyStorageWindows:
