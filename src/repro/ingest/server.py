@@ -707,20 +707,15 @@ class IngestServerThread:
 def service_pending(service: Any) -> int:
     """Un-processed ingest backlog of a wired service (bus lag).
 
-    Records produced onto ``logs.raw`` and ``logs.ingest`` but not yet
-    consumed by the log manager / parser stage — the quantity the
-    backpressure policy watches.
+    Records produced onto ``logs.raw`` but not yet consumed by the log
+    manager — the quantity the backpressure policy watches.  The log
+    manager hands each cycle straight to the parse stage, so nothing
+    else queues between the two.
     """
     bus = service.bus
-    total = 0
-    for topic, group in (
-        ("logs.raw", "log-manager"),
-        ("logs.ingest", "loglens-parser"),
-    ):
-        ends = bus.end_offsets(topic)
-        committed = bus.committed(topic, group)
-        total += sum(e - c for e, c in zip(ends, committed))
-    return total
+    ends = bus.end_offsets("logs.raw")
+    committed = bus.committed("logs.raw", "log-manager")
+    return sum(e - c for e, c in zip(ends, committed))
 
 
 def front_door(

@@ -6,14 +6,13 @@ system relies on: named topics with partitions, append-only partition
 logs, offset-tracking consumers with consumer groups, and keyed produce
 for co-partitioning.  Everything is process-local and thread-safe.
 
-**Batched hot path**: :meth:`MessageBus.produce_many` /
-:meth:`MessageBus.produce_batch` append a whole batch under a single
-lock acquisition, and :meth:`Consumer.poll_many` drains one under a
-single acquisition on the consume side; the per-record methods are thin
-wrappers over the same locked helpers, so batch and single-record
-produce interleave with identical ordering semantics.  Metric handles
-are resolved once per topic/group and cached — the broker never does a
-registry lookup per record.
+**Batched hot path**: :meth:`MessageBus.produce_many` appends a whole
+batch under a single lock acquisition, and :meth:`Consumer.poll`
+drains one under a single acquisition on the consume side;
+:meth:`MessageBus.produce` is a thin wrapper over the same locked
+helper, so batch and single-record produce interleave with identical
+ordering semantics.  Metric handles are resolved once per topic/group
+and cached — the broker never does a registry lookup per record.
 
 **Dead-letter topics**: records that exhaust the streaming engine's
 retry budget are quarantined via :meth:`MessageBus.produce_failed`, which
@@ -28,7 +27,7 @@ from __future__ import annotations
 import threading
 import zlib
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import TopicNotFoundError
 from ..obs import MetricsRegistry, get_registry
@@ -136,24 +135,6 @@ class MessageBus:
         with self._lock:
             t = self._get_topic(topic)
             out = [self._append_locked(t, value, key) for value in values]
-            if out:
-                self._produced_counter(topic).inc(len(out))
-            return out
-
-    def produce_batch(
-        self, topic: str, records: Iterable[Tuple[Any, Optional[str]]]
-    ) -> List[Message]:
-        """Append ``(value, key)`` pairs under one lock acquisition.
-
-        The per-key variant of :meth:`produce_many`, for batches that
-        mix keys (e.g. the log-manager forwarding path).  Ordering is
-        identical to calling :meth:`produce` per pair.
-        """
-        with self._lock:
-            t = self._get_topic(topic)
-            out = [
-                self._append_locked(t, value, key) for value, key in records
-            ]
             if out:
                 self._produced_counter(topic).inc(len(out))
             return out
@@ -388,15 +369,6 @@ class Consumer:
 
     def poll(self, max_records: int = 1000) -> List[Message]:
         """Fetch up to ``max_records`` new records and advance offsets."""
-        return self._bus._poll(self.topic, self.group, max_records)
-
-    def poll_many(self, max_records: int = 10000) -> List[Message]:
-        """Batch poll: drain a large batch under one lock acquisition.
-
-        Identical semantics to :meth:`poll` with a batch-sized default —
-        the consume-side counterpart of
-        :meth:`MessageBus.produce_many`.
-        """
         return self._bus._poll(self.topic, self.group, max_records)
 
     def lag(self) -> int:

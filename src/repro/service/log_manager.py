@@ -1,9 +1,12 @@
 """The log manager (paper, Section II-B).
 
 Receives logs from agents, controls the incoming rate, identifies log
-sources, archives every line into log storage, and forwards the flow to
-the parser topic.  Rate control is a token bucket refilled per poll cycle,
-so a bursty agent cannot starve the parsing stage.
+sources, archives every line into log storage, and hands the flow to the
+parser.  Rate control is a token bucket refilled per poll cycle, so a
+bursty agent cannot starve the parsing stage.  The paper forwards to the
+parser over a second Kafka topic because the two run as separately
+deployed services; in one process that hop would only copy every line,
+so :meth:`LogManager.cycle` returns the cycle's records to its caller.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..parsing.timestamps import TimestampDetector
+from ..streaming.records import StreamRecord
 from .bus import Consumer, MessageBus
 from .storage import LogStorage
 
@@ -26,16 +30,16 @@ class LogManagerStats:
 
 
 class LogManager:
-    """Bridge between the agent topic and the parser topic.
+    """Bridge between the agent topic and the parse stage.
 
     Parameters
     ----------
     bus:
-        The message bus; both topics must exist.
+        The message bus; the input topic must exist.
     log_storage:
         Archive for all received lines.
-    in_topic / out_topic:
-        Source and destination topic names.
+    in_topic:
+        The agent topic to poll.
     max_rate_per_cycle:
         Token-bucket capacity: at most this many logs are forwarded per
         :meth:`cycle`; the surplus stays on the bus (back-pressure) and is
@@ -47,7 +51,6 @@ class LogManager:
         bus: MessageBus,
         log_storage: LogStorage,
         in_topic: str = "logs.raw",
-        out_topic: str = "logs.ingest",
         max_rate_per_cycle: int = 10000,
     ) -> None:
         if max_rate_per_cycle < 1:
@@ -55,7 +58,6 @@ class LogManager:
         self.bus = bus
         self.log_storage = log_storage
         self.in_topic = in_topic
-        self.out_topic = out_topic
         self.max_rate_per_cycle = max_rate_per_cycle
         self._consumer: Consumer = bus.consumer(in_topic, group="log-manager")
         self.stats = LogManagerStats()
@@ -69,39 +71,37 @@ class LogManager:
         )
 
     # ------------------------------------------------------------------
-    def cycle(self) -> int:
-        """One manager period: poll, identify, archive, forward.
+    def cycle(self) -> List[StreamRecord]:
+        """One manager period: poll, identify, archive, hand over.
 
-        Returns the number of logs forwarded to the parser topic.
+        Returns one record per forwarded log, in poll order: the bus
+        payload untouched as ``value``, keyed by the identified source.
+        Every line is archived before this returns.
         """
-        messages = self._consumer.poll_many(
-            max_records=self.max_rate_per_cycle
-        )
+        messages = self._consumer.poll(max_records=self.max_rate_per_cycle)
         self.stats.received += len(messages)
         self.stats.deferred = self._consumer.lag()
         entries = []
-        outgoing = []
+        records = []
         for message in messages:
             payload = message.value
             raw = payload["raw"]
             source = self._identify_source(payload)
             entries.append((raw, source, self._event_time(raw)))
-            outgoing.append(({"raw": raw, "source": source}, source))
+            records.append(
+                StreamRecord(value=payload, key=source, source=source)
+            )
         if entries:
-            # Archive and forward the whole cycle as two batched calls
-            # (one storage lock, one bus lock) instead of two lock
-            # round-trips per record.
+            # One storage lock for the whole cycle, not one per record.
             self.log_storage.store_batch(entries)
-            self.bus.produce_batch(self.out_topic, outgoing)
-        forwarded = len(entries)
-        self.stats.forwarded += forwarded
-        return forwarded
+        self.stats.forwarded += len(records)
+        return records
 
     def drain(self) -> int:
-        """Run cycles until the input topic is empty."""
+        """Run cycles until the input topic is empty; returns the count."""
         total = 0
         while True:
-            forwarded = self.cycle()
+            forwarded = len(self.cycle())
             total += forwarded
             if forwarded == 0:
                 break

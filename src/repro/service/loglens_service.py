@@ -41,7 +41,6 @@ from typing import (
 import time as _time
 
 from ..alerts import AlertEvaluator, AlertHistory
-from ..core.anomaly import Anomaly
 from ..faults import ManualClock
 from ..obs import NullRegistry, get_registry
 from ..parsing.parser import FastLogParser, ParsedLog, PatternModel
@@ -139,18 +138,13 @@ class ParseOperator:
                     metrics=NullRegistry(),
                 )
             worker._loglens_parser = cached  # type: ignore[attr-defined]
-        payload = record.value
-        result = cached.parse(payload["raw"], source=payload["source"])
-        ts = (
-            result.timestamp_millis
-            if isinstance(result, (ParsedLog, Anomaly))
-            else None
-        )
+        source = record.source
+        result = cached.parse(record.value["raw"], source=source)
         yield StreamRecord(
             value=result,
             key=record.key,
-            source=payload["source"],
-            timestamp_millis=ts,
+            source=source,
+            timestamp_millis=result.timestamp_millis,
         )
 
 
@@ -257,14 +251,6 @@ class SequenceOperator:
             )
         open_gauge.set(detector.open_event_count)
         self._g_heap_depth[partition_id].set(detector.expiry_heap_depth)
-
-
-def _is_anomaly_record(record: StreamRecord) -> bool:
-    return isinstance(record.value, Anomaly)
-
-
-def _is_parsed_record(record: StreamRecord) -> bool:
-    return isinstance(record.value, ParsedLog)
 
 
 # ----------------------------------------------------------------------
@@ -486,7 +472,6 @@ class LogLensService:
         # archive, models, and anomalies survive a restart.
         self.bus = MessageBus(metrics=self.metrics)
         self.bus.ensure_topic("logs.raw", partitions=num_partitions)
-        self.bus.ensure_topic("logs.ingest", partitions=num_partitions)
         # ``backend(name)`` opens one named document collection (logs,
         # anomalies, alerts) of the configured kind.
         self.storage_config = parse_storage_spec(config.storage)
@@ -530,9 +515,6 @@ class LogLensService:
         self.log_manager = LogManager(self.bus, self.log_storage)
         self.log_manager.timestamp_detector = (
             self.tokenizer_factory().timestamp_detector
-        )
-        self._ingest_consumer = self.bus.consumer(
-            "logs.ingest", group="loglens-parser"
         )
         self.heartbeat_controller = HeartbeatController(
             metrics=self.metrics, fault_plan=fault_plan
@@ -598,10 +580,9 @@ class LogLensService:
         #: a step never reads the anomaly table back).
         self._step_stateless = 0
         self._step_sequence = 0
+        #: Parsed logs routed by the parse sink, already keyed by event
+        #: id; step() hands them to the sequence stage.
         self._parsed_buffer: List[StreamRecord] = []
-        # Second list recycled against _parsed_buffer each step, so the
-        # steady state allocates no fresh buffer per micro-batch.
-        self._parsed_spare: List[StreamRecord] = []
         # Report sections in registration order (the to_dict contract:
         # quarantine, then alerts, then any later registrations).
         self._report_sections: List[ReportSection] = []
@@ -634,9 +615,7 @@ class LogLensService:
             self.metrics,
         )
         parse_src = self.parse_ctx.source()
-        parsed = parse_src.flat_map(self._parse_operator)
-        parsed.filter(_is_anomaly_record).sink(self._sink_anomaly)
-        parsed.filter(_is_parsed_record).sink(self._buffer_parsed)
+        parse_src.flat_map(self._parse_operator).sink(self._route_parsed)
 
         seq_src = self.seq_ctx.source()
         seq_out = seq_src.map_with_state(self._sequence_operator)
@@ -687,8 +666,21 @@ class LogLensService:
                 self._last_anomaly_millis = now
         self.anomaly_storage.store_many(docs)
 
-    def _buffer_parsed(self, record: StreamRecord) -> None:
-        self._parsed_buffer.append(record)
+    def _route_parsed(self, record: StreamRecord) -> None:
+        """The parse stage's one sink: parsed logs are re-keyed by event
+        id for the sequence stage, unparsed ones staged as anomalies."""
+        value = record.value
+        if isinstance(value, ParsedLog):
+            self._parsed_buffer.append(
+                StreamRecord(
+                    value=value,
+                    key=self._event_key(value),
+                    source=record.source,
+                    timestamp_millis=record.timestamp_millis,
+                )
+            )
+        else:
+            self._stage_anomaly(value.to_dict())
 
     def _quarantine_parse(self, quarantined: QuarantinedRecord) -> None:
         self._dead_letter(PARSE_STAGE, quarantined)
@@ -760,7 +752,7 @@ class LogLensService:
         )
         return len(produced)
 
-    def step(self, max_records: int = 100000) -> StepReport:
+    def step(self) -> StepReport:
         """Advance one end-to-end micro-batch period."""
         self._steps += 1
         self._step_stateless = 0
@@ -769,16 +761,7 @@ class LogLensService:
         # Both stages' sinks stage anomaly docs; the finally writes them
         # in one batch even when a stage raises, so none is lost.
         try:
-            self.log_manager.cycle()
-            messages = self._ingest_consumer.poll_many(
-                max_records=max_records
-            )
-            parse_batch = [
-                StreamRecord(
-                    value=m.value, key=m.key, source=m.value["source"]
-                )
-                for m in messages
-            ]
+            parse_batch = self.log_manager.cycle()
             parse_metrics = self.parse_ctx.run_batch(parse_batch)
             # Publish the per-worker parsers' deferred metrics; the
             # workers are idle between run_batch calls, so this races
@@ -789,10 +772,7 @@ class LogLensService:
                     parser.flush_metrics()
 
             parsed_records = self._parsed_buffer
-            spare = self._parsed_spare
-            spare.clear()
-            self._parsed_buffer = spare
-            self._parsed_spare = parsed_records
+            self._parsed_buffer = []
             for record in parsed_records:
                 self.heartbeat_controller.observe(
                     record.source or "unknown", record.timestamp_millis
@@ -805,16 +785,7 @@ class LogLensService:
             ):
                 heartbeats = self.heartbeat_controller.tick()
 
-            seq_batch = [
-                StreamRecord(
-                    value=r.value,
-                    key=self._event_key(r.value),
-                    source=r.source,
-                    timestamp_millis=r.timestamp_millis,
-                )
-                for r in parsed_records
-            ] + heartbeats
-            seq_metrics = self.seq_ctx.run_batch(seq_batch)
+            seq_metrics = self.seq_ctx.run_batch(parsed_records + heartbeats)
         finally:
             self._write_staged_anomalies()
 

@@ -11,7 +11,6 @@ from repro.service.storage import LogStorage
 def make_bus():
     bus = MessageBus()
     bus.create_topic("logs.raw")
-    bus.create_topic("logs.ingest")
     return bus
 
 
@@ -60,15 +59,19 @@ class TestLogManager:
         storage = LogStorage()
         manager = LogManager(bus, storage)
         ReplayAgent(bus, "logs.raw", "app1", ["l1", "l2"]).drain()
-        forwarded = manager.cycle()
-        assert forwarded == 2
+        records = manager.cycle()
         assert storage.by_source("app1") == ["l1", "l2"]
-        consumer = bus.consumer("logs.ingest", "t")
-        values = [m.value for m in consumer.poll()]
-        assert values == [
+        assert [(r.key, r.source) for r in records] == [
+            ("app1", "app1"),
+            ("app1", "app1"),
+        ]
+        # The bus payload itself is handed over, in arrival order.
+        on_bus = [m.value for m in bus.consumer("logs.raw", "t").poll()]
+        assert [r.value for r in records] == [
             {"raw": "l1", "source": "app1"},
             {"raw": "l2", "source": "app1"},
         ]
+        assert all(r.value is v for r, v in zip(records, on_bus))
 
     def test_rate_limit_defers_surplus(self):
         bus = make_bus()
@@ -76,9 +79,9 @@ class TestLogManager:
             bus, LogStorage(), max_rate_per_cycle=3
         )
         ReplayAgent(bus, "logs.raw", "s", ["x"] * 10).drain()
-        assert manager.cycle() == 3
+        assert len(manager.cycle()) == 3
         assert manager.stats.deferred == 7
-        assert manager.cycle() == 3
+        assert len(manager.cycle()) == 3
 
     def test_drain(self):
         bus = make_bus()
@@ -100,19 +103,17 @@ class TestLogManager:
         storage = LogStorage()
         manager = LogManager(bus, storage)
         bus.produce("logs.raw", {"raw": "x", "source": None})
-        manager.cycle()
+        (record,) = manager.cycle()
         assert storage.by_source("unknown") == ["x"]
+        assert (record.key, record.source) == ("unknown", "unknown")
+        assert record.value == {"raw": "x", "source": None}
 
     def test_keyed_forwarding_copartitions_by_source(self):
-        bus = MessageBus()
-        bus.create_topic("logs.raw")
-        bus.create_topic("logs.ingest", partitions=4)
+        bus = make_bus()
         manager = LogManager(bus, LogStorage())
         ReplayAgent(bus, "logs.raw", "same-source", ["a", "b", "c"]).drain()
-        manager.drain()
-        consumer = bus.consumer("logs.ingest", "t")
-        partitions = {m.partition for m in consumer.poll()}
-        assert len(partitions) == 1
+        records = manager.cycle()
+        assert {r.key for r in records} == {"same-source"}
 
     def test_invalid_rate(self):
         with pytest.raises(ValueError):

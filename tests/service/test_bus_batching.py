@@ -45,21 +45,6 @@ class TestBatchedProduce:
             for m in p
         ]
 
-    def test_produce_batch_mixed_keys_matches_sequential(self):
-        batched = fresh_bus()
-        sequential = fresh_bus()
-        records = [
-            ("a", "k1"), ("b", None), ("c", "k2"),
-            ("d", None), ("e", "k1"), ("f", None),
-        ]
-        batched.produce_batch("t", records)
-        for value, key in records:
-            sequential.produce("t", value, key=key)
-        assert (
-            batched._topics["t"].partitions
-            == sequential._topics["t"].partitions
-        )
-
     def test_keyless_round_robin_spans_batches(self):
         """The round-robin cursor is shared by batch and single produce."""
         bus = fresh_bus(partitions=3)
@@ -76,9 +61,6 @@ class TestBatchedProduce:
         bus._lock = counter
         bus.produce_many("t", ["v%d" % i for i in range(50)], key="k")
         assert counter.acquisitions == 1
-        counter.acquisitions = 0
-        bus.produce_batch("t", [("v", None)] * 50)
-        assert counter.acquisitions == 1
 
     def test_produced_counter_counts_batch(self):
         metrics = MetricsRegistry()
@@ -90,23 +72,13 @@ class TestBatchedProduce:
 
 
 class TestBatchedPoll:
-    def test_poll_many_matches_poll(self):
-        bus = fresh_bus()
-        bus.produce_many("t", ["v%d" % i for i in range(20)])
-        a = bus.consumer("t", group="g1")
-        b = bus.consumer("t", group="g2")
-        assert [m.value for m in a.poll_many()] == [
-            m.value for m in b.poll(max_records=1000)
-        ]
-        assert a.poll_many() == []
-
-    def test_poll_many_takes_the_lock_once(self):
+    def test_poll_takes_the_lock_once(self):
         bus = fresh_bus()
         bus.produce_many("t", ["v%d" % i for i in range(50)])
         consumer = bus.consumer("t", group="g")
         counter = _CountingLock()
         bus._lock = counter
-        got = consumer.poll_many()
+        got = consumer.poll()
         assert len(got) == 50
         assert counter.acquisitions == 1
 

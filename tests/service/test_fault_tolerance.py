@@ -89,6 +89,24 @@ class TestPoisonRecords:
         assert meta["error_type"] == "FaultInjected"
         assert meta["attempts"] == 3  # the full default retry budget
 
+    def test_sourceless_poison_keeps_its_payload_as_produced(self):
+        plan = FaultPlan().poison(
+            "operator:flat_map:*",
+            lambda r: "POISON" in r.value["raw"],
+        )
+        service = trained_service(fault_plan=plan)
+        service.bus.produce(
+            "logs.raw", {"raw": "POISON payload line", "source": None}
+        )
+        service.run_until_drained()
+        (message,) = service.drain_dead_letters()
+        envelope = message.value
+        assert envelope["metadata"]["source"] == "unknown"
+        assert envelope["value"] == {
+            "raw": "POISON payload line",
+            "source": None,
+        }
+
     def test_quarantine_is_observable_in_metrics(self):
         from repro.obs import MetricsRegistry
 

@@ -109,6 +109,31 @@ class TestEndToEnd:
         assert service.log_storage.count("app") == 3
 
 
+class TestLogManagerToParser:
+    def test_lines_cross_one_topic_and_one_parse_sink(self):
+        from repro.ingest.server import service_pending
+
+        service = trained_service()
+        total = 0
+        for minute in range(4):
+            lines = event_lines("fl-hop%d" % minute, minute) + [
+                "completely unknown format %d !!" % minute
+            ]
+            service.ingest(lines, source="app")
+            total += len(lines)
+            assert service_pending(service) == len(lines)
+            report = service.step()
+            assert service_pending(service) == 0
+            assert (report.ingested, report.parsed) == (4, 3)
+            assert report.stateless_anomalies == 1
+        assert service.bus.topics() == ["logs.raw"]
+        assert sum(service.bus.end_offsets("logs.raw")) == total
+        assert [n.kind for n in service.parse_ctx._nodes.values()] == [
+            "source", "flat_map", "sink",
+        ]
+        assert service.log_storage.count("app") == total
+
+
 class TestLiveModelUpdate:
     def test_delete_automaton_without_restart(self):
         """Table V semantics on the running service."""
