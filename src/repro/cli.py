@@ -54,7 +54,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from .core.anomaly import Anomaly
 from .core.config import LogLensConfig
@@ -614,6 +614,13 @@ def _cmd_parse(args: argparse.Namespace) -> int:
     return 0
 
 
+def _print_anomaly_docs(docs: List[Dict[str, Any]]) -> int:
+    """Print anomaly docs as JSON lines, as stored; returns the count."""
+    for doc in docs:
+        print(json.dumps(doc, sort_keys=True), flush=True)
+    return len(docs)
+
+
 def _cmd_watch(args: argparse.Namespace) -> int:
     import time
 
@@ -640,13 +647,7 @@ def _cmd_watch(args: argparse.Namespace) -> int:
         while args.max_polls is None or polls < args.max_polls:
             polls += 1
             agent.poll()
-            service.step()
-            docs = service.anomaly_storage.all()
-            for doc in docs[reported:]:
-                out = dict(doc)
-                out.pop("_id", None)
-                print(json.dumps(out, sort_keys=True), flush=True)
-            reported = len(docs)
+            reported += _print_anomaly_docs(service.step().anomaly_docs)
             if args.max_polls is None or polls < args.max_polls:
                 time.sleep(args.poll_seconds)
     except KeyboardInterrupt:  # pragma: no cover - interactive use
@@ -977,32 +978,20 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
 
     reported = 0
-
-    def report_new_anomalies() -> int:
-        count = 0
-        docs = service.anomaly_storage.all()
-        for doc in docs[reported:]:
-            out = dict(doc)
-            out.pop("_id", None)
-            print(json.dumps(out, sort_keys=True), flush=True)
-            count += 1
-        return reported + count
-
     steps = 0
     try:
         while args.max_steps is None or steps < args.max_steps:
             steps += 1
-            service.step()
-            reported = report_new_anomalies()
+            reported += _print_anomaly_docs(service.step().anomaly_docs)
             if args.max_steps is None or steps < args.max_steps:
                 time.sleep(args.step_seconds)
     except KeyboardInterrupt:  # pragma: no cover - interactive use
         pass
     finally:
         thread.stop()
-        service.run_until_drained()
-        service.final_flush()
-        reported = report_new_anomalies()
+        for report in service.run_until_drained():
+            reported += _print_anomaly_docs(report.anomaly_docs)
+        reported += _print_anomaly_docs(service.flush_open_events())
         service.close()
     print(
         "served %d lines over %d connections (%d dropped) and "

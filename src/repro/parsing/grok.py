@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .datatypes import DEFAULT_REGISTRY, DatatypeRegistry, LITERAL_GENERALITY
-from .tokenizer import Token, TokenizedLog
+from .tokenizer import TokenizedLog
 
 __all__ = ["Literal", "Field", "GrokElement", "GrokPattern", "CompiledGrok"]
 
@@ -189,37 +189,39 @@ class GrokPattern:
         the wildcard may absorb zero or more tokens; the *shortest* possible
         absorption is preferred so trailing structure still binds.
         """
-        tokens = log.tokens
+        texts = log.texts
         if not self._has_wildcard:
-            if len(tokens) != len(self.elements):
+            if len(texts) != len(self.elements):
                 return None
             out: Dict[str, str] = {}
-            for tok, elem in zip(tokens, self.elements):
+            for text, datatype, elem in zip(
+                texts, log.datatypes, self.elements
+            ):
                 if isinstance(elem, Literal):
-                    if tok.text != elem.text:
+                    if text != elem.text:
                         return None
                 else:
-                    if not self._field_accepts(elem, tok):
+                    if not self._field_accepts(elem, text, datatype):
                         return None
-                    out[elem.name] = tok.text
+                    out[elem.name] = text
             return out
-        return self._match_wildcard(tokens)
+        return self._match_wildcard(texts, log.datatypes)
 
-    def _field_accepts(self, elem: Field, tok: Token) -> bool:
-        if self.registry.is_covered(tok.datatype, elem.datatype):
+    def _field_accepts(self, elem: Field, text: str, datatype: str) -> bool:
+        if self.registry.is_covered(datatype, elem.datatype):
             return True
         # The token's inferred type is not in the declared lattice under
         # the field type; fall back to a direct regex check (covers custom
         # or user-edited datatypes).
         if elem.datatype in self.registry:
-            return self.registry.matches(tok.text, elem.datatype)
+            return self.registry.matches(text, elem.datatype)
         return False
 
     def _match_wildcard(
-        self, tokens: Sequence[Token]
+        self, texts: Sequence[str], datatypes: Sequence[str]
     ) -> Optional[Dict[str, str]]:
         elements = self.elements
-        n, m = len(tokens), len(elements)
+        n, m = len(texts), len(elements)
         # T[i][j]: tokens[:i] matched by elements[:j] (Algorithm 1 shape,
         # over concrete tokens rather than signatures).
         T = [[False] * (m + 1) for _ in range(n + 1)]
@@ -231,23 +233,24 @@ class GrokPattern:
             else:
                 break
         for i in range(1, n + 1):
-            tok = tokens[i - 1]
+            text = texts[i - 1]
+            datatype = datatypes[i - 1]
             for j in range(1, m + 1):
                 elem = elements[j - 1]
                 if isinstance(elem, Field) and elem.datatype == "ANYDATA":
                     T[i][j] = T[i - 1][j] or T[i][j - 1]
                 elif isinstance(elem, Literal):
-                    T[i][j] = T[i - 1][j - 1] and tok.text == elem.text
+                    T[i][j] = T[i - 1][j - 1] and text == elem.text
                 else:
                     T[i][j] = T[i - 1][j - 1] and self._field_accepts(
-                        elem, tok
+                        elem, text, datatype
                     )
         if not T[n][m]:
             return None
-        return self._reconstruct(tokens, T)
+        return self._reconstruct(texts, T)
 
     def _reconstruct(
-        self, tokens: Sequence[Token], T: List[List[bool]]
+        self, texts: Sequence[str], T: List[List[bool]]
     ) -> Dict[str, str]:
         """Walk the DP table backwards, capturing field values.
 
@@ -257,7 +260,7 @@ class GrokPattern:
         produces, keeping both matching engines consistent.
         """
         out: Dict[str, str] = {}
-        i, j = len(tokens), len(self.elements)
+        i, j = len(texts), len(self.elements)
         wildcard_bounds: Dict[int, List[int]] = {}
         while j > 0:
             elem = self.elements[j - 1]
@@ -269,13 +272,13 @@ class GrokPattern:
                 j -= 1
             else:
                 if isinstance(elem, Field):
-                    out[elem.name] = tokens[i - 1].text
+                    out[elem.name] = texts[i - 1]
                 i -= 1
                 j -= 1
         for idx, (start, end) in wildcard_bounds.items():
             elem = self.elements[idx]
             assert isinstance(elem, Field)
-            out[elem.name] = " ".join(t.text for t in tokens[start:end])
+            out[elem.name] = " ".join(texts[start:end])
         return out
 
     # ------------------------------------------------------------------

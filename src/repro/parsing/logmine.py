@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .datatypes import DEFAULT_REGISTRY, DatatypeRegistry
 from .fields import assign_field_ids, heuristic_rename
 from .grok import Field, GrokPattern, Literal
-from .tokenizer import Token, TokenizedLog
+from .tokenizer import TokenizedLog
 
 __all__ = [
     "log_distance",
@@ -71,19 +71,19 @@ def log_distance(
     is given, computation abandons early once the distance provably
     exceeds it.
     """
-    ta, tb = a.tokens, b.tokens
-    la, lb = len(ta), len(tb)
+    la, lb = len(a.texts), len(b.texts)
     if la == 0 and lb == 0:
         return 0.0
     longest = max(la, lb)
     best_remaining = float(min(la, lb)) * k1
     score = 0.0
-    for i in range(min(la, lb)):
-        x, y = ta[i], tb[i]
-        if x.text == y.text:
+    for x_text, y_text, x_type, y_type in zip(
+        a.texts, b.texts, a.datatypes, b.datatypes
+    ):
+        if x_text == y_text:
             score += k1
-        elif x.datatype == y.datatype:
-            if x.datatype in variable_datatypes:
+        elif x_type == y_type:
+            if x_type in variable_datatypes:
                 score += k1
             else:
                 score += k2
@@ -214,18 +214,20 @@ class PatternDiscoverer:
                     break
             if not placed:
                 cluster = LogCluster(
-                    representative=log,
-                    skeleton=[
-                        # Structured-variable positions start out variable.
-                        (None, t.datatype)
-                        if t.datatype in self.variable_datatypes
-                        else (t.text, t.datatype)
-                        for t in log.tokens
-                    ],
+                    representative=log, skeleton=self._skeleton(log)
                 )
                 clusters.append(cluster)
                 order.append(cluster)
         return order
+
+    def _skeleton(self, log: TokenizedLog) -> List[Tuple[Optional[str], str]]:
+        """A founding member's skeleton: structured-variable positions
+        start out variable, every other position literal."""
+        variable = self.variable_datatypes
+        return [
+            (None, dtype) if dtype in variable else (text, dtype)
+            for text, dtype in zip(log.texts, log.datatypes)
+        ]
 
     def _skeleton_distance(self, cluster: LogCluster, log: TokenizedLog) -> float:
         """Distance of ``log`` to the cluster's merged skeleton.
@@ -235,14 +237,13 @@ class PatternDiscoverer:
         (``k1``); other generalised positions count as same-datatype
         matches (``k2``).
         """
-        skeleton = cluster.skeleton
-        tokens = log.tokens
-        n = len(tokens)
+        texts = log.texts
+        n = len(texts)
         if n == 0:
             return 0.0
         score = 0.0
-        for (text, dtype), tok in zip(skeleton, tokens):
-            if text is not None and text == tok.text:
+        for (text, dtype), log_text in zip(cluster.skeleton, texts):
+            if text is not None and text == log_text:
                 score += self.k1
             elif dtype in self.variable_datatypes:
                 score += self.k1
@@ -253,9 +254,9 @@ class PatternDiscoverer:
     @staticmethod
     def _skeleton_absorb(cluster: LogCluster, log: TokenizedLog) -> None:
         skeleton = cluster.skeleton
-        for i, tok in enumerate(log.tokens):
+        for i, log_text in enumerate(log.texts):
             text, dtype = skeleton[i]
-            if text is not None and text != tok.text:
+            if text is not None and text != log_text:
                 skeleton[i] = (None, dtype)
         cluster.size += 1
 
@@ -300,15 +301,10 @@ class PatternDiscoverer:
                 else:
                     elements.append(Field(dtype, "f"))
             return GrokPattern(elements, registry=self.registry)
-        merged = [
-            (None, t.datatype)
-            if t.datatype in self.variable_datatypes
-            else (t.text, t.datatype)
-            for t in cluster.members[0].tokens
-        ]
+        merged = self._skeleton(cluster.members[0])
         for member in cluster.members[1:]:
             merged = self._align_merge(
-                merged, [(t.text, t.datatype) for t in member.tokens]
+                merged, list(zip(member.texts, member.datatypes))
             )
         elements = []
         for text, dtype in merged:

@@ -41,16 +41,16 @@ def suggest_pattern(
     log = tokenizer.tokenize(raw)
     elements = []
     field_idx = 0
-    for token in log.tokens:
-        if token.datatype in STRUCTURED_VARIABLE_DATATYPES or (
-            token.datatype == "DATETIME"
+    for text, datatype in zip(log.texts, log.datatypes):
+        if datatype in STRUCTURED_VARIABLE_DATATYPES or (
+            datatype == "DATETIME"
         ):
             field_idx += 1
             elements.append(
-                Field(token.datatype, "%s%d" % (field_prefix, field_idx))
+                Field(datatype, "%s%d" % (field_prefix, field_idx))
             )
         else:
-            elements.append(Literal(token.text))
+            elements.append(Literal(text))
     return GrokPattern(elements, registry=tokenizer.registry)
 
 
@@ -76,8 +76,8 @@ def suggest_pattern_from_examples(
         raise ValueError("need at least one example line")
     tokenizer = tokenizer if tokenizer is not None else Tokenizer()
     logs = [tokenizer.tokenize(raw) for raw in raws]
-    length = len(logs[0].tokens)
-    if any(len(log.tokens) != length for log in logs):
+    length = len(logs[0])
+    if any(len(log) != length for log in logs):
         raise ValueError(
             "example lines tokenize to different lengths; "
             "suggest one pattern per format"
@@ -86,11 +86,12 @@ def suggest_pattern_from_examples(
     elements = []
     field_idx = 0
     for position in range(length):
-        tokens = [log.tokens[position] for log in logs]
-        texts = {t.text for t in tokens}
-        datatype = tokens[0].datatype
-        for other in tokens[1:]:
-            datatype = join_datatypes(datatype, other.datatype, registry)
+        texts = {log.texts[position] for log in logs}
+        datatype = logs[0].datatypes[position]
+        for log in logs[1:]:
+            datatype = join_datatypes(
+                datatype, log.datatypes[position], registry
+            )
         if (
             len(texts) > 1
             or datatype in STRUCTURED_VARIABLE_DATATYPES
@@ -101,5 +102,5 @@ def suggest_pattern_from_examples(
                 Field(datatype, "%s%d" % (field_prefix, field_idx))
             )
         else:
-            elements.append(Literal(tokens[0].text))
+            elements.append(Literal(logs[0].texts[position]))
     return GrokPattern(elements, registry=registry)

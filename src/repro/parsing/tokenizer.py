@@ -10,15 +10,20 @@ The LogLens preprocessing pipeline (paper, Section III-A1/A2):
    ``DATETIME`` token, and remember the log's event time;
 4. tag every token with its most specific datatype.
 
-The result — a :class:`TokenizedLog` — is the common currency of pattern
-discovery (:mod:`repro.parsing.logmine`) and fast parsing
-(:mod:`repro.parsing.parser`).
+Steps 3 and 4 are one pass over the token texts, and each timestamp is
+detected exactly once per line: the event time the parser reports is
+also the one the service archives.  The result — a :class:`TokenizedLog`
+— holds two parallel lists, the token texts and their datatypes, and no
+per-token objects; :attr:`TokenizedLog.tokens` builds :class:`Token`
+values on demand for callers off the hot path.  It is the common
+currency of pattern discovery (:mod:`repro.parsing.logmine`) and fast
+parsing (:mod:`repro.parsing.parser`).
 """
 
 from __future__ import annotations
 
 import re
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from ..obs import MetricsRegistry, get_registry
 from .datatypes import DEFAULT_REGISTRY, DatatypeRegistry
@@ -30,11 +35,9 @@ __all__ = ["Token", "TokenizedLog", "SplitRule", "Tokenizer"]
 class Token:
     """One token of a preprocessed log: its text and inferred datatype.
 
-    A plain ``__slots__`` class rather than a dataclass: one Token is
-    constructed per token of every log on the parse hot path, and the
-    slotted layout with a bare ``__init__`` measurably outpaces the
-    generated dataclass machinery there.  Value semantics are preserved:
-    equality and hashing are by ``(text, datatype)``.
+    A read-side view: the tokenizer stores parallel text/datatype lists
+    and builds Tokens only when :attr:`TokenizedLog.tokens` is read.
+    Equality and hashing are by ``(text, datatype)``.
     """
 
     __slots__ = ("text", "datatype")
@@ -62,30 +65,34 @@ class TokenizedLog:
     """A fully preprocessed log line.
 
     The log-signature is computed lazily and cached: the pattern index
-    reads it on every lookup, and the token list is never mutated after
+    reads it on every lookup, and the lists are never mutated after
     construction.
 
     Attributes
     ----------
     raw:
         The original log line.
-    tokens:
-        Datatype-tagged tokens, timestamps already merged and canonicalised.
+    texts:
+        Token texts, timestamps already merged and canonicalised.
+    datatypes:
+        The datatype of each entry of ``texts``, position for position.
     timestamp_millis:
         Event time from the first identified timestamp (epoch millis), or
         ``None`` when the log carries no recognisable timestamp.
     """
 
-    __slots__ = ("raw", "tokens", "timestamp_millis", "_signature")
+    __slots__ = ("raw", "texts", "datatypes", "timestamp_millis", "_signature")
 
     def __init__(
         self,
         raw: str,
-        tokens: List[Token],
+        texts: List[str],
+        datatypes: List[str],
         timestamp_millis: Optional[int] = None,
     ) -> None:
         self.raw = raw
-        self.tokens = tokens
+        self.texts = texts
+        self.datatypes = datatypes
         self.timestamp_millis = timestamp_millis
         self._signature: Optional[str] = None
 
@@ -94,22 +101,29 @@ class TokenizedLog:
         """The log-signature: concatenated datatypes (paper, Section III-B)."""
         signature = self._signature
         if signature is None:
-            signature = " ".join(t.datatype for t in self.tokens)
-            self._signature = signature
+            signature = self._signature = " ".join(self.datatypes)
         return signature
 
     @property
-    def texts(self) -> List[str]:
-        return [t.text for t in self.tokens]
+    def tokens(self) -> List[Token]:
+        """The tokens as :class:`Token` values, built on every read.
+
+        Deliberately uncached: a cached list would keep a second copy of
+        every token alive wherever a log is held (model building keeps
+        whole clusters of them).
+        """
+        return [Token(t, d) for t, d in zip(self.texts, self.datatypes)]
 
     def __len__(self) -> int:
-        return len(self.tokens)
+        return len(self.texts)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is TokenizedLog:
             return (
                 self.raw == other.raw  # type: ignore[union-attr]
-                and self.tokens == other.tokens  # type: ignore[union-attr]
+                and self.texts == other.texts  # type: ignore[union-attr]
+                and self.datatypes
+                == other.datatypes  # type: ignore[union-attr]
                 and self.timestamp_millis
                 == other.timestamp_millis  # type: ignore[union-attr]
             )
@@ -117,9 +131,16 @@ class TokenizedLog:
 
     __hash__ = None  # type: ignore[assignment]  # mutable, like the old dataclass
 
+    def __reduce__(self) -> Tuple[type, Tuple[Any, ...]]:
+        return (
+            TokenizedLog,
+            (self.raw, self.texts, self.datatypes, self.timestamp_millis),
+        )
+
     def __repr__(self) -> str:
-        return "TokenizedLog(raw=%r, tokens=%r, timestamp_millis=%r)" % (
-            self.raw, self.tokens, self.timestamp_millis,
+        return (
+            "TokenizedLog(raw=%r, texts=%r, datatypes=%r, timestamp_millis=%r)"
+            % (self.raw, self.texts, self.datatypes, self.timestamp_millis)
         )
 
 
@@ -229,20 +250,19 @@ class Tokenizer:
     # ------------------------------------------------------------------
     def tokenize(self, raw: str) -> TokenizedLog:
         """Preprocess one raw log line into a :class:`TokenizedLog`."""
-        texts = self._split(raw)
-        texts = self._apply_split_rules(texts)
-        tokens, ts_millis = self._merge_timestamps(texts)
+        texts = self._apply_split_rules(self._split(raw))
+        datatypes, ts_millis = self._merge_timestamps(texts)
         if self._deferred:
             self._pend_logs += 1
-            self._pend_tokens += len(tokens)
+            self._pend_tokens += len(texts)
             if ts_millis is not None:
                 self._pend_timestamps += 1
         else:
             self._m_logs.inc()
-            self._m_tokens.inc(len(tokens))
+            self._m_tokens.inc(len(texts))
             if ts_millis is not None:
                 self._m_timestamps.inc()
-        return TokenizedLog(raw=raw, tokens=tokens, timestamp_millis=ts_millis)
+        return TokenizedLog(raw, texts, datatypes, ts_millis)
 
     def tokenize_many(self, raw_logs: Sequence[str]) -> List[TokenizedLog]:
         """Preprocess a batch of raw log lines.
@@ -281,14 +301,21 @@ class Tokenizer:
 
     def _merge_timestamps(
         self, texts: List[str]
-    ) -> Tuple[List[Token], Optional[int]]:
-        tokens: List[Token] = []
+    ) -> Tuple[List[str], Optional[int]]:
+        """Merge timestamps in place and tag every token; one pass.
+
+        ``texts`` (this call's own list) is edited in place: each
+        multi-token timestamp collapses into its canonical text.  Returns
+        the datatype list parallel to the edited ``texts``, and the event
+        time of the first timestamp.
+        """
+        datatypes: List[str] = []
         ts_millis: Optional[int] = None
         i = 0
         n = len(texts)
         detector = self.timestamp_detector
         # Hot loop: bind lookups once per call, not once per token.
-        append = tokens.append
+        append = datatypes.append
         memo_get = self._infer_memo.get
         memo = self._infer_memo
         memo_cap = self._infer_memo_cap
@@ -311,16 +338,19 @@ class Tokenizer:
             ):
                 match = identify(texts, i)
                 if match is not None:
-                    append(Token(match.normalized, "DATETIME"))
+                    consumed = match.tokens_consumed
+                    texts[i:i + consumed] = (match.normalized,)
+                    n -= consumed - 1
+                    append("DATETIME")
                     if ts_millis is None:
                         ts_millis = match.epoch_millis
-                    i += match.tokens_consumed
+                    i += 1
                     continue
             datatype = memo_get(text)
             if datatype is None:
                 datatype = infer(text)
                 if len(memo) < memo_cap:
                     memo[text] = datatype
-            append(Token(text, datatype))
+            append(datatype)
             i += 1
-        return tokens, ts_millis
+        return datatypes, ts_millis

@@ -20,7 +20,8 @@ open event states survive every update.
 The service is driven synchronously: :meth:`ingest` enqueues raw lines,
 :meth:`step` advances one micro-batch "period" end to end.  This keeps the
 simulator deterministic while exercising the exact component graph of the
-paper.
+paper.  A step ends by archiving every line it polled, stamped with the
+event time the parser detected, and writing the step's anomalies.
 """
 
 from __future__ import annotations
@@ -320,6 +321,9 @@ class StepReport:
     quarantined: int = 0
     #: Alert lifecycle events (fired/resolved) emitted during this step.
     alerts: int = 0
+    #: The anomaly docs this step wrote, in write order: a streaming
+    #: consumer prints these instead of reading the anomaly table back.
+    anomaly_docs: List[Dict[str, Any]] = field(default_factory=list)
 
 
 @dataclass
@@ -512,10 +516,7 @@ class LogLensService:
             retry_policy=self.retry_policy,
             fault_plan=fault_plan,
         )
-        self.log_manager = LogManager(self.bus, self.log_storage)
-        self.log_manager.timestamp_detector = (
-            self.tokenizer_factory().timestamp_detector
-        )
+        self.log_manager = LogManager(self.bus)
         self.heartbeat_controller = HeartbeatController(
             metrics=self.metrics, fault_plan=fault_plan
         )
@@ -583,6 +584,9 @@ class LogLensService:
         #: Parsed logs routed by the parse sink, already keyed by event
         #: id; step() hands them to the sequence stage.
         self._parsed_buffer: List[StreamRecord] = []
+        #: Raw line -> the event time the parse stage reported for it
+        #: during the current step; the step's archive write reads it.
+        self._event_times: Dict[str, Optional[int]] = {}
         # Report sections in registration order (the to_dict contract:
         # quarantine, then alerts, then any later registrations).
         self._report_sections: List[ReportSection] = []
@@ -643,17 +647,18 @@ class LogLensService:
         ):
             self._last_anomaly_millis = ts
 
-    def _write_staged_anomalies(self) -> None:
+    def _write_staged_anomalies(self) -> List[Dict[str, Any]]:
         """Write every staged anomaly doc in one ``store_many``.
 
         Timestamp-less docs (an unparsed line carries no parseable
         clock) would never match any alert window, so they are stamped
         with log-time "now" — by now this call's heartbeat observations
         have advanced it — and written after the timestamped ones.
+        Returns the docs in the order they were written.
         """
         staged = self._staged_anomalies
         if not staged:
-            return
+            return []
         self._staged_anomalies = []
         docs = [doc for doc in staged if doc["timestamp_millis"] is not None]
         if len(docs) < len(staged):
@@ -665,12 +670,36 @@ class LogLensService:
             if now is not None:
                 self._last_anomaly_millis = now
         self.anomaly_storage.store_many(docs)
+        return docs
+
+    def _archive(self, records: List[StreamRecord]) -> None:
+        """Archive every record of one log-manager cycle, in poll order.
+
+        A line's event time is the ``timestamp_millis`` the parse stage
+        reported for that line's text during this step.  When the stage
+        reported nothing for it — the line was quarantined, or the stage
+        raised before reaching it — the line is archived without an
+        event time: :meth:`LogStorage.by_source` and replay still see
+        it, :meth:`LogStorage.time_range` does not.
+        """
+        event_times = self._event_times
+        self._event_times = {}
+        if not records:
+            return
+        entries = []
+        for record in records:
+            raw = record.value["raw"]
+            entries.append((raw, record.source, event_times.get(raw)))
+        # One storage lock for the whole cycle, not one per record.
+        self.log_storage.store_batch(entries)
 
     def _route_parsed(self, record: StreamRecord) -> None:
         """The parse stage's one sink: parsed logs are re-keyed by event
-        id for the sequence stage, unparsed ones staged as anomalies."""
+        id for the sequence stage, unparsed ones staged as anomalies.
+        Either way the line's event time is noted for the archive."""
         value = record.value
         if isinstance(value, ParsedLog):
+            self._event_times[value.raw] = value.timestamp_millis
             self._parsed_buffer.append(
                 StreamRecord(
                     value=value,
@@ -680,6 +709,7 @@ class LogLensService:
                 )
             )
         else:
+            self._event_times[value.logs[0]] = value.timestamp_millis
             self._stage_anomaly(value.to_dict())
 
     def _quarantine_parse(self, quarantined: QuarantinedRecord) -> None:
@@ -758,8 +788,10 @@ class LogLensService:
         self._step_stateless = 0
         self._step_sequence = 0
 
-        # Both stages' sinks stage anomaly docs; the finally writes them
-        # in one batch even when a stage raises, so none is lost.
+        # The finally archives every polled line and writes the docs both
+        # stages' sinks staged, each in one batch, even when a stage
+        # raises — so no line and no anomaly is lost.
+        parse_batch: List[StreamRecord] = []
         try:
             parse_batch = self.log_manager.cycle()
             parse_metrics = self.parse_ctx.run_batch(parse_batch)
@@ -787,7 +819,10 @@ class LogLensService:
 
             seq_metrics = self.seq_ctx.run_batch(parsed_records + heartbeats)
         finally:
-            self._write_staged_anomalies()
+            try:
+                self._archive(parse_batch)
+            finally:
+                anomaly_docs = self._write_staged_anomalies()
 
         # Alerting rides the heartbeat cycle: rules see every anomaly
         # this step stored, at the extrapolated log-time "now".  With no
@@ -817,6 +852,7 @@ class LogLensService:
                 parse_metrics.quarantined + seq_metrics.quarantined
             ),
             alerts=alert_events,
+            anomaly_docs=anomaly_docs,
         )
 
     def log_time_now(self) -> Optional[int]:
@@ -877,9 +913,15 @@ class LogLensService:
 
         Equivalent to heartbeats arbitrarily far in the future; used when a
         replayed dataset ends and remaining open states must be judged.
-        The anomalies take the same staged, one-batch write as a step's.
         """
-        count = 0
+        return len(self.flush_open_events())
+
+    def flush_open_events(self) -> List[Dict[str, Any]]:
+        """:meth:`final_flush`, returning the anomaly docs it wrote.
+
+        The anomalies take the same staged, one-batch write as a step's;
+        the docs come back in write order.
+        """
         try:
             for partition_id in range(self.seq_ctx.num_partitions):
                 flushed = self.seq_ctx.call_partition(
@@ -887,10 +929,9 @@ class LogLensService:
                 )
                 for anomaly_dict in flushed:
                     self._stage_anomaly(anomaly_dict)
-                    count += 1
         finally:
-            self._write_staged_anomalies()
-        return count
+            docs = self._write_staged_anomalies()
+        return docs
 
     # ------------------------------------------------------------------
     # Checkpoint / recovery — Section V-A: "if a stateful Spark streaming
