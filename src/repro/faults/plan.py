@@ -4,7 +4,7 @@ A :class:`FaultPlan` is a schedule of failures to inject at named *sites*
 — instrumented call points spread through the system:
 
 * ``operator:<kind>:<node_id>`` — every streaming-operator invocation
-  (:meth:`StreamingContext._apply`), one site per graph node;
+  (``PartitionExecutor._invoke``), one per operator node (not sinks);
 * ``broadcast.pull`` — worker block-cache misses pulling a broadcast
   value from the driver;
 * ``heartbeat.emit`` — per-source heartbeat emission in the controller.

@@ -28,7 +28,8 @@ injectable clock), and records that still fail are *quarantined*:
 wrapped as :class:`~repro.streaming.retry.QuarantinedRecord` with
 failure metadata, stored on the context, and routed to an optional
 dead-letter sink.  The batch always completes; sibling branches and
-other records are unaffected.  A
+other records are unaffected.  Sinks are driver callbacks, not
+operators: they are called once per record, never retried.  A
 :class:`~repro.faults.FaultPlan` may be installed to inject failures at
 every operator site and at broadcast pulls (see ``docs/FAULT_TOLERANCE.md``).
 """
@@ -51,12 +52,12 @@ from typing import (
 )
 
 from ..errors import PartitioningError
-from ..faults.clock import ManualClock
-from ..obs import Counter, MetricsRegistry, get_registry
+from ..obs import MetricsRegistry, get_registry
 from .broadcast import BlockManager, BroadcastManager, BroadcastVariable
 from .execution import (
     ExecutionBackend,
     PartitionExecutor,
+    PartitionOutcome,
     resolve_backend,
 )
 from .partitioner import HashPartitioner, HeartbeatAwarePartitioner, partition_records
@@ -96,13 +97,18 @@ class WorkerContext:
 class _Node:
     """One operator in the streaming graph."""
 
-    __slots__ = ("node_id", "kind", "fn", "children")
+    __slots__ = ("node_id", "kind", "fn", "children", "site")
 
     def __init__(self, node_id: int, kind: str, fn: Optional[Callable]) -> None:
         self.node_id = node_id
         self.kind = kind
         self.fn = fn
         self.children: List["_Node"] = []
+        #: Fault-injection site name; sources and sinks have none.
+        self.site = (
+            None if kind in ("source", "sink")
+            else "operator:%s:%d" % (kind, node_id)
+        )
 
 
 class Collector:
@@ -327,9 +333,11 @@ class StreamingContext:
         ``docs/PARALLELISM.md``.
     retry_policy:
         Re-execute failing operator calls per this policy; records that
-        exhaust it are quarantined instead of aborting the batch.  With
-        the default ``None`` (and no ``dead_letter`` sink) operator
-        exceptions propagate as before.
+        exhaust it are quarantined instead of aborting the batch.  Sinks
+        are never retried.  With the default ``None`` (and no
+        ``dead_letter`` sink) or ``on_exhaust="raise"``, a failure stops
+        its partition; the others still run, then the lowest-numbered
+        partition's exception propagates from :meth:`run_batch`.
     dead_letter:
         Callable receiving each :class:`QuarantinedRecord` (the service
         wires this to the bus's dead-letter topic).  Providing a sink
@@ -337,7 +345,7 @@ class StreamingContext:
     fault_plan:
         Optional :class:`~repro.faults.FaultPlan`; installs injection
         sites at every operator invocation (``operator:<kind>:<id>``)
-        and at broadcast pulls (``broadcast.pull``).
+        and at broadcast pulls (``broadcast.pull``); sinks have none.
     """
 
     def __init__(
@@ -378,10 +386,9 @@ class StreamingContext:
             self.obs.counter("engine.partition_records", partition=str(i))
             for i in range(num_partitions)
         ]
-        # Fault-tolerance plane.  Per-context exact counters chain to the
-        # registry family (the established stats-façade pattern), so
-        # `ctx.retries_total` stays correct even when several contexts
-        # share one registry (the service runs two).
+        # Fault-tolerance plane.  Per-context counts live in
+        # `self.metrics`; the registry families sum over every context
+        # sharing the registry (the service runs two).
         if retry_policy is None and dead_letter is not None:
             retry_policy = RetryPolicy.no_wait(max_attempts=1)
         self.retry_policy = retry_policy
@@ -390,11 +397,9 @@ class StreamingContext:
         if fault_plan is not None:
             self.broadcast_manager.fault_plan = fault_plan
         self.quarantine = QuarantineStore()
-        self._retries = Counter(
-            parent=self.obs.counter("engine.retries_total")
-        )
-        self._quarantined = Counter(
-            parent=self.obs.counter("engine.quarantined_total")
+        self._retries_total = self.obs.counter("engine.retries_total")
+        self._quarantined_total = self.obs.counter(
+            "engine.quarantined_total"
         )
         self._retry_backoff_seconds = self.obs.histogram(
             "engine.retry_backoff_seconds"
@@ -407,12 +412,7 @@ class StreamingContext:
         # Execution plane: the graph walk (shared by the driver and
         # worker processes) plus the backend that schedules it.
         self._executor = PartitionExecutor(
-            self._roots,
-            self.retry_policy,
-            self._fault_plan,
-            on_retry=self._retries.inc,
-            on_backoff=self._retry_backoff_seconds.observe,
-            on_quarantine=self._record_quarantined,
+            self._roots, self.retry_policy, self._fault_plan
         )
         self._backend = resolve_backend(execution)
         self._backend.attach(self)
@@ -422,12 +422,12 @@ class StreamingContext:
     @property
     def retries_total(self) -> int:
         """Operator re-executions performed by this context."""
-        return self._retries.value
+        return self.metrics.retries
 
     @property
     def quarantined_total(self) -> int:
         """Records quarantined by this context."""
-        return self._quarantined.value
+        return self.metrics.quarantined
 
     # ------------------------------------------------------------------
     # Graph construction
@@ -460,8 +460,8 @@ class StreamingContext:
     def run_batch(self, records: Sequence[StreamRecord]) -> BatchMetrics:
         """Execute one micro-batch over all registered streams."""
         started = time.perf_counter()
-        retries_before = self._retries.value
-        quarantined_before = self._quarantined.value
+        retries_before = self.metrics.retries
+        quarantined_before = self.metrics.quarantined
         # Serialised lock step between batches: drain model updates with
         # zero downtime (the stream is simply between two batches).
         with self._rebroadcast_seconds.time():
@@ -480,18 +480,19 @@ class StreamingContext:
             )
         for worker, bucket in zip(self.workers, buckets):
             self._partition_records[worker.partition_id].inc(len(bucket))
-        self._backend.run_batch(buckets)
+        # Every partition has been absorbed; now raise the first failure.
+        for error in self._backend.run_batch(buckets):
+            if error is not None:
+                raise error
         elapsed = time.perf_counter() - started
         self._batch_seconds.observe(elapsed)
         self._records_in.inc(len(records))
         # run_batch is driver-serialised, so counter deltas are exact.
-        batch_retries = self._retries.value - retries_before
-        batch_quarantined = self._quarantined.value - quarantined_before
+        batch_retries = self.metrics.retries - retries_before
+        batch_quarantined = self.metrics.quarantined - quarantined_before
         self.metrics.batches += 1
         self.metrics.records += len(records)
         self.metrics.model_updates += updates
-        self.metrics.retries += batch_retries
-        self.metrics.quarantined += batch_quarantined
         batch = BatchMetrics(
             batch_index=self.metrics.batches - 1,
             records_in=len(records),
@@ -541,34 +542,27 @@ class StreamingContext:
     # ------------------------------------------------------------------
     # Fault-tolerance bookkeeping (driver side)
     # ------------------------------------------------------------------
-    def _record_quarantined(self, quarantined: QuarantinedRecord) -> None:
-        self._quarantined.inc()
-        self.quarantine.add(quarantined)
-        if self._dead_letter is not None:
-            self._dead_letter(quarantined)
-
-    def _absorb_remote(self, outcome: Any, plan_sent: Any) -> None:
-        """Fold one worker process's batch result into driver state.
-
-        Called by the process backend in partition order 0..N-1, which
-        makes the replayed sink order identical to serial execution.
-        """
-        for node_id, record in outcome.emitted:
-            self._nodes[node_id].fn(record)
-        for quarantined in outcome.quarantined:
-            self._record_quarantined(quarantined)
+    def _absorb(self, outcome: PartitionOutcome) -> Optional[Exception]:
+        """Fold one partition's outcome into driver state; both backends
+        call this once per partition, in partition order.  Returns the
+        partition's exception: its walk's, or the first a replayed sink
+        raised (its later emissions are dropped, as on serial)."""
+        error = outcome.error
+        try:
+            for node_id, record in outcome.emitted:
+                self._nodes[node_id].fn(record)
+        except Exception as exc:
+            error = exc
         if outcome.retries:
-            self._retries.inc(outcome.retries)
+            self.metrics.retries += outcome.retries
+            self._retries_total.inc(outcome.retries)
         for delay in outcome.backoffs:
             self._retry_backoff_seconds.observe(delay)
-        policy = self.retry_policy
-        clock = policy.clock if policy is not None else None
-        if isinstance(clock, ManualClock):
-            for seconds in outcome.sleeps:
-                clock.sleep(seconds)
-            if outcome.advanced > 0:
-                clock.advance(outcome.advanced)
-        if self._fault_plan is not None and outcome.plan_state is not None:
-            self._fault_plan.apply_remote_delta(
-                plan_sent, outcome.plan_state
-            )
+        if outcome.quarantined:
+            self.metrics.quarantined += len(outcome.quarantined)
+            self._quarantined_total.inc(len(outcome.quarantined))
+            for quarantined in outcome.quarantined:
+                self.quarantine.add(quarantined)
+                if self._dead_letter is not None:
+                    self._dead_letter(quarantined)
+        return error

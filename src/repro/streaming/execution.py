@@ -26,11 +26,12 @@ every budget is spent the batch fans out fully parallel again.
 
 The operator-graph walk itself — fault injection, retry loop, quarantine
 — lives in :class:`PartitionExecutor`, shared verbatim between the
-driver and the worker processes; the only behavioural switch is *sink
-capture*: worker processes do not run sink functions (they may close
-over driver resources such as storage handles), they record
-``(node_id, record)`` pairs which the driver replays in partition order
-— reproducing exactly the total sink order of serial execution.
+driver and the worker processes.  It calls sink functions directly; in
+a worker process each sink is a capture function recording
+``(node_id, record)`` pairs, which the driver replays in partition order
+— exactly the sink order of serial execution.  Each walk returns one
+:class:`PartitionOutcome`, folded into the driver in partition order; a
+failing partition's exception is raised after every partition's fold.
 
 See ``docs/PARALLELISM.md`` for the protocol and its determinism
 caveats.
@@ -41,6 +42,7 @@ from __future__ import annotations
 import multiprocessing
 import signal
 from dataclasses import dataclass, field
+from functools import partial
 from typing import (
     Any,
     Callable,
@@ -62,6 +64,7 @@ __all__ = [
     "EXECUTION_BACKENDS",
     "ExecutionBackend",
     "PartitionExecutor",
+    "PartitionOutcome",
     "ProcessBackend",
     "RemoteBatchResult",
     "SerialBackend",
@@ -71,17 +74,28 @@ __all__ = [
 #: Valid names for ``StreamingContext(execution=...)`` / the CLI flag.
 EXECUTION_BACKENDS = ("serial", "processes")
 
+#: Each partition's exception (``None`` if it succeeded), in partition order.
+_Errors = List[Optional[Exception]]
+
 #: Sentinel distinguishing "operator quarantined the record" from an
 #: empty output list (which still propagates nothing but is a success).
 _QUARANTINED = object()
 
 
-def _noop() -> None:
-    pass
+@dataclass
+class PartitionOutcome:
+    """What one partition's walk over one micro-batch produced."""
 
-
-def _drop(_value: Any) -> None:
-    pass
+    partition_id: int
+    #: ``(node_id, record)`` sink emissions a worker process captured, in
+    #: execution order (the serial walk calls its sinks inline).
+    emitted: List[Tuple[int, StreamRecord]] = field(default_factory=list)
+    quarantined: List[QuarantinedRecord] = field(default_factory=list)
+    retries: int = 0
+    backoffs: List[float] = field(default_factory=list)
+    #: The exception that stopped the walk; everything above is what the
+    #: partition produced before it.
+    error: Optional[Exception] = None
 
 
 class PartitionExecutor:
@@ -91,16 +105,10 @@ class PartitionExecutor:
     ``operator:<kind>:<node_id>`` sites, the retry loop with measured
     per-attempt timeouts, and quarantine on exhaustion — factored out of
     :class:`~repro.streaming.engine.StreamingContext` so the driver and
-    worker processes run the identical code path.
-
-    Accounting is externalised through callbacks: the driver wires
-    ``on_retry``/``on_backoff``/``on_quarantine`` to its live counters,
-    histogram, quarantine store, and dead-letter sink; worker processes
-    wire them to local accumulators shipped back per batch.
-
-    With ``capture_sinks=True`` sink functions are *not* called; each
-    would-be sink invocation is appended to :attr:`emitted` as a
-    ``(node_id, record)`` pair for the driver to replay.
+    worker processes run the identical code path.  Sinks are called
+    directly: no fault site, retry or quarantine.  :meth:`run_partition`
+    returns the exception that stopped the walk in the outcome instead
+    of raising it.
     """
 
     def __init__(
@@ -108,32 +116,30 @@ class PartitionExecutor:
         roots: List[Any],
         retry_policy: Optional[RetryPolicy],
         fault_plan: Optional[Any],
-        *,
-        capture_sinks: bool = False,
-        on_retry: Callable[[], None] = _noop,
-        on_backoff: Callable[[float], None] = _drop,
-        on_quarantine: Callable[[QuarantinedRecord], None] = _drop,
     ) -> None:
         self.roots = roots
         self.retry_policy = retry_policy
         self.fault_plan = fault_plan
-        self.capture_sinks = capture_sinks
-        #: Captured ``(node_id, record)`` sink emissions (capture mode).
-        self.emitted: List[Tuple[int, StreamRecord]] = []
-        self._on_retry = on_retry
-        self._on_backoff = on_backoff
-        self._on_quarantine = on_quarantine
+        self._outcome: Optional[PartitionOutcome] = None
 
     # ------------------------------------------------------------------
     def run_partition(
         self, worker: Any, records: Sequence[StreamRecord]
-    ) -> None:
-        for record in records:
-            for root in self.roots:
-                for child in root.children:
-                    self._apply(child, record, worker)
+    ) -> PartitionOutcome:
+        outcome = self._outcome = PartitionOutcome(worker.partition_id)
+        try:
+            for record in records:
+                for root in self.roots:
+                    for child in root.children:
+                        self._apply(child, record, worker)
+        except Exception as exc:
+            outcome.error = exc
+        return outcome
 
     def _apply(self, node: Any, record: StreamRecord, worker: Any) -> None:
+        if node.kind == "sink":
+            node.fn(record)
+            return
         outputs = self._invoke(node, record, worker)
         if outputs is _QUARANTINED:
             return
@@ -156,12 +162,6 @@ class PartitionExecutor:
         if kind == "map_with_state":
             state = worker.state_for(node.node_id)
             return list(node.fn(record, state, worker))
-        if kind == "sink":
-            if self.capture_sinks:
-                self.emitted.append((node.node_id, record))
-            else:
-                node.fn(record)
-            return []
         # pragma: no cover - graph construction prevents this
         raise RuntimeError("unknown operator kind %r" % kind)
 
@@ -174,13 +174,12 @@ class PartitionExecutor:
         """
         plan = self.fault_plan
         policy = self.retry_policy
-        site = "operator:%s:%d" % (node.kind, node.node_id)
         if policy is None:
             # Legacy fail-fast path: exceptions abort the batch.
             if plan is None:
                 return self._call_operator(node, record, worker)
             return plan.invoke(
-                site, self._call_operator, node, record, worker,
+                node.site, self._call_operator, node, record, worker,
                 subject=record,
             )
         clock = policy.clock
@@ -191,8 +190,8 @@ class PartitionExecutor:
             try:
                 if plan is not None:
                     outputs = plan.invoke(
-                        site, self._call_operator, node, record, worker,
-                        subject=record,
+                        node.site, self._call_operator, node, record,
+                        worker, subject=record,
                     )
                 else:
                     outputs = self._call_operator(node, record, worker)
@@ -214,9 +213,9 @@ class PartitionExecutor:
                 if attempt >= policy.max_attempts:
                     return self._exhausted(node, record, worker,
                                            attempt, exc)
-                self._on_retry()
+                self._outcome.retries += 1
                 delay = policy.delay_for(attempt)
-                self._on_backoff(delay)
+                self._outcome.backoffs.append(delay)
                 if delay > 0:
                     clock.sleep(delay)
 
@@ -239,7 +238,7 @@ class PartitionExecutor:
                 partition_id=worker.partition_id,
                 attempts=attempts,
             ) from exc
-        quarantined = QuarantinedRecord(
+        self._outcome.quarantined.append(QuarantinedRecord(
             record=record,
             error=str(exc) or repr(exc),
             error_type=type(exc).__name__,
@@ -247,8 +246,7 @@ class PartitionExecutor:
             kind=node.kind,
             partition_id=worker.partition_id,
             attempts=attempts,
-        )
-        self._on_quarantine(quarantined)
+        ))
         return _QUARANTINED
 
 
@@ -278,7 +276,9 @@ class ExecutionBackend:
             )
         self._ctx = ctx
 
-    def run_batch(self, buckets: List[List[StreamRecord]]) -> None:
+    def run_batch(self, buckets: List[List[StreamRecord]]) -> _Errors:
+        """Run every partition and fold each outcome into the context
+        (``ctx._absorb``) in partition order; return their exceptions."""
         raise NotImplementedError
 
     def call(self, partition_id: int, fn: Callable[[Any], Any]) -> Any:
@@ -294,10 +294,13 @@ class SerialBackend(ExecutionBackend):
 
     name = "serial"
 
-    def run_batch(self, buckets: List[List[StreamRecord]]) -> None:
+    def run_batch(self, buckets: List[List[StreamRecord]]) -> _Errors:
         ctx = self._ctx
-        for worker, bucket in zip(ctx.workers, buckets):
-            ctx._executor.run_partition(worker, bucket)
+        run = ctx._executor.run_partition
+        return [
+            ctx._absorb(run(worker, bucket))
+            for worker, bucket in zip(ctx.workers, buckets)
+        ]
 
 
 # ----------------------------------------------------------------------
@@ -323,15 +326,9 @@ class _WorkerInit:
 
 
 @dataclass
-class RemoteBatchResult:
-    """What one worker process returns for one micro-batch."""
+class RemoteBatchResult(PartitionOutcome):
+    """A worker's outcome plus the bookkeeping the driver replays."""
 
-    partition_id: int
-    #: Captured sink emissions, in execution order.
-    emitted: List[Tuple[int, StreamRecord]] = field(default_factory=list)
-    quarantined: List[QuarantinedRecord] = field(default_factory=list)
-    retries: int = 0
-    backoffs: List[float] = field(default_factory=list)
     #: Manual-clock sleeps performed during the batch (replayed by the
     #: driver) and clock advancement not attributable to sleeps.
     sleeps: List[float] = field(default_factory=list)
@@ -343,8 +340,8 @@ class RemoteBatchResult:
 def _graph_spec(roots: List[Any]) -> List[Any]:
     """A picklable description of the operator graph.
 
-    Sink functions are dropped (the worker captures instead of calling
-    them); every other operator function must be picklable — module-level
+    Sink functions are dropped (the worker installs capture functions
+    instead); every other operator function must be picklable — module-level
     functions or instances of picklable classes, not lambdas or bound
     methods of driver-resident objects.
     """
@@ -357,11 +354,20 @@ def _graph_spec(roots: List[Any]) -> List[Any]:
     return [spec(root) for root in roots]
 
 
-def _graph_from_spec(spec: List[Any]) -> List[Any]:
+def _capture(emitted: List[Any], node_id: int, record: Any) -> None:
+    emitted.append((node_id, record))
+
+
+def _graph_from_spec(
+    spec: List[Any], emitted: List[Tuple[int, StreamRecord]]
+) -> List[Any]:
+    """Rebuild the graph in a worker; sink nodes capture into ``emitted``."""
     from .engine import _Node  # deferred: engine imports this module
 
     def build(entry: Any) -> Any:
         node_id, kind, fn, children = entry
+        if kind == "sink":
+            fn = partial(_capture, emitted, node_id)
         node = _Node(node_id, kind, fn)
         node.children = [build(child) for child in children]
         return node
@@ -554,20 +560,28 @@ class ProcessBackend(ExecutionBackend):
         deltas: List[Tuple[int, Any]],
         plan_sent: Optional[Any],
         clock_now: Optional[float],
-    ) -> None:
-        ref = self._ship_bucket(partition_id, encode_records(bucket))
-        out_spec = self._pending_out[partition_id]
-        self._pending_out[partition_id] = None
-        self._send(
-            partition_id,
-            ("batch", ref, out_spec, deltas, plan_sent, clock_now),
-        )
+    ) -> Optional[RemoteBatchResult]:
+        """Send one batch request; a failure is returned as the
+        partition's outcome, not raised."""
+        try:
+            ref = self._ship_bucket(partition_id, encode_records(bucket))
+            out_spec = self._pending_out[partition_id]
+            self._pending_out[partition_id] = None
+            self._send(
+                partition_id,
+                ("batch", ref, out_spec, deltas, plan_sent, clock_now),
+            )
+        except Exception as exc:
+            return RemoteBatchResult(partition_id, error=exc)
+        return None
 
-    def _decode_outcome(
-        self, partition_id: int, payload: Any
-    ) -> RemoteBatchResult:
-        """Materialise one worker reply's emissions from its reference."""
-        ref, result = payload
+    def _read_outcome(self, partition_id: int) -> RemoteBatchResult:
+        """Read one partition's reply and materialise its emissions; a
+        dead worker or an error reply becomes the outcome's ``error``."""
+        try:
+            ref, result = self._recv(partition_id)
+        except Exception as exc:
+            return RemoteBatchResult(partition_id, error=exc)
         if ref is None:
             return result
         if ref[0] == "frame":
@@ -591,7 +605,7 @@ class ProcessBackend(ExecutionBackend):
             self._pending_out[partition_id] = (grown.name, capacity)
         return result
 
-    def run_batch(self, buckets: List[List[StreamRecord]]) -> None:
+    def run_batch(self, buckets: List[List[StreamRecord]]) -> _Errors:
         ctx = self._ctx
         self._ensure_started()
         deltas = self._broadcast_deltas()
@@ -605,29 +619,38 @@ class ProcessBackend(ExecutionBackend):
             # clock) exactly as serial execution would have left them.
             # Budget consumption is literally sequential in partition
             # order, so ordinal rules fire on the same calls as serial.
-            for partition_id, bucket in enumerate(buckets):
-                plan_sent = plan.sync_state()
-                clock_now = clock.monotonic() if manual else None
+            rounds = [[partition_id] for partition_id in range(len(buckets))]
+        else:
+            rounds = [range(len(buckets))]
+        errors = []
+        for round_ids in rounds:
+            plan_sent = plan.sync_state() if plan is not None else None
+            clock_now = clock.monotonic() if manual else None
+            unsent = [
                 self._send_batch(
-                    partition_id, bucket, deltas, plan_sent, clock_now
+                    partition_id, buckets[partition_id], deltas,
+                    plan_sent, clock_now,
                 )
-                outcome = self._decode_outcome(
-                    partition_id, self._recv(partition_id)
-                )
-                ctx._absorb_remote(outcome, plan_sent)
-            return
-        plan_sent = plan.sync_state() if plan is not None else None
-        clock_now = clock.monotonic() if manual else None
-        for partition_id, bucket in enumerate(buckets):
-            self._send_batch(
-                partition_id, bucket, deltas, plan_sent, clock_now
-            )
-        outcomes = [
-            self._decode_outcome(partition_id, self._recv(partition_id))
-            for partition_id in range(len(buckets))
-        ]
-        for outcome in outcomes:
-            ctx._absorb_remote(outcome, plan_sent)
+                for partition_id in round_ids
+            ]
+            # Read every reply before absorbing any, so no reply is left
+            # behind in a pipe even if a driver callback raises.
+            outcomes = [
+                failed or self._read_outcome(partition_id)
+                for partition_id, failed in zip(round_ids, unsent)
+            ]
+            for outcome in outcomes:
+                # Replay the worker's clock and plan bookkeeping, so the
+                # driver's read as they would after serial execution.
+                if manual:
+                    for seconds in outcome.sleeps:
+                        clock.sleep(seconds)
+                    if outcome.advanced > 0:
+                        clock.advance(outcome.advanced)
+                if outcome.plan_state is not None:
+                    plan.apply_remote_delta(plan_sent, outcome.plan_state)
+                errors.append(ctx._absorb(outcome))
+        return errors
 
     def call(self, partition_id: int, fn: Callable[[Any], Any]) -> Any:
         self._ensure_started()
@@ -669,23 +692,13 @@ class _WorkerProcessState:
         self.arena_out = ShmArena.attach(init.shm_out)
         for bv_id, value in init.broadcast_values.items():
             self.worker.block_manager.put(bv_id, value)
-        self.retry_policy = init.retry_policy
-        self.fault_plan = init.fault_plan
-        self.retries = 0
-        self.backoffs: List[float] = []
-        self.quarantined: List[QuarantinedRecord] = []
+        #: Sink emissions the worker graph captured this batch.
+        self.emitted: List[Tuple[int, StreamRecord]] = []
         self.executor = PartitionExecutor(
-            _graph_from_spec(init.graph),
+            _graph_from_spec(init.graph, self.emitted),
             init.retry_policy,
             init.fault_plan,
-            capture_sinks=True,
-            on_retry=self._count_retry,
-            on_backoff=self.backoffs.append,
-            on_quarantine=self.quarantined.append,
         )
-
-    def _count_retry(self) -> None:
-        self.retries += 1
 
     def resolve_records(self, ref: Any) -> Sequence[StreamRecord]:
         """Turn a batch message's bucket reference into records."""
@@ -708,18 +721,19 @@ class _WorkerProcessState:
         self.arena_out.close()
         self.arena_out = ShmArena.attach(name)
 
-    def pack_emits(self, result: "RemoteBatchResult") -> Any:
+    def pack_emits(self) -> Any:
         """Move captured emissions into the out-arena; return the ref.
 
         Returns ``None`` for empty batches.  An ``("inline", frame,
         needed)`` reference ships the frame over the pipe and asks the
         driver to grow the out-arena before the next batch.
         """
-        emitted = result.emitted
-        result.emitted = []
-        if not emitted:
+        if not self.emitted:
             return None
-        frame = encode_emits(emitted)
+        try:
+            frame = encode_emits(self.emitted)
+        finally:
+            self.emitted.clear()
         placed = self.arena_out.write(frame)
         if placed is None:
             return ("inline", frame, len(frame))
@@ -739,10 +753,10 @@ class _WorkerProcessState:
     ) -> RemoteBatchResult:
         for bv_id, value in broadcast_deltas:
             self.worker.block_manager.put(bv_id, value)
-        plan = self.fault_plan
+        plan = self.executor.fault_plan
         if plan is not None and plan_state is not None:
             plan.load_sync_state(plan_state)
-        policy = self.retry_policy
+        policy = self.executor.retry_policy
         clock = policy.clock if policy is not None else None
         manual = isinstance(clock, ManualClock)
         if manual:
@@ -750,11 +764,7 @@ class _WorkerProcessState:
                 clock.reset(clock_now)
             sleeps_before = len(clock.sleeps)
             clock_before = clock.monotonic()
-        self.executor.emitted = []
-        self.quarantined.clear()
-        self.backoffs.clear()
-        self.retries = 0
-        self.executor.run_partition(self.worker, records)
+        outcome = self.executor.run_partition(self.worker, records)
         sleeps: List[float] = []
         advanced = 0.0
         if manual:
@@ -765,11 +775,7 @@ class _WorkerProcessState:
                 - sum(max(0.0, s) for s in sleeps),
             )
         return RemoteBatchResult(
-            partition_id=self.worker.partition_id,
-            emitted=self.executor.emitted,
-            quarantined=list(self.quarantined),
-            retries=self.retries,
-            backoffs=list(self.backoffs),
+            **vars(outcome),
             sleeps=sleeps,
             advanced=advanced,
             plan_state=plan.sync_state() if plan is not None else None,
@@ -819,7 +825,7 @@ def _worker_main(conn: Any) -> None:
                     state.resolve_records(ref), deltas, plan_state,
                     clock_now,
                 )
-                _reply(conn, ("ok", (state.pack_emits(result), result)))
+                _reply(conn, ("ok", (state.pack_emits(), result)))
             elif kind == "call":
                 _reply(conn, ("ok", message[1](state.worker)))
             else:  # pragma: no cover - protocol guard

@@ -10,10 +10,11 @@ execution config.
 import pytest
 
 from repro.bench.workloads import service_workload
-from repro.errors import ExecutionError
+from repro.errors import ExecutionError, QuarantinedRecordError
 from repro.faults import FaultPlan
 from repro.obs import MetricsRegistry
 from repro.service import LogLensService, ServiceConfig
+from repro.streaming.records import StreamRecord
 from repro.streaming.retry import RetryPolicy
 
 TRAIN = [
@@ -157,6 +158,81 @@ class TestFaultInjectionEquivalence:
             return quarantined, report, injected
 
         assert observe("serial") == observe("processes")
+
+
+def _poisoned_line(record):
+    value = getattr(record, "value", None)
+    return isinstance(value, dict) and "POISON" in value["raw"]
+
+
+class TestFailingStep:
+    """A step whose parse batch raises leaves every backend in the same
+    place: each partition ran and was absorbed, and the next step starts
+    from a clean slate."""
+
+    SOURCES = ["src-%d" % i for i in range(6)]
+
+    @classmethod
+    def ingest_step(cls, service, hour):
+        """Lines no other source or step shares, so a reply left over
+        from an earlier step cannot pass for this one's."""
+        for i, source in enumerate(cls.SOURCES):
+            service.ingest(
+                [
+                    line.replace(" 11:", " %d:" % hour).replace(
+                        "job_", "job_%d" % i
+                    )
+                    for line in LIVE
+                ],
+                source=source,
+            )
+
+    @classmethod
+    def observe(cls, execution):
+        service = make_service(
+            execution,
+            retry_policy=RetryPolicy.no_wait(
+                max_attempts=2, on_exhaust="raise"
+            ),
+            fault_plan=FaultPlan().poison(
+                "operator:flat_map:*", _poisoned_line
+            ),
+        )
+        partitioner = service.parse_ctx.partitioner
+        by_partition = sorted(
+            (partitioner.partition(StreamRecord(None, key=s))[0], s)
+            for s in cls.SOURCES
+        )
+        assert by_partition[0][0] == 0 and by_partition[-1][0] > 0
+        poisoned_source = by_partition[0][1]
+        try:
+            service.ingest(
+                ["2024-01-01 11:00:00 INFO POISON job_0 start job"],
+                source=poisoned_source,
+            )
+            cls.ingest_step(service, 11)
+            with pytest.raises(QuarantinedRecordError):
+                service.step()
+            cls.ingest_step(service, 12)
+            after = service.step()
+            return {
+                "report": after,
+                "archive": {
+                    s: (
+                        service.log_storage.by_source(s),
+                        service.log_storage.time_range(s, 0, 2 ** 62),
+                    )
+                    for s in cls.SOURCES
+                },
+                "anomalies": service.anomaly_storage.all(),
+            }
+        finally:
+            service.close()
+
+    def test_next_step_matches_serial(self):
+        serial = self.observe("serial")
+        assert serial["report"].parsed > 0
+        assert serial == self.observe("processes")
 
 
 class TestServiceLifecycle:
