@@ -10,8 +10,6 @@ validation over the full test split) while asserting the exact recall.
 
 from __future__ import annotations
 
-import pytest
-
 from conftest import report
 
 

@@ -9,8 +9,6 @@ and that heartbeats and anomalies don't stall the pipeline.
 
 from __future__ import annotations
 
-import pytest
-
 from conftest import report
 from repro.bench import measure
 from repro.core.pipeline import LogLens

@@ -11,8 +11,6 @@ verifies both the counts and the zero-downtime property.
 
 from __future__ import annotations
 
-import pytest
-
 from conftest import report
 from repro.core.pipeline import LogLens
 

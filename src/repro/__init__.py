@@ -23,7 +23,6 @@ from .errors import (
     BroadcastError,
     LogLensError,
     OperatorError,
-    PartitioningError,
     QuarantinedRecordError,
     TopicNotFoundError,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "QuarantinedRecordError",
     "TopicNotFoundError",
     "BroadcastError",
-    "PartitioningError",
     "FaultInjected",
     "FaultPlan",
     "ManualClock",

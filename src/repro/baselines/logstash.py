@@ -19,7 +19,7 @@ purely algorithmic: linear regex scan vs. signature index.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Union
 
 from ..core.anomaly import Anomaly, AnomalyType, Severity
 from ..parsing.grok import GrokPattern
@@ -31,7 +31,8 @@ __all__ = ["NaiveParserStats", "NaiveGrokParser"]
 
 @dataclass
 class NaiveParserStats:
-    """Counters mirroring :class:`~repro.parsing.parser.ParserStats`."""
+    """Counters matching the fast parser's ``parser.parsed`` and
+    ``parser.anomalies`` registry families."""
 
     parsed: int = 0
     anomalies: int = 0

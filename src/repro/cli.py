@@ -56,7 +56,6 @@ import sys
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
 
-from .core.anomaly import Anomaly
 from .core.config import LogLensConfig
 from .core.pipeline import LogLens
 from .parsing.parser import ParsedLog

@@ -11,7 +11,7 @@ stay below a threshold; a larger gap opens the next cluster.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
+from typing import Any, Dict, Iterable, List, Optional, Union
 
 from .anomaly import Anomaly
 

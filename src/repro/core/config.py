@@ -12,7 +12,7 @@ service share one source of truth.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from ..parsing.datatypes import DEFAULT_REGISTRY, Datatype, DatatypeRegistry
 from ..parsing.logmine import PatternDiscoverer

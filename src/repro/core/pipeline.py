@@ -23,7 +23,6 @@ from typing import Any, Iterable, List, Optional, Sequence, Union
 from ..parsing.editing import PatternSetEditor
 from ..parsing.parser import FastLogParser, ParsedLog, PatternModel
 from ..sequence.detector import LogSequenceDetector
-from ..sequence.learner import SequenceModelLearner
 from ..sequence.model import SequenceModel
 from ..service.config import ServiceConfig
 from ..service.loglens_service import LogLensService

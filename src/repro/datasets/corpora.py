@@ -22,7 +22,7 @@ minutes, and are overridable up to paper scale.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Sequence
 
 from .base import BASE_TIME_MILLIS, CorpusDataset, TemplateCorpus
 

@@ -7,7 +7,7 @@ message bus, or the fault-tolerance layer raises derives from
 failures this system defines while letting genuine bugs surface.
 
 Where an error replaces a builtin previously raised (``KeyError`` from
-the bus, ``ValueError`` from the scheduler), the new class *also*
+the bus, ``ValueError`` from config validation), the new class *also*
 subclasses that builtin, so existing ``except KeyError`` call sites keep
 working across the transition.
 """
@@ -22,7 +22,6 @@ __all__ = [
     "QuarantinedRecordError",
     "TopicNotFoundError",
     "BroadcastError",
-    "PartitioningError",
     "IngestError",
     "ExecutionError",
     "AlertDeliveryError",
@@ -189,7 +188,3 @@ class BroadcastError(LogLensError, KeyError):
     def __init__(self, bv_id: int) -> None:
         self.bv_id = bv_id
         super().__init__("unknown broadcast id %d" % bv_id)
-
-
-class PartitioningError(LogLensError, ValueError):
-    """A partitioner disagreed with its context about the layout."""

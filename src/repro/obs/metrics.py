@@ -26,10 +26,10 @@ values).  Instrumented components default to the process-global registry
 (:func:`get_registry`) so one snapshot sees the whole pipeline; tests pass
 a private registry for isolation.
 
-Per-instance stats façades (``IndexStats``, ``ParserStats``) build their
-counters with ``parent=`` pointing at a registry family: the instance
-keeps exact local counts (what unit tests assert on) while every increment
-also feeds the process-wide family (what dashboards read).
+Hot-path components (``PatternIndex``, ``FastLogParser``) resolve their
+registry handles once at construction and increment them directly, so
+each fact is counted once, in the registry that dashboards and tests
+read.
 """
 
 from __future__ import annotations
@@ -72,27 +72,19 @@ DEFAULT_LATENCY_BUCKETS: Tuple[float, ...] = (
 
 
 class Counter:
-    """A monotonically increasing, thread-safe counter.
+    """A monotonically increasing, thread-safe counter."""
 
-    ``parent`` chains increments upward: a per-instance counter owned by a
-    stats façade forwards every increment to the registry-level family so
-    both exact local counts and process-wide totals stay correct.
-    """
+    __slots__ = ("_lock", "_value")
 
-    __slots__ = ("_lock", "_value", "_parent")
-
-    def __init__(self, parent: Optional["Counter"] = None) -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._value = 0
-        self._parent = parent
 
     def inc(self, amount: int = 1) -> None:
         if amount < 0:
             raise ValueError("counters only go up; got %r" % (amount,))
         with self._lock:
             self._value += amount
-        if self._parent is not None:
-            self._parent.inc(amount)
 
     @property
     def value(self) -> int:
@@ -100,7 +92,6 @@ class Counter:
             return self._value
 
     def reset(self) -> None:
-        """Zero the *local* count; parent families keep their totals."""
         with self._lock:
             self._value = 0
 
@@ -158,13 +149,9 @@ class Histogram:
     """
 
     __slots__ = ("_lock", "_bounds", "_counts", "_count", "_sum",
-                 "_min", "_max", "_parent")
+                 "_min", "_max")
 
-    def __init__(
-        self,
-        buckets: Optional[Sequence[float]] = None,
-        parent: Optional["Histogram"] = None,
-    ) -> None:
+    def __init__(self, buckets: Optional[Sequence[float]] = None) -> None:
         bounds = tuple(sorted(buckets if buckets is not None
                               else DEFAULT_LATENCY_BUCKETS))
         if not bounds:
@@ -176,7 +163,6 @@ class Histogram:
         self._sum = 0.0
         self._min: Optional[float] = None
         self._max: Optional[float] = None
-        self._parent = parent
 
     # ------------------------------------------------------------------
     def observe(self, value: float) -> None:
@@ -189,8 +175,6 @@ class Histogram:
                 self._min = value
             if self._max is None or value > self._max:
                 self._max = value
-        if self._parent is not None:
-            self._parent.observe(value)
 
     def observe_many(self, values: Sequence[float]) -> None:
         """Observe a batch of values under one lock acquisition.
@@ -217,8 +201,6 @@ class Histogram:
             self._count += len(values)
             self._sum += total
             self._min, self._max = lo, hi
-        if self._parent is not None:
-            self._parent.observe_many(values)
 
     def time(self) -> "_Timer":
         """Context manager observing the elapsed wall time in seconds."""

@@ -30,10 +30,10 @@ from .editing import (
 from .fields import assign_field_ids, generic_field_name, heuristic_rename
 from .grok import CompiledGrok, Field, GrokPattern, Literal
 from .hierarchy import HierarchyDiscoverer, HierarchyLevel, PatternHierarchy
-from .index import IndexStats, PatternIndex
+from .index import PatternIndex
 from .logmine import LogCluster, PatternDiscoverer, join_datatypes, log_distance
 from .matcher import is_matched, is_matched_simple
-from .parser import FastLogParser, ParsedLog, ParserStats, PatternModel
+from .parser import FastLogParser, ParsedLog, PatternModel
 from .quality import PatternQualityReport, evaluate_pattern_model
 from .suggest import suggest_pattern, suggest_pattern_from_examples
 from .signature import log_signature, pattern_signature, split_signature
@@ -70,7 +70,6 @@ __all__ = [
     "HierarchyDiscoverer",
     "HierarchyLevel",
     "PatternHierarchy",
-    "IndexStats",
     "PatternIndex",
     "LogCluster",
     "PatternDiscoverer",
@@ -80,7 +79,6 @@ __all__ = [
     "is_matched_simple",
     "FastLogParser",
     "ParsedLog",
-    "ParserStats",
     "PatternModel",
     "PatternQualityReport",
     "evaluate_pattern_model",

@@ -20,7 +20,7 @@ operations plus an audit trail, which the model manager
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from .grok import Field, GrokPattern, Literal
 

@@ -26,7 +26,7 @@ from .logmine import (
     PatternDiscoverer,
     join_datatypes,
 )
-from .tokenizer import Token, TokenizedLog, Tokenizer
+from .tokenizer import TokenizedLog
 
 __all__ = ["HierarchyLevel", "PatternHierarchy", "HierarchyDiscoverer"]
 

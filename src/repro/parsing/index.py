@@ -35,73 +35,13 @@ from __future__ import annotations
 import threading
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..obs import Counter, MetricsRegistry, get_registry
+from ..obs import MetricsRegistry, get_registry
 from .datatypes import DatatypeRegistry, DEFAULT_REGISTRY
 from .grok import GrokPattern
 from .matcher import is_matched_tokens
 from .tokenizer import TokenizedLog
 
-__all__ = ["IndexStats", "PatternIndex"]
-
-
-class IndexStats:
-    """Operational counters (exposed for the scaling ablation bench).
-
-    A thin façade over :mod:`repro.obs` counters: each instance keeps
-    exact local counts (what the unit tests and benches assert on) while
-    every increment also feeds the registry-level ``index.*`` families
-    that dashboards and the ``loglens metrics`` command read.
-    """
-
-    _FIELDS = (
-        "lookups",
-        "group_hits",
-        "group_builds",
-        "signature_comparisons",
-        "pattern_scans",
-    )
-
-    def __init__(self, metrics: Optional[MetricsRegistry] = None) -> None:
-        metrics = metrics if metrics is not None else get_registry()
-        for name in self._FIELDS:
-            setattr(
-                self,
-                "_" + name,
-                Counter(parent=metrics.counter("index." + name)),
-            )
-
-    @property
-    def lookups(self) -> int:
-        return self._lookups.value
-
-    @property
-    def group_hits(self) -> int:
-        return self._group_hits.value
-
-    @property
-    def group_builds(self) -> int:
-        return self._group_builds.value
-
-    @property
-    def signature_comparisons(self) -> int:
-        return self._signature_comparisons.value
-
-    @property
-    def pattern_scans(self) -> int:
-        return self._pattern_scans.value
-
-    def reset(self) -> None:
-        """Zero the local counts (registry families keep their totals)."""
-        for name in self._FIELDS:
-            getattr(self, "_" + name).reset()
-
-    def to_dict(self) -> Dict[str, int]:
-        return {name: getattr(self, name) for name in self._FIELDS}
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "IndexStats(%s)" % ", ".join(
-            "%s=%d" % (name, getattr(self, name)) for name in self._FIELDS
-        )
+__all__ = ["PatternIndex"]
 
 
 class PatternIndex:
@@ -131,7 +71,14 @@ class PatternIndex:
         self.registry = registry if registry is not None else DEFAULT_REGISTRY
         self._metrics = metrics if metrics is not None else get_registry()
         self._groups: Dict[str, List[GrokPattern]] = {}
-        self.stats = IndexStats(self._metrics)
+        # Registry handles, resolved once: the ``index.*`` families are
+        # the only place these counts live.
+        counter = self._metrics.counter
+        self._lookups = counter("index.lookups")
+        self._group_hits = counter("index.group_hits")
+        self._group_builds = counter("index.group_builds")
+        self._signature_comparisons = counter("index.signature_comparisons")
+        self._pattern_scans = counter("index.pattern_scans")
         self._build_seconds = self._metrics.histogram(
             "index.group_build_seconds"
         )
@@ -169,13 +116,13 @@ class PatternIndex:
     def flush_metrics(self) -> None:
         """Publish counter increments accumulated while deferred."""
         if self._pend_lookups:
-            self.stats._lookups.inc(self._pend_lookups)
+            self._lookups.inc(self._pend_lookups)
             self._pend_lookups = 0
         if self._pend_group_hits:
-            self.stats._group_hits.inc(self._pend_group_hits)
+            self._group_hits.inc(self._pend_group_hits)
             self._pend_group_hits = 0
         if self._pend_pattern_scans:
-            self.stats._pattern_scans.inc(self._pend_pattern_scans)
+            self._pattern_scans.inc(self._pend_pattern_scans)
             self._pend_pattern_scans = 0
 
     # ------------------------------------------------------------------
@@ -195,13 +142,13 @@ class PatternIndex:
             if deferred:
                 self._pend_lookups += 1
             else:
-                self.stats._lookups.inc()
+                self._lookups.inc()
         elif deferred:
             self._pend_lookups += 1
             self._pend_group_hits += 1
         else:
-            self.stats._lookups.inc()
-            self.stats._group_hits.inc()
+            self._lookups.inc()
+            self._group_hits.inc()
         # Count scans locally and publish once: a per-pattern ``inc()``
         # inside this loop is two lock acquisitions per candidate, which
         # dominates the parse hot path on large models.
@@ -217,7 +164,7 @@ class PatternIndex:
             if deferred:
                 self._pend_pattern_scans += scanned
             else:
-                self.stats._pattern_scans.inc(scanned)
+                self._pattern_scans.inc(scanned)
         return hit
 
     def candidate_group(self, log: TokenizedLog) -> List[GrokPattern]:
@@ -238,9 +185,9 @@ class PatternIndex:
                 if self._deferred:
                     self._pend_group_hits += 1
                 else:
-                    self.stats._group_hits.inc()
+                    self._group_hits.inc()
                 return group
-            self.stats._group_builds.inc()
+            self._group_builds.inc()
             with self._build_seconds.time():
                 if self._by_length is None:
                     self._index_by_length()
@@ -262,7 +209,7 @@ class PatternIndex:
                     ):
                         candidates.append(pattern)
                 if compared:
-                    self.stats._signature_comparisons.inc(compared)
+                    self._signature_comparisons.inc(compared)
                 candidates.sort(key=GrokPattern.generality_key)
                 # Empty groups are memoised too: a recurring unparseable
                 # shape must not trigger a full rescan per log.

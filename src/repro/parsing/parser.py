@@ -18,13 +18,13 @@ from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Union
 
 from ..core.anomaly import Anomaly, AnomalyType, Severity
-from ..obs import Counter, MetricsRegistry, get_registry
+from ..obs import MetricsRegistry, get_registry
 from .datatypes import DatatypeRegistry, DEFAULT_REGISTRY
 from .grok import GrokPattern
 from .index import PatternIndex
 from .tokenizer import TokenizedLog, Tokenizer
 
-__all__ = ["ParsedLog", "PatternModel", "ParserStats", "FastLogParser"]
+__all__ = ["ParsedLog", "PatternModel", "FastLogParser"]
 
 
 @dataclass
@@ -142,51 +142,6 @@ class PatternModel:
         )
 
 
-class ParserStats:
-    """Throughput counters for the Table IV experiments.
-
-    A thin façade over :mod:`repro.obs` counters: the instance keeps
-    exact local counts while every increment also feeds the registry's
-    ``parser.parsed`` / ``parser.anomalies`` families — atomic even when
-    several threads share one parser.
-    """
-
-    def __init__(self, metrics: Optional[MetricsRegistry] = None) -> None:
-        metrics = metrics if metrics is not None else get_registry()
-        self._parsed = Counter(parent=metrics.counter("parser.parsed"))
-        self._anomalies = Counter(
-            parent=metrics.counter("parser.anomalies")
-        )
-
-    @property
-    def parsed(self) -> int:
-        return self._parsed.value
-
-    @property
-    def anomalies(self) -> int:
-        return self._anomalies.value
-
-    @property
-    def total(self) -> int:
-        return self.parsed + self.anomalies
-
-    @property
-    def anomaly_rate(self) -> float:
-        """Fraction of processed logs reported as stateless anomalies."""
-        total = self.total
-        return self.anomalies / total if total else 0.0
-
-    def reset(self) -> None:
-        """Zero the local counts (registry families keep their totals)."""
-        self._parsed.reset()
-        self._anomalies.reset()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "ParserStats(parsed=%d, anomalies=%d)" % (
-            self.parsed, self.anomalies
-        )
-
-
 class FastLogParser:
     """Index-accelerated GROK parser; unparseable logs become anomalies.
 
@@ -222,7 +177,8 @@ class FastLogParser:
         self._index = PatternIndex(
             model.patterns, model.registry, metrics=self._metrics
         )
-        self.stats = ParserStats(self._metrics)
+        self._parsed = self._metrics.counter("parser.parsed")
+        self._anomalies = self._metrics.counter("parser.anomalies")
         self._parse_seconds = self._metrics.histogram(
             "parser.parse_seconds"
         )
@@ -272,10 +228,10 @@ class FastLogParser:
     def flush_metrics(self) -> None:
         """Publish everything accumulated while in deferred mode."""
         if self._pend_parsed:
-            self.stats._parsed.inc(self._pend_parsed)
+            self._parsed.inc(self._pend_parsed)
             self._pend_parsed = 0
         if self._pend_anomalies:
-            self.stats._anomalies.inc(self._pend_anomalies)
+            self._anomalies.inc(self._pend_anomalies)
             self._pend_anomalies = 0
         if self._pend_durations:
             self._parse_seconds.observe_many(self._pend_durations)
@@ -307,7 +263,7 @@ class FastLogParser:
             if self._deferred:
                 self._pend_anomalies += 1
             else:
-                self.stats._anomalies.inc()
+                self._anomalies.inc()
             return Anomaly(
                 type=AnomalyType.UNPARSED_LOG,
                 reason="log matches no discovered pattern",
@@ -320,7 +276,7 @@ class FastLogParser:
         if self._deferred:
             self._pend_parsed += 1
         else:
-            self.stats._parsed.inc()
+            self._parsed.inc()
         return ParsedLog(
             raw=tokenized.raw,
             pattern_id=pattern.pattern_id,

@@ -15,9 +15,8 @@ re-discovery over those lines would learn.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
-from .datatypes import DatatypeRegistry, DEFAULT_REGISTRY
 from .grok import Field, GrokPattern, Literal
 from .logmine import STRUCTURED_VARIABLE_DATATYPES, join_datatypes
 from .tokenizer import Tokenizer

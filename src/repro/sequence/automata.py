@@ -11,7 +11,7 @@ profiled statistics are the *rules* anomalies are checked against
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional
 
 __all__ = ["StateRule", "Automaton"]
 

@@ -29,9 +29,9 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple
 
-from ..core.anomaly import Anomaly, AnomalyType, Severity
+from ..core.anomaly import Anomaly, AnomalyType
 from ..parsing.parser import ParsedLog
 from .automata import Automaton
 from .model import SequenceModel

@@ -10,7 +10,7 @@ automata are preserved.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Tuple
 
 from .automata import Automaton
 

@@ -17,7 +17,7 @@ per-source ordering survives the bus.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterable, Iterator, List, Optional, Union
+from typing import Iterable, Iterator, Union
 
 from .bus import MessageBus
 

@@ -16,7 +16,7 @@ sweeps.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..obs import MetricsRegistry, get_registry

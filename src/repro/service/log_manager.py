@@ -28,7 +28,6 @@ __all__ = ["LogManagerStats", "LogManager"]
 
 @dataclass
 class LogManagerStats:
-    received: int = 0
     forwarded: int = 0
     deferred: int = 0
 
@@ -71,7 +70,6 @@ class LogManager:
         payload untouched as ``value``, keyed by the identified source.
         """
         messages = self._consumer.poll(max_records=self.max_rate_per_cycle)
-        self.stats.received += len(messages)
         self.stats.deferred = self._consumer.lag()
         records = []
         for message in messages:

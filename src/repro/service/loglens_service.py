@@ -36,7 +36,6 @@ from typing import (
     List,
     Optional,
     Sequence,
-    Tuple,
 )
 
 import time as _time

@@ -16,7 +16,7 @@ to micro-batches.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
 from ..streaming.broadcast import BroadcastVariable

@@ -9,7 +9,7 @@ automation ("rebuild every midnight from the last seven days").
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..parsing.editing import PatternSetEditor
 from ..parsing.parser import PatternModel

@@ -10,7 +10,7 @@ have triggered live, deterministically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 __all__ = ["ScheduledTask", "SimulatedScheduler", "RelearnAutomation"]

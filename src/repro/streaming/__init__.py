@@ -25,11 +25,7 @@ from .engine import (
     StreamingContext,
     WorkerContext,
 )
-from .partitioner import (
-    HashPartitioner,
-    HeartbeatAwarePartitioner,
-    partition_records,
-)
+from .partitioner import partition_records
 from .records import StreamRecord, heartbeat_record
 from .retry import QuarantinedRecord, RetryPolicy
 from .state import StateMap
@@ -52,8 +48,6 @@ __all__ = [
     "RetryPolicy",
     "StreamingContext",
     "WorkerContext",
-    "HashPartitioner",
-    "HeartbeatAwarePartitioner",
     "partition_records",
     "StreamRecord",
     "heartbeat_record",

@@ -12,9 +12,8 @@ The two LogLens-specific enhancements are wired into the scheduler:
   serialised lock step *between* micro-batches
   (:meth:`StreamingContext.run_batch`), so the service never restarts and
   state maps survive every model update;
-* **heartbeat fan-out** — the default partitioner duplicates heartbeat
-  records to every partition so each worker can sweep its own expired
-  states.
+* **heartbeat fan-out** — partitioning duplicates heartbeat records to
+  every partition so each worker can sweep its own expired states.
 
 The operator graph supports branching (one node, several children).  A
 partition's micro-batch is the unit of work: each operator node runs over
@@ -55,7 +54,6 @@ from typing import (
     Union,
 )
 
-from ..errors import PartitioningError
 from ..obs import MetricsRegistry, get_registry
 from .broadcast import BlockManager, BroadcastManager, BroadcastVariable
 from .execution import (
@@ -64,7 +62,7 @@ from .execution import (
     PartitionOutcome,
     resolve_backend,
 )
-from .partitioner import HashPartitioner, HeartbeatAwarePartitioner, partition_records
+from .partitioner import partition_records
 from .records import StreamRecord
 from .retry import QuarantinedRecord, RetryPolicy
 from .state import StateMap
@@ -327,8 +325,6 @@ class StreamingContext:
     ----------
     num_partitions:
         Worker/partition count (the paper's cluster has 8 workers).
-    partitioner:
-        Defaults to :class:`HeartbeatAwarePartitioner`.
     execution:
         ``"serial"`` (default), ``"processes"``, or a pre-built
         :class:`~repro.streaming.execution.ExecutionBackend`.
@@ -355,7 +351,6 @@ class StreamingContext:
     def __init__(
         self,
         num_partitions: int = 4,
-        partitioner: Optional[HashPartitioner] = None,
         metrics: Optional[MetricsRegistry] = None,
         retry_policy: Optional[RetryPolicy] = None,
         dead_letter: Optional[Callable[[QuarantinedRecord], None]] = None,
@@ -365,11 +360,6 @@ class StreamingContext:
         if num_partitions < 1:
             raise ValueError("num_partitions must be >= 1")
         self.num_partitions = num_partitions
-        self.partitioner = (
-            partitioner
-            if partitioner is not None
-            else HeartbeatAwarePartitioner(num_partitions)
-        )
         self.broadcast_manager = BroadcastManager()
         self.workers = [
             WorkerContext(i, BlockManager(i)) for i in range(num_partitions)
@@ -408,11 +398,6 @@ class StreamingContext:
         self._retry_backoff_seconds = self.obs.histogram(
             "engine.retry_backoff_seconds"
         )
-        # Bucket lists recycled across micro-batches; run_batch is
-        # driver-serialised, so one set per context is safe.
-        self._bucket_buffers: List[List[StreamRecord]] = [
-            [] for _ in range(num_partitions)
-        ]
         # Execution plane: the graph walk (shared by the driver and
         # worker processes) plus the backend that schedules it.
         self._executor = PartitionExecutor(
@@ -470,20 +455,9 @@ class StreamingContext:
         # zero downtime (the stream is simply between two batches).
         with self._rebroadcast_seconds.time():
             updates = self.broadcast_manager.apply_pending_updates()
-        buckets = partition_records(
-            records, self.partitioner, into=self._bucket_buffers
-        )
-        if len(buckets) != len(self.workers):
-            # zip() would silently drop trailing buckets (lost records)
-            # or starve trailing workers; a partitioner that disagrees
-            # with the context about the partition count is a bug.
-            raise PartitioningError(
-                "partitioner produced %d buckets for %d partitions; "
-                "partitioner.num_partitions must match the context"
-                % (len(buckets), len(self.workers))
-            )
-        for worker, bucket in zip(self.workers, buckets):
-            self._partition_records[worker.partition_id].inc(len(bucket))
+        buckets = partition_records(records, self.num_partitions)
+        for counter, bucket in zip(self._partition_records, buckets):
+            counter.inc(len(bucket))
         # Every partition has been absorbed; now raise the first failure.
         for error in self._backend.run_batch(buckets):
             if error is not None:

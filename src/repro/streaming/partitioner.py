@@ -1,77 +1,44 @@
-"""Partitioners: key-hash routing plus heartbeat duplication.
+"""Partitioning: key-hash routing plus heartbeat duplication.
 
 Data partitioning groups together logs with an inherent causal dependency
 (same event id) so one partition owns each event's state (paper, Section
 V-B).  Heartbeat messages must reach *every* partition — each partition
-sweeps its own expired states — so the custom partitioner duplicates any
-record tagged ``is_heartbeat`` to all partitions.
+sweeps its own expired states — so a record tagged ``is_heartbeat`` is
+duplicated to all partitions.
 """
 
 from __future__ import annotations
 
-import zlib
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Iterable, List
+from zlib import crc32
 
 from .records import StreamRecord
 
-__all__ = ["HashPartitioner", "HeartbeatAwarePartitioner", "partition_records"]
-
-
-def _stable_hash(key: str) -> int:
-    """Deterministic string hash (Python's ``hash`` is salted per run)."""
-    return zlib.crc32(key.encode("utf-8"))
-
-
-class HashPartitioner:
-    """Route records by ``crc32(key) % num_partitions``.
-
-    Keyless records go to partition 0 — in the LogLens pipeline every
-    stateful record carries its event key, and stateless work is
-    partition-agnostic anyway.
-    """
-
-    def __init__(self, num_partitions: int) -> None:
-        if num_partitions < 1:
-            raise ValueError("num_partitions must be >= 1")
-        self.num_partitions = num_partitions
-
-    def partition(self, record: StreamRecord) -> List[int]:
-        """Target partition indices for ``record`` (always one here)."""
-        if record.key is None:
-            return [0]
-        return [_stable_hash(record.key) % self.num_partitions]
-
-
-class HeartbeatAwarePartitioner(HashPartitioner):
-    """The paper's custom partitioner: heartbeats fan out to all partitions."""
-
-    def partition(self, record: StreamRecord) -> List[int]:
-        if record.is_heartbeat:
-            return list(range(self.num_partitions))
-        return super().partition(record)
+__all__ = ["partition_records"]
 
 
 def partition_records(
-    records: Iterable[StreamRecord],
-    partitioner: HashPartitioner,
-    into: Optional[List[List[StreamRecord]]] = None,
+    records: Iterable[StreamRecord], num_partitions: int
 ) -> List[List[StreamRecord]]:
-    """Split a micro-batch into per-partition record lists (order kept).
+    """Split a micro-batch into ``num_partitions`` record lists.
 
-    ``into`` lets a caller recycle the bucket lists across micro-batches
-    (the streaming engine processes thousands of batches and the
-    per-batch list churn shows up in profiles).  It is reused only when
-    its length matches the partitioner's partition count — otherwise a
-    fresh list is allocated, so a partitioner that disagrees with its
-    context still surfaces the mismatch to the caller.
+    A keyed record goes to ``crc32(key) % num_partitions`` (Python's
+    ``hash`` is salted per run, so it would not survive a restart); a
+    keyless one to partition 0 — in the LogLens pipeline every stateful
+    record carries its event key, and stateless work is
+    partition-agnostic anyway; a heartbeat to every partition.  Batch
+    order is kept within each partition.
     """
-    if into is not None and len(into) == partitioner.num_partitions:
-        buckets = into
-        for bucket in buckets:
-            bucket.clear()
-    else:
-        buckets = [[] for _ in range(partitioner.num_partitions)]
+    if num_partitions < 1:
+        raise ValueError("num_partitions must be >= 1")
+    buckets: List[List[StreamRecord]] = [[] for _ in range(num_partitions)]
     for record in records:
-        for idx in partitioner.partition(record):
-            buckets[idx].append(record)
+        key = record.key
+        if record.is_heartbeat:
+            for bucket in buckets:
+                bucket.append(record)
+        elif key is None:
+            buckets[0].append(record)
+        else:
+            buckets[crc32(key.encode("utf-8")) % num_partitions].append(record)
     return buckets

@@ -24,7 +24,7 @@ class StreamRecord:
     value:
         The payload.
     key:
-        Partitioning key; ``None`` routes by round-robin/hash of value id.
+        Partitioning key; ``None`` routes to partition 0.
     source:
         Originating log source (agent) name.
     timestamp_millis:

@@ -7,7 +7,6 @@ import json
 import pytest
 
 from repro.bench import (
-    CaseVerdict,
     compare_case,
     compare_dirs,
     compare_results,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.anomaly import Anomaly, AnomalyType
+from repro.core.anomaly import AnomalyType
 from repro.core.config import LogLensConfig
 from repro.core.pipeline import LogLens
 from repro.parsing.parser import ParsedLog

@@ -13,7 +13,7 @@ _EXPECTED = {
         "SequenceModelLearner", "LogLensService", "ModelBuilder",
         "ServiceReport", "LogLensError", "OperatorError",
         "QuarantinedRecordError", "TopicNotFoundError", "BroadcastError",
-        "PartitioningError", "FaultInjected", "FaultPlan", "ManualClock",
+        "FaultInjected", "FaultPlan", "ManualClock",
         "SystemClock", "QuarantinedRecord", "RetryPolicy",
         "__version__",
     ],
@@ -44,8 +44,7 @@ _EXPECTED = {
     "repro.streaming": [
         "StreamingContext", "DStream", "Collector", "StreamRecord",
         "heartbeat_record", "BroadcastManager", "BroadcastVariable",
-        "BlockManager", "HashPartitioner", "HeartbeatAwarePartitioner",
-        "StateMap", "EngineMetrics", "BatchMetrics",
+        "BlockManager", "StateMap", "EngineMetrics", "BatchMetrics",
         "CollectedRecords", "QuarantineStore", "QuarantinedRecord",
         "RetryPolicy",
     ],

@@ -11,8 +11,6 @@ import socket
 import threading
 import time
 
-import pytest
-
 from tests.service.test_loglens_service import event_lines, trained_service
 
 from repro.faults import FaultPlan

@@ -6,8 +6,6 @@ anomalies, and discovered pattern counts track the corpus template
 counts.
 """
 
-import pytest
-
 from repro.datasets.corpora import generate_d3, generate_d5
 from repro.datasets.sql_app import generate_sql_app
 from repro.parsing.logmine import PatternDiscoverer

@@ -3,7 +3,6 @@
 from repro.core.pipeline import LogLens
 from repro.datasets.trace import generate_d1
 from repro.service.agent import ReplayAgent
-from repro.service.log_manager import LogManager
 
 
 class TestD1ThroughService:

@@ -28,21 +28,6 @@ class TestCounter:
         with pytest.raises(ValueError):
             Counter().inc(-1)
 
-    def test_reset_is_local_only(self):
-        parent = Counter()
-        child = Counter(parent=parent)
-        child.inc(3)
-        child.reset()
-        assert child.value == 0
-        assert parent.value == 3
-
-    def test_parent_chaining(self):
-        family = Counter()
-        a, b = Counter(parent=family), Counter(parent=family)
-        a.inc(2)
-        b.inc(5)
-        assert (a.value, b.value, family.value) == (2, 5, 7)
-
     def test_concurrent_increments_lose_nothing(self):
         c = Counter()
         threads = [
@@ -56,24 +41,6 @@ class TestCounter:
         for t in threads:
             t.join()
         assert c.value == 80_000
-
-    def test_concurrent_increments_reach_parent(self):
-        family = Counter()
-        children = [Counter(parent=family) for _ in range(4)]
-
-        def spin(child):
-            for _ in range(5_000):
-                child.inc()
-
-        threads = [
-            threading.Thread(target=spin, args=(ch,)) for ch in children
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert family.value == 20_000
-        assert all(ch.value == 5_000 for ch in children)
 
 
 class TestGauge:

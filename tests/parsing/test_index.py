@@ -1,5 +1,6 @@
 """Unit tests for the candidate-pattern-group index."""
 
+from repro.obs import MetricsRegistry
 from repro.parsing.grok import GrokPattern
 from repro.parsing.index import PatternIndex
 from repro.parsing.tokenizer import Tokenizer
@@ -32,19 +33,24 @@ class TestLookup:
         assert index.lookup(tl("something else entirely here")) is None
 
     def test_group_memoised(self):
-        index = PatternIndex(patterns("%{WORD:w} login %{NOTSPACE:u}"))
+        metrics = MetricsRegistry()
+        index = PatternIndex(
+            patterns("%{WORD:w} login %{NOTSPACE:u}"), metrics=metrics
+        )
         index.lookup(tl("alice login u-1"))
         index.lookup(tl("bob login u-2"))
-        assert index.stats.group_builds == 1
-        assert index.stats.group_hits == 1
+        assert metrics.counter("index.group_builds").value == 1
+        assert metrics.counter("index.group_hits").value == 1
 
     def test_empty_group_memoised(self):
         """Repeated unparseable shapes must not rescan all patterns."""
-        index = PatternIndex(patterns("%{WORD:w} login"))
+        metrics = MetricsRegistry()
+        index = PatternIndex(patterns("%{WORD:w} login"), metrics=metrics)
+        comparisons = metrics.counter("index.signature_comparisons")
         index.lookup(tl("a b c d"))
-        comparisons = index.stats.signature_comparisons
+        before = comparisons.value
         index.lookup(tl("e f g h"))
-        assert index.stats.signature_comparisons == comparisons
+        assert comparisons.value == before
 
     def test_most_specific_pattern_wins(self):
         """Section III-B step 2: groups sorted ascending by generality."""

@@ -3,7 +3,6 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.parsing.grok import Field, Literal
 from repro.parsing.logmine import (
     PatternDiscoverer,
     join_datatypes,

@@ -1,6 +1,5 @@
 """Unit + property tests for Algorithm 1 (signature matching)."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.parsing.datatypes import DEFAULT_REGISTRY

@@ -1,8 +1,7 @@
 """Unit tests for the stateless fast parser and the pattern model."""
 
-import pytest
-
 from repro.core.anomaly import Anomaly, AnomalyType
+from repro.obs import MetricsRegistry
 from repro.parsing.grok import GrokPattern
 from repro.parsing.parser import FastLogParser, ParsedLog, PatternModel
 from repro.parsing.tokenizer import Tokenizer
@@ -34,12 +33,17 @@ class TestPatternModel:
 
 class TestParsing:
     def setup_method(self):
+        self.metrics = MetricsRegistry()
         self.parser = FastLogParser(
             model(
                 "%{DATETIME:ts} %{IP:ip} login %{NOTSPACE:user}",
                 "%{DATETIME:ts} count = %{NUMBER:n}",
-            )
+            ),
+            metrics=self.metrics,
         )
+
+    def count(self, name):
+        return self.metrics.counter("parser." + name).value
 
     def test_parse_success(self):
         result = self.parser.parse("2016/02/23 09:00:31 10.0.0.1 login bob")
@@ -73,15 +77,14 @@ class TestParsing:
     def test_stats(self):
         self.parser.parse("2016/02/23 09:00:31 count = 5")
         self.parser.parse("garbage")
-        assert self.parser.stats.parsed == 1
-        assert self.parser.stats.anomalies == 1
-        assert self.parser.stats.total == 2
+        assert self.count("parsed") == 1
+        assert self.count("anomalies") == 1
 
     def test_parse_stream_is_lazy(self):
         stream = self.parser.parse_stream(iter(["garbage"]))
-        assert self.parser.stats.total == 0
+        assert self.count("anomalies") == 0
         list(stream)
-        assert self.parser.stats.total == 1
+        assert self.count("anomalies") == 1
 
     def test_parse_all(self):
         results = self.parser.parse_all(
@@ -131,7 +134,10 @@ class TestTrainTestClosure:
         ]
         tokenized = tokenizer.tokenize_many(lines)
         patterns = PatternDiscoverer().discover(tokenized)
-        parser = FastLogParser(PatternModel(patterns), tokenizer=tokenizer)
+        metrics = MetricsRegistry()
+        parser = FastLogParser(
+            PatternModel(patterns), tokenizer=tokenizer, metrics=metrics
+        )
         results = parser.parse_all(lines)
         assert all(isinstance(r, ParsedLog) for r in results)
-        assert parser.stats.anomalies == 0
+        assert metrics.counter("parser.anomalies").value == 0

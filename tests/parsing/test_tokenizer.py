@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.parsing.tokenizer import SplitRule, TokenizedLog, Tokenizer
+from repro.parsing.tokenizer import SplitRule, Tokenizer
 
 
 class TestBasicTokenization:

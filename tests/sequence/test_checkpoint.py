@@ -4,7 +4,7 @@ from repro.parsing.parser import ParsedLog
 from repro.sequence.detector import LogSequenceDetector, OpenEvent
 from repro.sequence.model import SequenceModel
 
-from .test_detector import make_model, normal_event, plog
+from .test_detector import make_model, plog
 
 
 class TestParsedLogDocument:

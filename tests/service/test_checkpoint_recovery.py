@@ -4,11 +4,7 @@ import json
 
 import pytest
 
-from tests.service.test_loglens_service import (
-    event_lines,
-    trained_service,
-    training_lines,
-)
+from tests.service.test_loglens_service import event_lines, trained_service
 
 from repro.service.config import ServiceConfig
 from repro.service.loglens_service import LogLensService

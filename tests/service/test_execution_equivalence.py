@@ -14,6 +14,7 @@ from repro.errors import ExecutionError, QuarantinedRecordError
 from repro.faults import FaultPlan
 from repro.obs import MetricsRegistry
 from repro.service import LogLensService, ServiceConfig
+from repro.streaming.partitioner import partition_records
 from repro.streaming.records import StreamRecord
 from repro.streaming.retry import RetryPolicy
 
@@ -205,10 +206,14 @@ class TestFailingStep:
                 "operator:flat_map:*", _poisoned_line
             ),
         )
-        partitioner = service.parse_ctx.partitioner
+        buckets = partition_records(
+            [StreamRecord(None, key=s) for s in cls.SOURCES],
+            service.parse_ctx.num_partitions,
+        )
         by_partition = sorted(
-            (partitioner.partition(StreamRecord(None, key=s))[0], s)
-            for s in cls.SOURCES
+            (pid, record.key)
+            for pid, bucket in enumerate(buckets)
+            for record in bucket
         )
         assert by_partition[0][0] == 0 and by_partition[-1][0] > 0
         poisoned_source = by_partition[0][1]

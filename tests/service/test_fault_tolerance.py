@@ -4,11 +4,7 @@ import json
 
 import pytest
 
-from tests.service.test_loglens_service import (
-    event_lines,
-    trained_service,
-    training_lines,
-)
+from tests.service.test_loglens_service import event_lines, trained_service
 
 from repro.errors import TopicNotFoundError
 from repro.faults import FaultPlan

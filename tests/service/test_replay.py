@@ -5,7 +5,7 @@ import pytest
 from repro.parsing.parser import PatternModel
 from repro.sequence.model import SequenceModel
 from repro.service.model_builder import ModelBuilder
-from repro.service.replay import ModelComparison, compare_models, replay
+from repro.service.replay import compare_models, replay
 from repro.service.storage import LogStorage
 
 

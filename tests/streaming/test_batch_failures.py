@@ -54,7 +54,7 @@ def batch(ctx, tag, n=12):
         StreamRecord(value="%s-%d" % (tag, i), key="%s-k%d" % (tag, i))
         for i in range(n)
     ]
-    buckets = partition_records(records, ctx.partitioner)
+    buckets = partition_records(records, ctx.num_partitions)
     assert all(buckets), "both partitions need records"
     return records, buckets
 

@@ -178,7 +178,7 @@ def test_operator_is_bound_once_per_bucket(execution, armed):
             records = [
                 StreamRecord((batch, i), key="key-%d" % i) for i in range(8)
             ]
-            assert all(partition_records(records, ctx.partitioner))
+            assert all(partition_records(records, ctx.num_partitions))
             ctx.run_batch(records)
         assert len(out.clear()) == 3 * 8 * 2
         assert [

@@ -1,70 +1,91 @@
-"""Unit tests for partitioners (heartbeat fan-out, key routing)."""
+"""Unit tests for partitioning (heartbeat fan-out, key routing)."""
+
+import zlib
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.streaming.partitioner import (
-    HashPartitioner,
-    HeartbeatAwarePartitioner,
-    partition_records,
-)
+from repro.streaming.partitioner import partition_records
 from repro.streaming.records import StreamRecord, heartbeat_record
+
+
+def _bucket_of(record, buckets):
+    [idx] = [i for i, b in enumerate(buckets) if any(r is record for r in b)]
+    return idx
 
 
 class TestHashPartitioner:
     def test_deterministic(self):
-        p = HashPartitioner(4)
         r = StreamRecord(value=1, key="event-42")
-        assert p.partition(r) == p.partition(r)
+        assert partition_records([r], 4) == partition_records([r], 4)
 
     def test_within_range(self):
-        p = HashPartitioner(4)
-        for i in range(100):
-            [idx] = p.partition(StreamRecord(value=i, key="k%d" % i))
-            assert 0 <= idx < 4
+        records = [StreamRecord(value=i, key="k%d" % i) for i in range(100)]
+        buckets = partition_records(records, 4)
+        assert len(buckets) == 4
+        assert sum(len(b) for b in buckets) == 100
 
     def test_same_key_same_partition(self):
-        p = HashPartitioner(8)
         a = StreamRecord(value=1, key="shared")
         b = StreamRecord(value=2, key="shared")
-        assert p.partition(a) == p.partition(b)
+        buckets = partition_records([a, b], 8)
+        assert _bucket_of(a, buckets) == _bucket_of(b, buckets)
 
     def test_keyless_goes_to_zero(self):
-        p = HashPartitioner(4)
-        assert p.partition(StreamRecord(value=1)) == [0]
+        records = [StreamRecord(value=i) for i in range(3)]
+        assert partition_records(records, 4) == [records, [], [], []]
 
     def test_spread(self):
-        p = HashPartitioner(4)
-        used = {
-            p.partition(StreamRecord(value=i, key="key-%d" % i))[0]
-            for i in range(200)
-        }
-        assert used == {0, 1, 2, 3}
+        records = [
+            StreamRecord(value=i, key="key-%d" % i) for i in range(200)
+        ]
+        assert all(partition_records(records, 4))
 
     def test_invalid_partition_count(self):
-        with pytest.raises(ValueError):
-            HashPartitioner(0)
+        for num_partitions in (0, -1):
+            with pytest.raises(ValueError):
+                partition_records([], num_partitions)
 
 
 class TestHeartbeatAware:
     def test_heartbeat_fans_out_to_all(self):
-        p = HeartbeatAwarePartitioner(4)
         hb = heartbeat_record("src", 1000)
-        assert p.partition(hb) == [0, 1, 2, 3]
+        assert partition_records([hb], 4) == [[hb]] * 4
 
     def test_normal_record_routes_by_key(self):
-        p = HeartbeatAwarePartitioner(4)
         r = StreamRecord(value=1, key="k")
-        assert len(p.partition(r)) == 1
+        assert sum(len(b) for b in partition_records([r], 4)) == 1
+
+
+# Literal bucket indices: a checkpoint restore puts detector snapshots
+# back by partition id, so no key may ever change partition.
+GOLDEN_KEYS = ["event-42", "src-1/evt-7", "", "ſ", "job-7"]
+GOLDEN_BUCKETS = {
+    2: [1, 1, 0, 1, 0],
+    3: [0, 1, 0, 0, 1],
+    5: [0, 2, 0, 2, 2],
+}
+
+
+@pytest.mark.parametrize("num_partitions", sorted(GOLDEN_BUCKETS))
+def test_routing_is_pinned_bit_for_bit(num_partitions):
+    records = [StreamRecord(value=k, key=k) for k in GOLDEN_KEYS]
+    keyless = StreamRecord(value="keyless")
+    hb = heartbeat_record("src", 1000)
+    buckets = partition_records(records + [keyless, hb], num_partitions)
+    assert [_bucket_of(r, buckets) for r in records] == (
+        GOLDEN_BUCKETS[num_partitions]
+    )
+    assert keyless in buckets[0]
+    assert all(bucket[-1] is hb for bucket in buckets)
 
 
 class TestPartitionRecords:
     def test_buckets_and_duplication(self):
-        p = HeartbeatAwarePartitioner(3)
         records = [
             StreamRecord(value=i, key="k%d" % i) for i in range(10)
         ] + [heartbeat_record("s", 5)]
-        buckets = partition_records(records, p)
+        buckets = partition_records(records, 3)
         assert len(buckets) == 3
         # Ten keyed records land exactly once; the heartbeat thrice.
         assert sum(len(b) for b in buckets) == 13
@@ -72,9 +93,8 @@ class TestPartitionRecords:
             assert any(r.is_heartbeat for r in bucket)
 
     def test_order_preserved_within_partition(self):
-        p = HashPartitioner(1)
         records = [StreamRecord(value=i, key="k") for i in range(5)]
-        buckets = partition_records(records, p)
+        buckets = partition_records(records, 1)
         assert [r.value for r in buckets[0]] == [0, 1, 2, 3, 4]
 
 
@@ -97,24 +117,25 @@ drawn_records = st.one_of(
 )
 
 
-@pytest.mark.parametrize(
-    "partitioner_cls", [HashPartitioner, HeartbeatAwarePartitioner]
-)
 @given(
     records=st.lists(drawn_records, max_size=40),
     num_partitions=st.integers(1, 5),
 )
-def test_partition_records_matches_per_record_partition(
-    partitioner_cls, records, num_partitions
-):
-    """Splitting a batch routes every record, heartbeats included,
-    exactly as partitioning it on its own would, in batch order."""
-    partitioner = partitioner_cls(num_partitions)
+def test_partition_records_matches_crc32_reference(records, num_partitions):
+    """Every record lands where the paper's rule sends it, in batch order:
+    a heartbeat everywhere, a keyless record at 0, a keyed one at
+    ``crc32(key) % n``."""
     expected = [[] for _ in range(num_partitions)]
     for record in records:
-        for idx in partitioner.partition(record):
+        if record.is_heartbeat:
+            targets = range(num_partitions)
+        elif record.key is None:
+            targets = [0]
+        else:
+            targets = [zlib.crc32(record.key.encode("utf-8")) % num_partitions]
+        for idx in targets:
             expected[idx].append(record)
-    buckets = partition_records(records, partitioner)
+    buckets = partition_records(records, num_partitions)
     assert [[id(r) for r in b] for b in buckets] == [
         [id(r) for r in b] for b in expected
     ]
