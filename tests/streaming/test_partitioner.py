@@ -117,23 +117,45 @@ drawn_records = st.one_of(
 )
 
 
+def _route_by_key(record, num_partitions):
+    """The key-hash rule: ``crc32(key) % n``, a keyless record at 0."""
+    if record.key is None:
+        return [0]
+    return [zlib.crc32(record.key.encode("utf-8")) % num_partitions]
+
+
+def _route_heartbeat_aware(record, num_partitions):
+    """The paper's rule: a heartbeat to every partition, else by key."""
+    if record.is_heartbeat:
+        return list(range(num_partitions))
+    return _route_by_key(record, num_partitions)
+
+
+# One case per routing rule: the key-hash rule alone (heartbeat-free
+# batches) and the paper's rule with heartbeat fan-out.
+@pytest.mark.parametrize(
+    "route, heartbeats",
+    [
+        pytest.param(_route_by_key, False, id="HashPartitioner"),
+        pytest.param(
+            _route_heartbeat_aware, True, id="HeartbeatAwarePartitioner"
+        ),
+    ],
+)
 @given(
     records=st.lists(drawn_records, max_size=40),
     num_partitions=st.integers(1, 5),
 )
-def test_partition_records_matches_crc32_reference(records, num_partitions):
-    """Every record lands where the paper's rule sends it, in batch order:
-    a heartbeat everywhere, a keyless record at 0, a keyed one at
-    ``crc32(key) % n``."""
+def test_partition_records_matches_per_record_partition(
+    route, heartbeats, records, num_partitions
+):
+    """Splitting a batch routes every record exactly as the per-record
+    rule sends it on its own, in batch order."""
+    if not heartbeats:
+        records = [r for r in records if not r.is_heartbeat]
     expected = [[] for _ in range(num_partitions)]
     for record in records:
-        if record.is_heartbeat:
-            targets = range(num_partitions)
-        elif record.key is None:
-            targets = [0]
-        else:
-            targets = [zlib.crc32(record.key.encode("utf-8")) % num_partitions]
-        for idx in targets:
+        for idx in route(record, num_partitions):
             expected[idx].append(record)
     buckets = partition_records(records, num_partitions)
     assert [[id(r) for r in b] for b in buckets] == [
