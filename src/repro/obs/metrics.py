@@ -26,10 +26,12 @@ values).  Instrumented components default to the process-global registry
 (:func:`get_registry`) so one snapshot sees the whole pipeline; tests pass
 a private registry for isolation.
 
-Hot-path components (``PatternIndex``, ``FastLogParser``) resolve their
-registry handles once at construction and increment them directly, so
-each fact is counted once, in the registry that dashboards and tests
-read.
+Hot-path components (``Tokenizer``, ``PatternIndex``, ``FastLogParser``)
+resolve their registry handles once at construction.  Each call counts
+into a call-local :class:`~repro.parsing.tokenizer.ParseTally` and
+publishes it with one ``inc(n)`` / :meth:`Histogram.observe_many` per
+family when the call (or the service step) ends, so each fact is counted
+once, in the registry that dashboards and tests read.
 """
 
 from __future__ import annotations
@@ -179,10 +181,10 @@ class Histogram:
     def observe_many(self, values: Sequence[float]) -> None:
         """Observe a batch of values under one lock acquisition.
 
-        Per-batch metric publication (the deferred-metrics mode of the
-        parser path) folds thousands of per-record observations into one
-        call; taking the lock once per batch instead of once per record
-        removes the dominant cost of observability on the hot path.
+        A parse-plane tally publishes its per-record latencies through
+        this once per call, batch or service step; taking the lock once
+        per batch instead of once per record removes the dominant cost
+        of observability on the hot path.
         """
         if not values:
             return

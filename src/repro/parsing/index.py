@@ -24,10 +24,12 @@ skip non-candidate groups of patterns entirely.  Wildcard patterns match
 any shape and are always checked.
 
 Several threads may share one index through a shared parser, so group
-building/memoisation is guarded by a lock and all counters are atomic
-(:mod:`repro.obs`).  The fast path — probing an already-memoised group —
-stays lock-free: dict reads are atomic under the GIL and published groups
-are never mutated afterwards.
+building/memoisation is guarded by a lock.  The fast path — probing an
+already-memoised group — stays lock-free: dict reads are atomic under the
+GIL and published groups are never mutated afterwards.  Lookups count
+into the caller's :class:`~repro.parsing.tokenizer.ParseTally`, which is
+published once per call (or per batch, or per service step) with one
+locked ``inc(n)`` per counter.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from ..obs import MetricsRegistry, get_registry
 from .datatypes import DatatypeRegistry, DEFAULT_REGISTRY
 from .grok import GrokPattern
 from .matcher import is_matched_tokens
-from .tokenizer import TokenizedLog
+from .tokenizer import ParseTally, TokenizedLog
 
 __all__ = ["PatternIndex"]
 
@@ -55,10 +57,9 @@ class PatternIndex:
     never take the lock; group building is serialised by ``_lock`` so two
     workers racing on the same unseen signature build it once and the
     ``_by_length``/``_wildcards``/dispatch side tables are published
-    exactly once.  The deferred-metrics mode (:meth:`defer_metrics`) is
-    the one exception: it accumulates hot-path counters in plain ints and
-    must only be enabled on an index owned by a single thread (the
-    service's per-worker parsers).
+    exactly once.  Counts are exact at quiescence: :meth:`lookup` counts
+    into its own tally and publishes it before returning, and a parser
+    hands its own tally to :meth:`_lookup`.
     """
 
     def __init__(
@@ -74,11 +75,9 @@ class PatternIndex:
         # Registry handles, resolved once: the ``index.*`` families are
         # the only place these counts live.
         counter = self._metrics.counter
-        self._lookups = counter("index.lookups")
-        self._group_hits = counter("index.group_hits")
+        self._counters = ParseTally.counters(self._metrics, "index.")
         self._group_builds = counter("index.group_builds")
         self._signature_comparisons = counter("index.signature_comparisons")
-        self._pattern_scans = counter("index.pattern_scans")
         self._build_seconds = self._metrics.histogram(
             "index.group_build_seconds"
         )
@@ -92,38 +91,9 @@ class PatternIndex:
         ] = None
         self._wildcards: List[GrokPattern] = []
         self._dispatch: Dict[Tuple[int, str], List[GrokPattern]] = {}
-        # Deferred-metrics accumulators (plain ints; see defer_metrics).
-        self._deferred = False
-        self._pend_lookups = 0
-        self._pend_group_hits = 0
-        self._pend_pattern_scans = 0
 
     def __len__(self) -> int:
         return len(self.patterns)
-
-    # ------------------------------------------------------------------
-    def defer_metrics(self, deferred: bool) -> None:
-        """Toggle per-batch publication of the hot-path counters.
-
-        Only the lock-free lookup counters are deferred; the rare
-        group-build path keeps publishing exactly.  Enable only on an
-        index driven by a single thread; leaving the mode flushes.
-        """
-        if self._deferred and not deferred:
-            self.flush_metrics()
-        self._deferred = deferred
-
-    def flush_metrics(self) -> None:
-        """Publish counter increments accumulated while deferred."""
-        if self._pend_lookups:
-            self._lookups.inc(self._pend_lookups)
-            self._pend_lookups = 0
-        if self._pend_group_hits:
-            self._group_hits.inc(self._pend_group_hits)
-            self._pend_group_hits = 0
-        if self._pend_pattern_scans:
-            self._pattern_scans.inc(self._pend_pattern_scans)
-            self._pend_pattern_scans = 0
 
     # ------------------------------------------------------------------
     def lookup(
@@ -134,58 +104,50 @@ class PatternIndex:
         ``None`` means no discovered pattern parses the log — the caller
         reports it as a stateless anomaly.
         """
-        deferred = self._deferred
+        tally = ParseTally()
+        hit = self._lookup(log, tally)
+        tally.publish(self._counters)
+        return hit
+
+    def _lookup(
+        self, log: TokenizedLog, tally: ParseTally
+    ) -> Optional[Tuple[GrokPattern, Dict[str, str]]]:
+        """:meth:`lookup`, counting into the caller's ``tally``."""
+        tally.lookups += 1
         signature = log.signature
         group = self._groups.get(signature)
         if group is None:
-            group = self._build_group(signature)
-            if deferred:
-                self._pend_lookups += 1
-            else:
-                self._lookups.inc()
-        elif deferred:
-            self._pend_lookups += 1
-            self._pend_group_hits += 1
+            group = self._build_group(signature, tally)
         else:
-            self._lookups.inc()
-            self._group_hits.inc()
-        # Count scans locally and publish once: a per-pattern ``inc()``
-        # inside this loop is two lock acquisitions per candidate, which
-        # dominates the parse hot path on large models.
-        hit: Optional[Tuple[GrokPattern, Dict[str, str]]] = None
-        scanned = 0
-        for pattern in group:
-            scanned += 1
+            tally.group_hits += 1
+        for scanned, pattern in enumerate(group, 1):
             fields = pattern.match(log)
             if fields is not None:
-                hit = (pattern, fields)
-                break
-        if scanned:
-            if deferred:
-                self._pend_pattern_scans += scanned
-            else:
-                self._pattern_scans.inc(scanned)
-        return hit
+                tally.pattern_scans += scanned
+                return pattern, fields
+        tally.pattern_scans += len(group)
+        return None
 
     def candidate_group(self, log: TokenizedLog) -> List[GrokPattern]:
         """The candidate-pattern-group for ``log`` (built if necessary)."""
         signature = log.signature
         group = self._groups.get(signature)
         if group is None:
-            group = self._build_group(signature)
+            group = self._build_group(signature, ParseTally())
         return list(group)
 
     # ------------------------------------------------------------------
-    def _build_group(self, signature: str) -> List[GrokPattern]:
+    def _build_group(
+        self, signature: str, tally: ParseTally
+    ) -> List[GrokPattern]:
+        """Build and memoise ``signature``'s group.  The rare build is
+        counted straight into the registry, under the lock."""
         with self._lock:
             # Double-checked: another worker may have built this group
             # while we waited for the lock; their build is our hit.
             group = self._groups.get(signature)
             if group is not None:
-                if self._deferred:
-                    self._pend_group_hits += 1
-                else:
-                    self._group_hits.inc()
+                tally.group_hits += 1
                 return group
             self._group_builds.inc()
             with self._build_seconds.time():

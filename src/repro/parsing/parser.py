@@ -22,7 +22,7 @@ from ..obs import MetricsRegistry, get_registry
 from .datatypes import DatatypeRegistry, DEFAULT_REGISTRY
 from .grok import GrokPattern
 from .index import PatternIndex
-from .tokenizer import TokenizedLog, Tokenizer
+from .tokenizer import ParseTally, TokenizedLog, Tokenizer
 
 __all__ = ["ParsedLog", "PatternModel", "FastLogParser"]
 
@@ -152,14 +152,17 @@ class FastLogParser:
     tokenizer:
         Preprocessing front-end; a default whitespace tokenizer with the
         89-format timestamp detector is created when omitted.
-    deferred_metrics:
-        When true, per-record counter increments and latency observations
-        accumulate locally and publish once per batch
-        (:meth:`flush_metrics`), instead of taking the registry locks per
-        record.  Only safe for a parser driven by a single thread — e.g.
-        the service's per-worker parsers.  A parser *shared* across
-        threads must keep the exact default: its callers rely on every
-        increment being atomic and immediately visible.
+    metrics:
+        Registry for every count of the parse path: ``parser.*``,
+        ``index.*`` and the tokenizer's ``tokenizer.*`` work.
+
+    Every call counts into a :class:`~repro.parsing.tokenizer.ParseTally`
+    of its own and publishes it once on return — :meth:`parse` per line,
+    :meth:`parse_batch` per batch — so a parser shared by several
+    threads keeps exact counts with one locked ``inc(n)`` per family and
+    call.  An owner that parses record by record (the service's
+    per-worker parse path) passes its own tally to :meth:`parse_tallied`
+    and calls :meth:`publish` when its scope ends.
     """
 
     def __init__(
@@ -167,27 +170,16 @@ class FastLogParser:
         model: Union[PatternModel, Sequence[GrokPattern]],
         tokenizer: Optional[Tokenizer] = None,
         metrics: Optional[MetricsRegistry] = None,
-        deferred_metrics: bool = False,
     ) -> None:
         if not isinstance(model, PatternModel):
             model = PatternModel(model)
         self._metrics = metrics if metrics is not None else get_registry()
         self.tokenizer = tokenizer if tokenizer is not None else Tokenizer()
-        self._model = model
-        self._index = PatternIndex(
-            model.patterns, model.registry, metrics=self._metrics
-        )
-        self._parsed = self._metrics.counter("parser.parsed")
-        self._anomalies = self._metrics.counter("parser.anomalies")
+        self._counters = ParseTally.counters(self._metrics)
         self._parse_seconds = self._metrics.histogram(
             "parser.parse_seconds"
         )
-        self._deferred = False
-        self._pend_parsed = 0
-        self._pend_anomalies = 0
-        self._pend_durations: List[float] = []
-        if deferred_metrics:
-            self.defer_metrics(True)
+        self.model = model
 
     # ------------------------------------------------------------------
     @property
@@ -196,74 +188,67 @@ class FastLogParser:
 
     @model.setter
     def model(self, model: PatternModel) -> None:
-        """Swap the pattern model (the Section V-A update path)."""
+        """Swap the pattern model (the Section V-A update path).
+
+        The index is rebuilt for the new patterns; the tokenizer, which
+        does not depend on the model, keeps its warm caches.
+        """
         self._model = model
         self._index = PatternIndex(
             model.patterns, model.registry, metrics=self._metrics
         )
-        if self._deferred:
-            self._index.defer_metrics(True)
 
     @property
     def index(self) -> PatternIndex:
         return self._index
 
-    # ------------------------------------------------------------------
-    @property
-    def deferred_metrics(self) -> bool:
-        return self._deferred
-
-    def defer_metrics(self, deferred: bool) -> None:
-        """Toggle batched metric publication for the whole parse path.
-
-        Propagates to the tokenizer and the index; leaving the mode
-        flushes everything pending.
-        """
-        if self._deferred and not deferred:
-            self.flush_metrics()
-        self._deferred = deferred
-        self.tokenizer.defer_metrics(deferred)
-        self._index.defer_metrics(deferred)
-
-    def flush_metrics(self) -> None:
-        """Publish everything accumulated while in deferred mode."""
-        if self._pend_parsed:
-            self._parsed.inc(self._pend_parsed)
-            self._pend_parsed = 0
-        if self._pend_anomalies:
-            self._anomalies.inc(self._pend_anomalies)
-            self._pend_anomalies = 0
-        if self._pend_durations:
-            self._parse_seconds.observe_many(self._pend_durations)
-            self._pend_durations = []
-        self.tokenizer.flush_metrics()
-        self._index.flush_metrics()
+    def publish(self, tally: ParseTally) -> None:
+        """Add ``tally``'s counts to this parser's registry."""
+        tally.publish(self._counters)
+        if tally.durations:
+            self._parse_seconds.observe_many(tally.durations)
 
     # ------------------------------------------------------------------
     def parse(
         self, raw: str, source: Optional[str] = None
     ) -> Union[ParsedLog, Anomaly]:
         """Parse one raw line; a miss yields an ``UNPARSED_LOG`` anomaly."""
+        tally = ParseTally()
+        try:
+            return self.parse_tallied(raw, source, tally)
+        finally:
+            self.publish(tally)
+
+    def parse_tallied(
+        self, raw: str, source: Optional[str], tally: ParseTally
+    ) -> Union[ParsedLog, Anomaly]:
+        """:meth:`parse`, counting into the caller's ``tally``, which the
+        caller publishes with :meth:`publish`."""
         started = time.perf_counter()
-        tokenized = self.tokenizer.tokenize(raw)
-        result = self.parse_tokenized(tokenized, source=source)
-        elapsed = time.perf_counter() - started
-        if self._deferred:
-            self._pend_durations.append(elapsed)
-        else:
-            self._parse_seconds.observe(elapsed)
+        tokenized = self.tokenizer._tokenize(raw, tally)
+        result = self._parse_tokenized(tokenized, source, tally)
+        tally.durations.append(time.perf_counter() - started)
         return result
 
     def parse_tokenized(
         self, tokenized: TokenizedLog, source: Optional[str] = None
     ) -> Union[ParsedLog, Anomaly]:
-        """Parse an already-tokenized log (used by streaming workers)."""
-        hit = self._index.lookup(tokenized)
+        """Parse an already-tokenized log (used by model building)."""
+        tally = ParseTally()
+        try:
+            return self._parse_tokenized(tokenized, source, tally)
+        finally:
+            self.publish(tally)
+
+    def _parse_tokenized(
+        self,
+        tokenized: TokenizedLog,
+        source: Optional[str],
+        tally: ParseTally,
+    ) -> Union[ParsedLog, Anomaly]:
+        hit = self._index._lookup(tokenized, tally)
         if hit is None:
-            if self._deferred:
-                self._pend_anomalies += 1
-            else:
-                self._anomalies.inc()
+            tally.anomalies += 1
             return Anomaly(
                 type=AnomalyType.UNPARSED_LOG,
                 reason="log matches no discovered pattern",
@@ -273,10 +258,7 @@ class FastLogParser:
                 severity=Severity.WARNING,
             )
         pattern, fields = hit
-        if self._deferred:
-            self._pend_parsed += 1
-        else:
-            self._parsed.inc()
+        tally.parsed += 1
         return ParsedLog(
             raw=tokenized.raw,
             pattern_id=pattern.pattern_id,
@@ -295,20 +277,14 @@ class FastLogParser:
     def parse_batch(
         self, raw_logs: Sequence[str], source: Optional[str] = None
     ) -> List[Union[ParsedLog, Anomaly]]:
-        """Parse a batch with per-batch (not per-record) metric updates.
-
-        Counts are exact again by the time this returns: the deferral is
-        scoped to the call and flushed on the way out (unless the parser
-        is already in deferred mode, in which case the owner flushes).
-        """
-        was_deferred = self._deferred
-        if not was_deferred:
-            self.defer_metrics(True)
+        """Parse a batch; its counts publish once, at the end of the
+        batch, and are exact when this returns."""
+        tally = ParseTally()
+        parse = self.parse_tallied
         try:
-            return [self.parse(raw, source=source) for raw in raw_logs]
+            return [parse(raw, source, tally) for raw in raw_logs]
         finally:
-            if not was_deferred:
-                self.defer_metrics(False)
+            self.publish(tally)
 
     def parse_all(
         self, raw_logs: Iterable[str], source: Optional[str] = None

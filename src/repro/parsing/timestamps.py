@@ -454,8 +454,11 @@ class TimestampDetector:
         self.use_filter = use_filter
         self.default_year = default_year
         self.default_date = default_date
-        self._cache: List[int] = []       # indices of previously-matched fmts
-        self._cached: set = set()
+        #: Indices of previously-matched formats, in match order.  A
+        #: tuple, replaced (never edited) on a new match: one identify
+        #: call reads it once, so its sweep skips exactly the formats its
+        #: own cache pass tried even while another thread adds one.
+        self._cache: Tuple[int, ...] = ()
         self.stats = DetectorStats()
         self._rebuild_span_index()
 
@@ -491,8 +494,7 @@ class TimestampDetector:
 
     def reset_cache(self) -> None:
         """Drop the matched-format cache (used by benchmarks)."""
-        self._cache = []
-        self._cached = set()
+        self._cache = ()
 
     # ------------------------------------------------------------------
     def identify(
@@ -514,15 +516,16 @@ class TimestampDetector:
             stats.filtered_out += 1
             return None
         available = len(tokens) - start
+        cache = self._cache if self.use_cache else ()
         # Cache pass first (the paper's "find if there is a cache hit"):
         # sources reuse a handful of formats, so a warm cache resolves a
         # genuine timestamp with one regex match and one conversion,
         # skipping the whole span sweep below.
-        if self.use_cache:
+        if cache:
             formats = self._formats
             window_span = 0
             window = first
-            for idx in self._cache:
+            for idx in cache:
                 fmt = formats[idx]
                 span = fmt.token_span
                 if span > available:
@@ -554,14 +557,18 @@ class TimestampDetector:
             window = first if span == 1 else " ".join(
                 tokens[start:start + span]
             )
-            match = self._match_window(window, span, indices)
+            match = self._match_window(window, span, indices, cache)
             if match is not None:
                 return match
         return None
 
     # ------------------------------------------------------------------
     def _match_window(
-        self, window: str, span: int, indices: List[int]
+        self,
+        window: str,
+        span: int,
+        indices: List[int],
+        tried: Tuple[int, ...],
     ) -> Optional[TimestampMatch]:
         # The separator containment test is part of the *filtering*
         # optimisation (Section VI-A): windows lacking a format's required
@@ -572,7 +579,7 @@ class TimestampDetector:
                 c for c in TimestampFormat.SEPARATORS if c in window
             )
         for idx in indices:
-            if self.use_cache and idx in self._cached:
+            if idx in tried:
                 continue  # already tried via the cache pass
             fmt = self._formats[idx]
             if (
@@ -587,9 +594,8 @@ class TimestampDetector:
             result = self._convert(m, fmt, span)
             if result is None:
                 continue
-            if self.use_cache:
-                self._cache.append(idx)
-                self._cached.add(idx)
+            if self.use_cache and idx not in self._cache:
+                self._cache += (idx,)
             self.stats.matches += 1
             return result
         return None

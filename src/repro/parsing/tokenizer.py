@@ -25,11 +25,17 @@ from __future__ import annotations
 import re
 from typing import Any, List, Optional, Sequence, Tuple
 
-from ..obs import MetricsRegistry, get_registry
+from ..obs import Counter, MetricsRegistry, get_registry
 from .datatypes import DEFAULT_REGISTRY, DatatypeRegistry
 from .timestamps import TimestampDetector
 
-__all__ = ["Token", "TokenizedLog", "SplitRule", "Tokenizer"]
+__all__ = [
+    "Token",
+    "TokenizedLog",
+    "SplitRule",
+    "ParseTally",
+    "Tokenizer",
+]
 
 
 class Token:
@@ -172,6 +178,63 @@ class SplitRule:
         return "SplitRule(%r)" % self.pattern
 
 
+class ParseTally:
+    """What one parse-plane call has counted so far, not yet published.
+
+    Counts belong to the call, not to the tokenizer, index or parser it
+    runs on: every entry point (``tokenize``, ``lookup``, ``parse`` and
+    their batch forms) counts into a tally of its own and publishes it
+    with one ``inc(n)`` / ``observe_many`` per family when the call
+    returns.  The service's per-worker parse path keeps one tally per
+    worker for a whole step and publishes it after the parse batch.
+    Plain ints and a list, so counting takes no lock; one tally belongs
+    to one thread at a time.
+    """
+
+    __slots__ = (
+        "logs", "tokens", "timestamps",
+        "lookups", "group_hits", "pattern_scans",
+        "parsed", "anomalies", "durations",
+    )
+
+    def __init__(self) -> None:
+        self.logs = self.tokens = self.timestamps = 0
+        self.lookups = self.group_hits = self.pattern_scans = 0
+        self.parsed = self.anomalies = 0
+        self.durations: List[float] = []
+
+    #: The registry counter each count publishes to.
+    COUNTERS = (
+        ("logs", "tokenizer.logs"),
+        ("tokens", "tokenizer.tokens"),
+        ("timestamps", "tokenizer.timestamps_detected"),
+        ("lookups", "index.lookups"),
+        ("group_hits", "index.group_hits"),
+        ("pattern_scans", "index.pattern_scans"),
+        ("parsed", "parser.parsed"),
+        ("anomalies", "parser.anomalies"),
+    )
+
+    @classmethod
+    def counters(
+        cls, metrics: MetricsRegistry, prefix: str = ""
+    ) -> List[Tuple[str, Counter]]:
+        """``(count, counter)`` pairs for the counters of ``metrics``
+        whose names start with ``prefix``; resolve once, publish often."""
+        return [
+            (count, metrics.counter(name))
+            for count, name in cls.COUNTERS
+            if name.startswith(prefix)
+        ]
+
+    def publish(self, counters: List[Tuple[str, Counter]]) -> None:
+        """Add each count to its counter, one ``inc(n)`` apiece."""
+        for count, counter in counters:
+            amount = getattr(self, count)
+            if amount:
+                counter.inc(amount)
+
+
 class Tokenizer:
     """Configurable preprocessing front-end.
 
@@ -186,6 +249,13 @@ class Tokenizer:
     timestamp_detector:
         Detector used to merge and canonicalise timestamps; pass ``None``
         to disable timestamp identification entirely.
+    metrics:
+        Registry for the ``tokenizer.*`` counts of :meth:`tokenize` and
+        :meth:`tokenize_many`; a parser publishes its tokenizer's counts
+        into the parser's registry instead.
+
+    Each call counts into its own :class:`ParseTally` and publishes it
+    on return, so threads may share a tokenizer with exact counts.
     """
 
     def __init__(
@@ -214,70 +284,37 @@ class Tokenizer:
         # long-running streams from growing it without limit.
         self._infer_memo: dict = {}
         self._infer_memo_cap = 200_000
-        obs = metrics if metrics is not None else get_registry()
-        self._m_logs = obs.counter("tokenizer.logs")
-        self._m_tokens = obs.counter("tokenizer.tokens")
-        self._m_timestamps = obs.counter("tokenizer.timestamps_detected")
-        # Deferred-metrics mode: counter increments accumulate in plain
-        # ints and publish on flush (one lock round-trip per batch, not
-        # three per record).  Only safe while this tokenizer is driven by
-        # a single thread — the per-worker parsers of the service are;
-        # the default stays exact per record.
-        self._deferred = False
-        self._pend_logs = 0
-        self._pend_tokens = 0
-        self._pend_timestamps = 0
-
-    # ------------------------------------------------------------------
-    def defer_metrics(self, deferred: bool) -> None:
-        """Toggle per-batch metric publication; leaving the mode flushes."""
-        if self._deferred and not deferred:
-            self.flush_metrics()
-        self._deferred = deferred
-
-    def flush_metrics(self) -> None:
-        """Publish metric increments accumulated while deferred."""
-        if self._pend_logs:
-            self._m_logs.inc(self._pend_logs)
-            self._pend_logs = 0
-        if self._pend_tokens:
-            self._m_tokens.inc(self._pend_tokens)
-            self._pend_tokens = 0
-        if self._pend_timestamps:
-            self._m_timestamps.inc(self._pend_timestamps)
-            self._pend_timestamps = 0
+        self._counters = ParseTally.counters(
+            metrics if metrics is not None else get_registry(), "tokenizer."
+        )
 
     # ------------------------------------------------------------------
     def tokenize(self, raw: str) -> TokenizedLog:
         """Preprocess one raw log line into a :class:`TokenizedLog`."""
-        texts = self._apply_split_rules(self._split(raw))
-        datatypes, ts_millis = self._merge_timestamps(texts)
-        if self._deferred:
-            self._pend_logs += 1
-            self._pend_tokens += len(texts)
-            if ts_millis is not None:
-                self._pend_timestamps += 1
-        else:
-            self._m_logs.inc()
-            self._m_tokens.inc(len(texts))
-            if ts_millis is not None:
-                self._m_timestamps.inc()
-        return TokenizedLog(raw, texts, datatypes, ts_millis)
+        tally = ParseTally()
+        log = self._tokenize(raw, tally)
+        tally.publish(self._counters)
+        return log
 
     def tokenize_many(self, raw_logs: Sequence[str]) -> List[TokenizedLog]:
-        """Preprocess a batch of raw log lines.
-
-        Metric publication is batched across the call (and flushed before
-        returning, so counts stay exact for the caller).
-        """
-        was_deferred = self._deferred
-        self._deferred = True
+        """Preprocess a batch of raw log lines; counts publish once, at
+        the end of the batch."""
+        tally = ParseTally()
+        tokenize = self._tokenize
         try:
-            return [self.tokenize(line) for line in raw_logs]
+            return [tokenize(line, tally) for line in raw_logs]
         finally:
-            self._deferred = was_deferred
-            if not was_deferred:
-                self.flush_metrics()
+            tally.publish(self._counters)
+
+    def _tokenize(self, raw: str, tally: ParseTally) -> TokenizedLog:
+        """:meth:`tokenize`, counting into the caller's ``tally``."""
+        texts = self._apply_split_rules(self._split(raw))
+        datatypes, ts_millis = self._merge_timestamps(texts)
+        tally.logs += 1
+        tally.tokens += len(texts)
+        if ts_millis is not None:
+            tally.timestamps += 1
+        return TokenizedLog(raw, texts, datatypes, ts_millis)
 
     # ------------------------------------------------------------------
     def _split(self, raw: str) -> List[str]:

@@ -42,9 +42,9 @@ import time as _time
 
 from ..alerts import AlertEvaluator, AlertHistory
 from ..faults import ManualClock
-from ..obs import NullRegistry, get_registry
+from ..obs import get_registry
 from ..parsing.parser import FastLogParser, ParsedLog, PatternModel
-from ..parsing.tokenizer import Tokenizer
+from ..parsing.tokenizer import ParseTally, Tokenizer
 from ..sequence.detector import LogSequenceDetector
 from ..sequence.model import SequenceModel
 from ..streaming.engine import StreamingContext, WorkerContext
@@ -84,10 +84,11 @@ SEQUENCE_STAGE = "loglens.sequence"
 # These are module-level picklable classes (not bound methods of the
 # service) so the process execution backend can ship them to resident
 # worker processes.  Driver-held resources — the metrics registry and
-# its handles — are dropped on pickling: worker-side copies observe into
-# a no-op registry, so per-parser/per-sweep observability metrics are a
-# driver-execution feature while every ServiceReport counter stays exact
-# under all backends (see docs/PARALLELISM.md).
+# its handles — are dropped on pickling: worker-side copies publish
+# nothing (their parse tallies are dropped, their sweeps untimed), so
+# per-parser/per-sweep observability metrics are a driver-execution
+# feature while every ServiceReport counter stays exact under all
+# backends (see docs/PARALLELISM.md).
 # ----------------------------------------------------------------------
 class ParseOperator:
     """Stateless parse stage: one resident parser per worker."""
@@ -124,32 +125,33 @@ class ParseOperator:
         """Resolve the model and the worker's parser once; return the
         per-record parse."""
         model = self.pattern_bv.get_value(worker.block_manager)
-        cached = getattr(worker, "_loglens_parser", None)
-        if cached is None or cached.model is not model:
-            if self._metrics is not None:
-                # Each worker owns its parser, so metric publication can
-                # be batched per micro-batch; step() flushes after every
-                # parse run_batch, keeping service counts exact per step.
-                cached = FastLogParser(
-                    model,
-                    tokenizer=self.tokenizer_factory(),
-                    metrics=self._metrics,
-                    deferred_metrics=True,
-                )
-            else:
-                # Process-backend worker: no driver to flush deferred
-                # buffers, so parse un-deferred into a no-op registry.
-                cached = FastLogParser(
-                    model,
-                    tokenizer=self.tokenizer_factory(),
-                    metrics=NullRegistry(),
-                )
-            worker._loglens_parser = cached  # type: ignore[attr-defined]
-        parse = cached.parse
+        parser: Optional[FastLogParser] = getattr(
+            worker, "_loglens_parser", None
+        )
+        if parser is None:
+            parser = FastLogParser(
+                model,
+                tokenizer=self.tokenizer_factory(),
+                metrics=self._metrics,
+            )
+            worker._loglens_parser = parser  # type: ignore[attr-defined]
+        elif parser.model is not model:
+            # A publish swaps the model and rebuilds the index; the
+            # tokenizer keeps its datatype memo and format cache.
+            parser.model = model
+        tally: Optional[ParseTally] = getattr(worker, "_loglens_tally", None)
+        if tally is None or self._metrics is None:
+            # step() publishes a driver worker's tally after the parse
+            # batch and drops it.  Nothing publishes a worker process's
+            # counts (docs/PARALLELISM.md), so there each bucket starts
+            # a fresh tally.
+            tally = ParseTally()
+            worker._loglens_tally = tally  # type: ignore[attr-defined]
+        parse = parser.parse_tallied
 
         def parse_record(record: StreamRecord) -> List[StreamRecord]:
             source = record.source
-            result = parse(record.value["raw"], source=source)
+            result = parse(record.value["raw"], source, tally)
             return [build_record(
                 result, record.key, source, result.timestamp_millis, False
             )]
@@ -816,13 +818,14 @@ class LogLensService:
         try:
             parse_batch = self.log_manager.cycle()
             parse_metrics = self.parse_ctx.run_batch(parse_batch)
-            # Publish the per-worker parsers' deferred metrics; the
+            # Publish each worker's parse tally for this step; the
             # workers are idle between run_batch calls, so this races
             # with nothing.
             for worker in self.parse_ctx.workers:
-                parser = getattr(worker, "_loglens_parser", None)
-                if parser is not None:
-                    parser.flush_metrics()
+                tally = getattr(worker, "_loglens_tally", None)
+                if tally is not None:
+                    worker._loglens_tally = None
+                    worker._loglens_parser.publish(tally)
 
             parsed_records = self._parsed_buffer
             self._parsed_buffer = []

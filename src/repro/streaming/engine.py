@@ -299,8 +299,9 @@ class BatchMetrics:
 class EngineMetrics:
     """Whole-run accounting; ``downtime_seconds`` stays zero by design.
 
-    ``batch_history`` keeps the most recent ``history_limit`` batches so a
-    long-running service's metrics stay bounded.
+    Totals only: each batch's :class:`BatchMetrics` is returned by
+    :meth:`StreamingContext.run_batch` and not kept, so a long-running
+    service's metrics stay bounded.
     """
 
     batches: int = 0
@@ -309,13 +310,6 @@ class EngineMetrics:
     downtime_seconds: float = 0.0
     retries: int = 0
     quarantined: int = 0
-    history_limit: int = 1000
-    batch_history: List[BatchMetrics] = field(default_factory=list)
-
-    def record_batch(self, batch: BatchMetrics) -> None:
-        self.batch_history.append(batch)
-        if len(self.batch_history) > self.history_limit:
-            del self.batch_history[: -self.history_limit]
 
 
 class StreamingContext:
@@ -471,7 +465,7 @@ class StreamingContext:
         self.metrics.batches += 1
         self.metrics.records += len(records)
         self.metrics.model_updates += updates
-        batch = BatchMetrics(
+        return BatchMetrics(
             batch_index=self.metrics.batches - 1,
             records_in=len(records),
             model_updates_applied=updates,
@@ -479,8 +473,6 @@ class StreamingContext:
             retries=batch_retries,
             quarantined=batch_quarantined,
         )
-        self.metrics.record_batch(batch)
-        return batch
 
     def run_batches(
         self, batches: Iterable[Sequence[StreamRecord]]

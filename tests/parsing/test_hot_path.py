@@ -2,14 +2,12 @@
 
 These tests freeze the *observable* behavior of the optimized tokenizer,
 index, and parser: slot-based tokens must compare/hash like the old
-dataclass values, deferred metrics must converge to exactly the counts
-the per-record mode produces, and the first-token dispatch table must
-never change which pattern claims a log.
+dataclass values, counts published per batch or per service step must
+equal the counts published per line, and the first-token dispatch table
+must never change which pattern claims a log.
 """
 
 from __future__ import annotations
-
-import pytest
 
 from repro.baselines.logstash import NaiveGrokParser
 from repro.obs import MetricsRegistry
@@ -18,6 +16,9 @@ from repro.parsing.index import PatternIndex
 from repro.parsing.parser import FastLogParser, ParsedLog, PatternModel
 from repro.parsing.timestamps import TimestampDetector, compiled_format
 from repro.parsing.tokenizer import Token, Tokenizer
+from repro.sequence.model import SequenceModel
+from repro.service.loglens_service import LogLensService, ServiceConfig
+from repro.service.model_builder import BuiltModels
 
 _LINES = [
     "2017-03-01 10:01:02 Connect DB 127.0.0.1 user abc123",
@@ -87,6 +88,11 @@ class TestTokenValueSemantics:
 
 
 class TestDeferredMetricsEquivalence:
+    """Publishing per line, per batch or per service step counts the
+    same facts."""
+
+    _STREAM = _LINES * 3 + ["unparseable %% line"]
+
     def _counts(self, registry):
         return {
             name: registry.counter(name).value
@@ -103,36 +109,64 @@ class TestDeferredMetricsEquivalence:
             )
         }
 
-    def _run(self, deferred):
-        registry = MetricsRegistry()
-        parser = FastLogParser(
-            _model(),
-            tokenizer=Tokenizer(metrics=registry),
+    def _parser(self, registry):
+        return FastLogParser(
+            _model(), tokenizer=Tokenizer(metrics=registry),
             metrics=registry,
-            deferred_metrics=deferred,
         )
-        results = parser.parse_all(_LINES * 3 + ["unparseable %% line"])
-        if deferred:
-            parser.flush_metrics()
-        return results, self._counts(registry), parser
+
+    def _per_line(self):
+        registry = MetricsRegistry()
+        parser = self._parser(registry)
+        results = [parser.parse(line) for line in self._STREAM]
+        return results, self._counts(registry)
+
+    def _one_batch(self):
+        registry = MetricsRegistry()
+        results = self._parser(registry).parse_batch(self._STREAM)
+        return results, self._counts(registry)
+
+    def _service(self):
+        """One partition, so one worker parser and one index, as above;
+        each line is its own step."""
+        registry = MetricsRegistry()
+        service = LogLensService(
+            config=ServiceConfig(num_partitions=1, metrics=registry)
+        )
+        service.model_manager.register_built(
+            BuiltModels(
+                pattern_model=_model(), sequence_model=SequenceModel([])
+            )
+        )
+        service.model_manager.publish_all()
+        service.flush_model_updates()
+        try:
+            for line in self._STREAM:
+                service.ingest([line], source="app")
+                service.step()
+        finally:
+            service.close()
+        return self._counts(registry)
 
     def test_results_and_counts_identical(self):
-        exact_results, exact_counts, _ = self._run(deferred=False)
-        deferred_results, deferred_counts, _ = self._run(deferred=True)
-        assert exact_counts == deferred_counts
-        assert len(exact_results) == len(deferred_results)
-        for a, b in zip(exact_results, deferred_results):
+        line_results, line_counts = self._per_line()
+        batch_results, batch_counts = self._one_batch()
+        service_counts = self._service()
+        assert line_counts == batch_counts == service_counts
+        assert len(line_results) == len(batch_results)
+        for a, b in zip(line_results, batch_results):
             assert type(a) is type(b)
             if isinstance(a, ParsedLog):
                 assert a.fields == b.fields
                 assert a.pattern_id == b.pattern_id
 
     def test_stats_facade_exact_after_flush(self):
-        """The registry holds the exact counts once deferred ones flush."""
-        _, counts, _ = self._run(deferred=True)
+        """The registry holds the exact counts once a step is over."""
+        counts = self._service()
         assert counts["parser.parsed"] == len(_LINES) * 3
         assert counts["parser.anomalies"] == 1
-        assert counts["index.lookups"] == len(_LINES) * 3 + 1
+        assert counts["tokenizer.logs"] == len(self._STREAM)
+        assert counts["index.lookups"] == len(self._STREAM)
         assert (
             counts["index.group_hits"] + counts["index.group_builds"]
             == counts["index.lookups"]
@@ -140,30 +174,10 @@ class TestDeferredMetricsEquivalence:
 
     def test_parse_batch_is_exact_at_return(self):
         registry = MetricsRegistry()
-        parser = FastLogParser(
-            _model(), tokenizer=Tokenizer(metrics=registry),
-            metrics=registry,
-        )
-        parser.parse_batch(_LINES)
+        self._parser(registry).parse_batch(_LINES)
         # No flush call: parse_batch must leave nothing pending.
         assert registry.counter("parser.parsed").value == len(_LINES)
         assert registry.counter("tokenizer.logs").value == len(_LINES)
-
-    def test_defer_toggle_flushes(self):
-        registry = MetricsRegistry()
-        parser = FastLogParser(
-            _model(), tokenizer=Tokenizer(metrics=registry),
-            metrics=registry, deferred_metrics=True,
-        )
-        parser.parse(_LINES[0])
-        assert registry.counter("parser.parsed").value == 0
-        parser.defer_metrics(False)
-        assert registry.counter("parser.parsed").value == 1
-
-    def test_model_swap_keeps_deferral(self):
-        parser = FastLogParser(_model(), deferred_metrics=True)
-        parser.model = _model()
-        assert parser.index._deferred is True
 
 
 class TestDispatchTableEquivalence:
@@ -239,16 +253,14 @@ class TestCompiledFormatCache:
         assert detector._formats[0] is compiled_format("yyyy-MM-dd")
 
 
-@pytest.mark.parametrize("deferred", [False, True])
-def test_tokenize_many_counts_exact(deferred):
+def test_tokenize_many_counts_exact():
     registry = MetricsRegistry()
     tokenizer = Tokenizer(metrics=registry)
-    if deferred:
-        tokenizer.defer_metrics(True)
     logs = tokenizer.tokenize_many(_LINES)
-    if deferred:
-        tokenizer.flush_metrics()
     assert registry.counter("tokenizer.logs").value == len(_LINES)
     assert registry.counter("tokenizer.tokens").value == sum(
         len(l.tokens) for l in logs
+    )
+    assert registry.counter("tokenizer.timestamps_detected").value == sum(
+        l.timestamp_millis is not None for l in logs
     )

@@ -190,6 +190,31 @@ class TestDetectorOptimisations:
         detector.identify(["2016/02/23", "09:00:31"], 0)
         assert detector.stats.cache_hits == 0
 
+    def test_format_cached_mid_call_is_still_swept(self):
+        """A format another caller caches after this call's cache pass
+        is still tried by this call's sweep."""
+        tokens = ["2016/02/23", "09:00:31"]
+        expected = TimestampDetector().identify(tokens, 0)
+        detector = TimestampDetector()
+        raced = []
+
+        def racing(gate):
+            def wrapped(token):
+                if not raced:
+                    # Another thread's call runs to the end here.
+                    raced.append(None)
+                    raced[0] = detector.identify(tokens, 0)
+                return token if gate is None else gate(token)
+            return wrapped
+
+        detector._sweep = [
+            (span, indices, racing(gate))
+            for span, indices, gate in detector._sweep
+        ]
+        assert detector.identify(tokens, 0) == expected
+        assert raced == [expected]
+        assert expected.tokens_consumed == 2
+
     def test_all_configurations_agree(self):
         """Optimisations must never change *what* is identified."""
         samples = [

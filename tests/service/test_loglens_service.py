@@ -1,5 +1,7 @@
 """Integration-grade unit tests for the fully wired LogLensService."""
 
+from repro.obs import MetricsRegistry
+from repro.parsing.parser import FastLogParser, ParsedLog
 from repro.service.config import ServiceConfig
 from repro.service.loglens_service import LogLensService
 
@@ -193,3 +195,64 @@ class TestHeartbeatCadence:
             "parse_batches", "sequence_batches", "model_updates",
             "downtime_seconds",
         }
+
+
+class TestParseWorkers:
+    def _ingest_everywhere(self, service, lines):
+        """Ingest ``lines`` under several sources, so both partitions
+        parse, and step until drained."""
+        for i in range(6):
+            service.ingest(lines, source="app-%d" % i)
+        service.run_until_drained()
+
+    def test_tokenizer_counts_land_in_the_service_registry(self):
+        registry = MetricsRegistry()
+        service = trained_service(metrics=registry)
+        lines = event_lines("fl-a", 1) + event_lines("fl-b", 2)
+        lines += ["completely unknown format !!"] * 4
+        lines = (lines * 3)[:30]
+        service.ingest(lines, source="app")
+        service.run_until_drained()
+        assert registry.counter("tokenizer.logs").value == 30
+        assert registry.counter("parser.parsed").value + registry.counter(
+            "parser.anomalies"
+        ).value == 30
+
+    def test_republish_keeps_each_workers_parser_and_tokenizer(self):
+        service = trained_service(metrics=MetricsRegistry())
+        lines = event_lines("fl-a", 1) + ["completely unknown format !!"]
+        self._ingest_everywhere(service, lines)
+        workers = service.parse_ctx.workers
+        parsers = [w._loglens_parser for w in workers]
+        tokenizers = [p.tokenizer for p in parsers]
+        indexes = [p.index for p in parsers]
+        models = [p.model for p in parsers]
+
+        service.model_manager.publish_all()
+        service.flush_model_updates()
+        self._ingest_everywhere(service, lines)
+
+        model = parsers[0].model
+        assert model is not models[0]
+        for worker, parser, tokenizer, index in zip(
+            workers, parsers, tokenizers, indexes
+        ):
+            assert worker._loglens_parser is parser
+            assert parser.tokenizer is tokenizer
+            assert parser.model is model
+            assert parser.index is not index
+        fixed = training_lines(4) + [
+            "completely unknown format !!",
+            "2016/05/09 10:07:01 gate OPEN flow x from",
+        ]
+        fresh = FastLogParser(model, metrics=MetricsRegistry())
+        for parser in parsers:
+            assert [_doc(parser.parse(line)) for line in fixed] == [
+                _doc(fresh.parse(line)) for line in fixed
+            ]
+
+
+def _doc(result):
+    if isinstance(result, ParsedLog):
+        return result.to_document()
+    return result.to_dict()

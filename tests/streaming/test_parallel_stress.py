@@ -140,6 +140,81 @@ class TestSharedParserThreadStress:
         )
 
 
+MIXED_LINES = 8000
+MIXED_CHUNK = 40
+
+
+def _count_names(registry):
+    return sorted(
+        name for name in registry.names()
+        if name.split(".")[0] in ("parser", "tokenizer", "index")
+    )
+
+
+class TestMixedCallStress:
+    def test_parse_and_parse_batch_share_a_parser_exactly(self):
+        """Two threads call ``parse`` line by line and two call
+        ``parse_batch`` chunk by chunk, all on one parser: with no flush
+        call, every parse-plane count equals a one-thread run's."""
+        lines = _make_lines(0, MIXED_LINES)
+        for i in range(0, MIXED_LINES, 5):
+            # Some timestamps, so tokenizer.timestamps_detected counts.
+            lines[i] = "2024-01-01 10:%02d:%02d %s" % (
+                i // 60 % 60, i % 60, lines[i]
+            )
+        metrics = MetricsRegistry()
+        parser = FastLogParser(
+            _model(), tokenizer=Tokenizer(metrics=metrics), metrics=metrics
+        )
+        slices = [lines[i::4] for i in range(4)]
+        barrier = threading.Barrier(4)
+
+        def per_line(part):
+            barrier.wait(timeout=30)
+            for line in part:
+                parser.parse(line)
+
+        def per_batch(part):
+            barrier.wait(timeout=30)
+            for i in range(0, len(part), MIXED_CHUNK):
+                parser.parse_batch(part[i:i + MIXED_CHUNK])
+
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=fn, args=(part,))
+                for fn, part in zip(
+                    (per_line, per_batch, per_line, per_batch), slices
+                )
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(switch_interval)
+
+        reference = MetricsRegistry()
+        FastLogParser(
+            _model(), tokenizer=Tokenizer(metrics=reference),
+            metrics=reference,
+        ).parse_batch(lines)
+        names = _count_names(reference)
+        assert "tokenizer.timestamps_detected" in names
+        assert names == _count_names(metrics)
+        for name in names:
+            if name == "parser.parse_seconds":
+                assert metrics.histogram(name).count == MIXED_LINES
+            elif name != "index.group_build_seconds":
+                assert (
+                    metrics.counter(name).value
+                    == reference.counter(name).value
+                ), name
+        assert metrics.counter("tokenizer.logs").value == MIXED_LINES
+
+
 class TestEngineRecordAccounting:
     @pytest.mark.parametrize("execution", EXECUTION_BACKENDS)
     def test_no_lost_records_across_batches_and_rebroadcasts(
