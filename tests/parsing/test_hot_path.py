@@ -9,6 +9,8 @@ must never change which pattern claims a log.
 
 from __future__ import annotations
 
+import pytest
+
 from repro.baselines.logstash import NaiveGrokParser
 from repro.obs import MetricsRegistry
 from repro.parsing.grok import GrokPattern
@@ -253,10 +255,17 @@ class TestCompiledFormatCache:
         assert detector._formats[0] is compiled_format("yyyy-MM-dd")
 
 
-def test_tokenize_many_counts_exact():
+@pytest.mark.parametrize("split", [False, True])
+def test_tokenize_many_counts_exact(split):
+    # Counts are published once per call, so a batch fed in two calls
+    # must leave the same totals as the batch fed in one.
     registry = MetricsRegistry()
     tokenizer = Tokenizer(metrics=registry)
-    logs = tokenizer.tokenize_many(_LINES)
+    if split:
+        logs = tokenizer.tokenize_many(_LINES[:2])
+        logs += tokenizer.tokenize_many(_LINES[2:])
+    else:
+        logs = tokenizer.tokenize_many(_LINES)
     assert registry.counter("tokenizer.logs").value == len(_LINES)
     assert registry.counter("tokenizer.tokens").value == sum(
         len(l.tokens) for l in logs
