@@ -60,7 +60,8 @@ class LogManager:
         self.max_rate_per_cycle = max_rate_per_cycle
         self._consumer: Consumer = bus.consumer(in_topic, group="log-manager")
         self.stats = LogManagerStats()
-        self._known_sources: List[str] = []
+        #: Sources seen so far, in first-seen order (a dict: O(1) lookup).
+        self._known_sources: Dict[str, None] = {}
 
     # ------------------------------------------------------------------
     def cycle(self) -> List[StreamRecord]:
@@ -85,7 +86,7 @@ class LogManager:
     def _identify_source(self, payload: Dict) -> str:
         source = payload.get("source") or "unknown"
         if source not in self._known_sources:
-            self._known_sources.append(source)
+            self._known_sources[source] = None
         return source
 
     def sources(self) -> List[str]:

@@ -114,11 +114,6 @@ class ParseOperator:
         self.tokenizer_factory = state["tokenizer_factory"]
         self._metrics = None
 
-    def __call__(
-        self, record: StreamRecord, worker: WorkerContext
-    ) -> List[StreamRecord]:
-        return self.bind(worker)(record)
-
     def bind(
         self, worker: WorkerContext
     ) -> Callable[[StreamRecord], List[StreamRecord]]:
@@ -202,14 +197,6 @@ class SequenceOperator:
         self.expiry_factor = state["expiry_factor"]
         self.min_expiry_millis = state["min_expiry_millis"]
         self._bind_metrics(None)
-
-    def __call__(
-        self,
-        record: StreamRecord,
-        state: StateMap,
-        worker: WorkerContext,
-    ) -> List[StreamRecord]:
-        return self.bind(state, worker)(record)
 
     def bind(
         self, state: StateMap, worker: WorkerContext
@@ -660,8 +647,9 @@ class LogLensService:
     # ------------------------------------------------------------------
     # Driver-side sinks and helpers
     # ------------------------------------------------------------------
-    def _sink_anomaly(self, record: StreamRecord) -> None:
-        self._stage_anomaly(record.value.to_dict())
+    def _sink_anomaly(self, records: List[StreamRecord]) -> None:
+        for record in records:
+            self._stage_anomaly(record.value.to_dict())
 
     def _stage_anomaly(self, doc: Dict[str, Any]) -> None:
         """Stage one anomaly doc for the batched write ending this call."""
@@ -723,20 +711,33 @@ class LogLensService:
         # One storage lock for the whole cycle, not one per record.
         self.log_storage.store_batch(entries)
 
-    def _route_parsed(self, record: StreamRecord) -> None:
-        """The parse stage's one sink: parsed logs are re-keyed by event
-        id for the sequence stage, unparsed ones staged as anomalies.
-        Either way the line's event time is noted for the archive."""
-        value = record.value
-        if isinstance(value, ParsedLog):
-            self._event_times[value.raw] = value.timestamp_millis
-            self._parsed_buffer.append(build_record(
-                value, self._event_key(value), record.source,
-                record.timestamp_millis, False,
-            ))
-        else:
-            self._event_times[value.logs[0]] = value.timestamp_millis
-            self._stage_anomaly(value.to_dict())
+    def _route_parsed(self, records: List[StreamRecord]) -> None:
+        """The parse stage's one sink, called once per bucket: parsed
+        logs are keyed by event id for the sequence stage, unparsed ones
+        staged as anomalies.  Either way each line's event time is noted
+        for the archive."""
+        # The sequence model changes only when seq_ctx.run_batch applies
+        # a publish, so one read of its id routes serves the bucket.
+        id_routes = self._sequence_bv.get_value().id_routes
+        event_times = self._event_times
+        route = self._parsed_buffer.append
+        build = build_record
+        for record in records:
+            value = record.value
+            if isinstance(value, ParsedLog):
+                event_times[value.raw] = value.timestamp_millis
+                key = None
+                for _, fname in id_routes.get(value.pattern_id, ()):
+                    key = value.fields.get(fname)
+                    if key is not None:
+                        break
+                route(build(
+                    value, key, record.source, record.timestamp_millis,
+                    False,
+                ))
+            else:
+                event_times[value.logs[0]] = value.timestamp_millis
+                self._stage_anomaly(value.to_dict())
 
     def _quarantine_parse(self, quarantined: QuarantinedRecord) -> None:
         self._dead_letter(PARSE_STAGE, quarantined)
@@ -766,14 +767,6 @@ class LogLensService:
                 "error_type": quarantined.error_type,
             },
         )
-
-    def _event_key(self, parsed: ParsedLog) -> Optional[str]:
-        model: SequenceModel = self._sequence_bv.get_value()
-        for _, fname in model.id_routes.get(parsed.pattern_id, ()):
-            content = parsed.fields.get(fname)
-            if content is not None:
-                return content
-        return None
 
     # ------------------------------------------------------------------
     # Public control surface

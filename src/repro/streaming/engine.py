@@ -19,8 +19,8 @@ The operator graph supports branching (one node, several children).  A
 partition's micro-batch is the unit of work: each operator node runs over
 the partition's whole bucket, then hands its outputs to each child in
 turn, so sibling branches see the bucket node by node, not record by
-record; per-sink order is the order of the bucket.  An operator that
-defines ``bind`` is bound once per node and bucket (see
+record; a sink is called once with the bucket that reaches it.  An
+operator that defines ``bind`` is bound once per node and bucket (see
 :class:`~repro.streaming.execution.PartitionExecutor`).
 
 **Fault tolerance** (the always-on requirement, Section V): every
@@ -32,7 +32,7 @@ wrapped as :class:`~repro.streaming.retry.QuarantinedRecord` with
 failure metadata, stored on the context, and routed to an optional
 dead-letter sink.  The batch always completes; sibling branches and
 other records are unaffected.  Sinks are driver callbacks, not
-operators: they are called once per record, never retried.  A
+operators: each is called once per non-empty bucket, never retried.  A
 :class:`~repro.faults.FaultPlan` may be installed to inject failures at
 every operator site and at broadcast pulls (see ``docs/FAULT_TOLERANCE.md``).
 """
@@ -42,6 +42,8 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import itemgetter
 from typing import (
     Any,
     Callable,
@@ -131,6 +133,11 @@ class Collector:
         with self._lock:
             self._records.append(record)
 
+    def extend(self, records: Iterable[StreamRecord]) -> None:
+        """Append a whole bucket under one lock acquisition."""
+        with self._lock:
+            self._records.extend(records)
+
     def snapshot(self) -> List[StreamRecord]:
         """A consistent copy of everything collected so far."""
         with self._lock:
@@ -180,12 +187,6 @@ class CollectedRecords(Sequence):
         if isinstance(other, (list, tuple)):
             return self._collector.snapshot() == list(other)
         return NotImplemented
-
-    def __ne__(self, other: Any) -> bool:
-        result = self.__eq__(other)
-        return result if result is NotImplemented else not result
-
-    __hash__ = None  # mutable view; equality is by current contents
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "CollectedRecords(%r)" % (self._collector.snapshot(),)
@@ -266,8 +267,9 @@ class DStream:
         """
         return self._attach("map_with_state", fn)
 
-    def sink(self, fn: Callable[[StreamRecord], None]) -> "DStream":
-        """Terminal side-effecting consumer."""
+    def sink(self, fn: Callable[[List[StreamRecord]], None]) -> "DStream":
+        """Terminal side-effecting consumer, called once per non-empty
+        bucket that reaches it; ``fn`` must not mutate the list."""
         return self._attach("sink", fn)
 
     def collector(self) -> Collector:
@@ -277,7 +279,7 @@ class DStream:
         ``snapshot()`` (consistent copy) or ``drain()`` (copy + clear).
         """
         collector = Collector()
-        self._attach("sink", collector.append)
+        self._attach("sink", collector.extend)
         return collector
 
 
@@ -452,19 +454,20 @@ class StreamingContext:
         buckets = partition_records(records, self.num_partitions)
         for counter, bucket in zip(self._partition_records, buckets):
             counter.inc(len(bucket))
-        # Every partition has been absorbed; now raise the first failure.
-        for error in self._backend.run_batch(buckets):
-            if error is not None:
-                raise error
+        # Every partition runs and is absorbed, so a failing batch counts.
+        errors = self._backend.run_batch(buckets)
         elapsed = time.perf_counter() - started
         self._batch_seconds.observe(elapsed)
         self._records_in.inc(len(records))
-        # run_batch is driver-serialised, so counter deltas are exact.
-        batch_retries = self.metrics.retries - retries_before
-        batch_quarantined = self.metrics.quarantined - quarantined_before
         self.metrics.batches += 1
         self.metrics.records += len(records)
         self.metrics.model_updates += updates
+        for error in errors:
+            if error is not None:
+                raise error
+        # run_batch is driver-serialised, so counter deltas are exact.
+        batch_retries = self.metrics.retries - retries_before
+        batch_quarantined = self.metrics.quarantined - quarantined_before
         return BatchMetrics(
             batch_index=self.metrics.batches - 1,
             records_in=len(records),
@@ -516,11 +519,12 @@ class StreamingContext:
         """Fold one partition's outcome into driver state; both backends
         call this once per partition, in partition order.  Returns the
         partition's exception: its walk's, or the first a replayed sink
-        raised (its later emissions are dropped, as on serial)."""
+        call raised (the later calls are dropped, as on serial)."""
         error = outcome.error
         try:
-            for node_id, record in outcome.emitted:
-                self._nodes[node_id].fn(record)
+            # Each run of one node id is one captured sink call.
+            for node_id, run in groupby(outcome.emitted, key=itemgetter(0)):
+                self._nodes[node_id].fn([record for _, record in run])
         except Exception as exc:
             error = exc
         if outcome.retries:

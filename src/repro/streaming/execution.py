@@ -10,7 +10,7 @@ schedules over is abstracted behind an :class:`ExecutionBackend`:
   :class:`~repro.streaming.engine.WorkerContext` / state maps resident
   across micro-batches; per batch they receive the record bucket plus
   broadcast *deltas* (only values whose version changed since the last
-  sync), and return captured sink emissions, quarantine entries, retry
+  sync), and return captured sink calls, quarantine entries, retry
   counters, and fault-plan/clock bookkeeping which the driver replays
   so observable semantics match serial execution.
 
@@ -30,12 +30,13 @@ driver and the worker processes.  It walks a bucket at a time: each
 operator node runs over the whole bucket that reaches it before its
 children see the outputs.  An operator that defines ``bind`` is bound
 once per bucket, and each record's call runs under the retry loop.
-It calls sink functions directly, once per record; in a worker process
-each sink is a capture function recording ``(node_id, record)`` pairs,
-which the driver replays in partition order — exactly the sink order of
-serial execution.  Each walk returns one :class:`PartitionOutcome`,
-folded into the driver in partition order; a failing partition's
-exception is raised after every partition's fold.
+It calls a sink function directly, once with the whole bucket that
+reaches it; in a worker process each sink is a capture function
+recording the bucket as ``(node_id, record)`` pairs, which the driver
+replays as one call per captured bucket in partition order — exactly
+the sink calls of serial execution.  Each walk returns one
+:class:`PartitionOutcome`, folded into the driver in partition order; a
+failing partition's exception is raised after every partition's fold.
 
 See ``docs/PARALLELISM.md`` for the protocol and its determinism
 caveats.
@@ -93,7 +94,8 @@ class PartitionOutcome:
 
     partition_id: int
     #: ``(node_id, record)`` sink emissions a worker process captured, in
-    #: execution order (the serial walk calls its sinks inline).
+    #: execution order (the serial walk calls its sinks inline); each run
+    #: of one node id is one sink call, as a walk reaches a sink once.
     emitted: List[Tuple[int, StreamRecord]] = field(default_factory=list)
     quarantined: List[QuarantinedRecord] = field(default_factory=list)
     retries: int = 0
@@ -114,9 +116,9 @@ class PartitionExecutor:
 
     The bucket is the unit of work.  Each operator node runs over every
     record that reaches it and collects the outputs into one list, then
-    hands that list to each child in turn; a sink is called once per
-    record, directly: no fault site, retry or quarantine.  A node that
-    raises part-way hands its children what it produced before the
+    hands that list to each child in turn; a sink is called once with
+    that list, directly: no fault site, retry or quarantine.  A node
+    that raises part-way hands its children what it produced before the
     failing record, then re-raises; its upstream nodes have already run
     the whole bucket, and its later siblings run nothing.
     :meth:`run_partition` returns the exception that stopped the walk in
@@ -169,9 +171,7 @@ class PartitionExecutor:
         if not records:
             return
         if node.kind == "sink":
-            fn = node.fn
-            for record in records:
-                fn(record)
+            node.fn(records)
             return
         call = None
 
@@ -412,8 +412,8 @@ def _graph_spec(roots: List[Any]) -> List[Any]:
     return [spec(root) for root in roots]
 
 
-def _capture(emitted: List[Any], node_id: int, record: Any) -> None:
-    emitted.append((node_id, record))
+def _capture(emitted: List[Any], node_id: int, records: Any) -> None:
+    emitted.extend([(node_id, record) for record in records])
 
 
 def _graph_from_spec(

@@ -8,6 +8,8 @@ batch starts clean on both backends.  Operators live at module level so
 ``spawn`` worker processes can unpickle them by import.
 """
 
+from functools import partial
+
 import pytest
 
 from repro.errors import QuarantinedRecordError
@@ -77,10 +79,11 @@ class TestRaisingSink:
         )
         calls = []
 
-        def sink(record):
-            calls.append(record.value)
-            if record.value == failing:
-                raise ValueError("sink failed")
+        def sink(records):
+            for record in records:
+                calls.append(record.value)
+                if record.value == failing:
+                    raise ValueError("sink failed")
 
         ctx.source().map(identity).sink(sink)
         records, buckets = batch(ctx, "a")
@@ -161,3 +164,41 @@ class TestFailingBatch:
             assert ctx.retries_total == ctx.metrics.retries == 0
         finally:
             ctx.shutdown()
+
+
+def driver_value_on_worker(bv, worker):
+    return bv.get_value(worker.block_manager)
+
+
+@pytest.mark.parametrize("execution", BACKENDS)
+def test_failing_batch_is_counted(execution):
+    """Every partition of a failing batch ran and was absorbed, and its
+    queued model update was applied, so the batch counts like any other."""
+    registry = MetricsRegistry()
+    ctx = make_ctx(execution, metrics=registry)
+    model = ctx.broadcast("model-v1")
+    out = ctx.source().map(boom_on_poison).collector()
+    records, buckets = batch(ctx, "c", n=5)
+    records = poison_last_of_partition_0(records, buckets)
+    ctx.rebroadcast(model, "model-v2")
+    try:
+        with pytest.raises(RuntimeError, match="poisoned record"):
+            ctx.run_batch(records)
+        assert [
+            ctx.call_partition(pid, partial(driver_value_on_worker, model))
+            for pid in range(ctx.num_partitions)
+        ] == ["model-v2", "model-v2"]
+        assert len(out.clear()) == 4
+        assert ctx.metrics.batches == 1
+        assert ctx.metrics.records == 5
+        assert ctx.metrics.model_updates == 1
+        assert registry.counter("engine.records").value == 5
+        assert registry.histogram("engine.batch_seconds").count == 1
+        assert sum(
+            registry.counter(
+                "engine.partition_records", partition=str(pid)
+            ).value
+            for pid in range(ctx.num_partitions)
+        ) == 5
+    finally:
+        ctx.shutdown()

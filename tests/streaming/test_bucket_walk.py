@@ -13,6 +13,7 @@ Operators live at module level so ``spawn`` worker processes can
 unpickle them by import.
 """
 
+from dataclasses import replace
 from functools import partial
 
 import pytest
@@ -20,6 +21,10 @@ import pytest
 from repro.errors import ExecutionError, QuarantinedRecordError
 from repro.faults import FaultPlan, ManualClock
 from repro.obs import MetricsRegistry
+from repro.sequence.model import SequenceModel
+from repro.service.config import ServiceConfig
+from repro.service.loglens_service import LogLensService
+from repro.service.model_manager import SEQUENCE_MODEL
 from repro.streaming import (
     EXECUTION_BACKENDS,
     RetryPolicy,
@@ -127,10 +132,11 @@ def test_raising_sink_keeps_upstream_quarantines_of_later_records(
     ctx = make_ctx(execution, max_attempts=1, on_exhaust="quarantine")
     delivered = []
 
-    def sink(record):
-        if record.value == "v1":
-            raise ValueError("sink failed on v1")
-        delivered.append(record.value)
+    def sink(records):
+        for record in records:
+            if record.value == "v1":
+                raise ValueError("sink failed on v1")
+            delivered.append(record.value)
 
     ctx.source().map(quarantine_v3).sink(sink)
     try:
@@ -256,3 +262,153 @@ def test_unpicklable_walk_exception_keeps_partial_outcome(execution):
         assert [r.value for r in out.clear()] == ["v4"]
     finally:
         ctx.shutdown()
+
+
+# ----------------------------------------------------------------------
+# Sinks take the bucket: the same calls on both backends
+# ----------------------------------------------------------------------
+def fail_on_boom(record, worker):
+    if record.value == "boom":
+        raise StageFailure("operator failed on boom")
+    return record
+
+
+def twice(record, worker):
+    return [record, StreamRecord(record.value + "'", key=record.key)]
+
+
+def sink_calls_of(execution):
+    """Run a branching graph with two sinks over three partitions:
+
+    source -> fail_on_boom -> [first sink, twice -> second sink]
+
+    Batch 1 makes partition 0's operator raise on ``boom`` and the first
+    sink raise part-way through partition 1's bucket; batch 2 is clean.
+    Returns each sink call as ``(sink, bucket values)``, in call order,
+    plus what each batch raised.
+    """
+    ctx = StreamingContext(
+        num_partitions=3, metrics=MetricsRegistry(), execution=execution
+    )
+    calls = []
+
+    def first(records):
+        values = [r.value for r in records]
+        calls.append(("first", values))
+        for value in values:
+            if value == "sink-fail":
+                raise ValueError("first sink failed part-way")
+
+    def second(records):
+        calls.append(("second", [r.value for r in records]))
+
+    checked = ctx.source().map(fail_on_boom)
+    checked.sink(first)
+    checked.flat_map(twice).sink(second)
+    keys = ["k%d" % i for i in range(12)]
+    buckets = partition_records(
+        [StreamRecord(k, key=k) for k in keys], ctx.num_partitions
+    )
+    assert all(len(bucket) >= 3 for bucket in buckets)
+    # Partition 0's second record is the operator failure; partition 1's
+    # second record makes the first sink raise.
+    failures = {bucket[1].key: value
+                for bucket, value in zip(buckets, ["boom", "sink-fail"])}
+
+    def batch(tag, special):
+        return [
+            StreamRecord(special.get(k, "%s-%s" % (tag, k)), key=k)
+            for k in keys
+        ]
+
+    raised = []
+    try:
+        for records in (batch("b1", failures), batch("b2", {})):
+            try:
+                ctx.run_batch(records)
+                raised.append(None)
+            except Exception as exc:  # noqa: BLE001 - compared below
+                raised.append((type(exc).__name__, str(exc)))
+    finally:
+        ctx.shutdown()
+    return calls, raised
+
+
+def test_sink_calls_are_identical_across_backends():
+    serial_calls, serial_raised = sink_calls_of("serial")
+    assert sink_calls_of("processes") == (serial_calls, serial_raised)
+    # The lowest-numbered failing partition's exception leaves the batch;
+    # the next batch is clean.
+    assert serial_raised == [
+        ("StageFailure", "operator failed on boom"), None,
+    ]
+    sinks = [sink for sink, _ in serial_calls]
+    # Batch 1: partition 0 hands both sinks the record before boom;
+    # partition 1's first sink gets its whole bucket and raises, so its
+    # second sink is never called; partition 2 runs clean.  Batch 2:
+    # every partition calls both sinks.
+    assert sinks == ["first", "second", "first",
+                     "first", "second"] + ["first", "second"] * 3
+    assert len(serial_calls[0][1]) == 1
+    assert len(serial_calls[1][1]) == 2
+    assert "sink-fail" in serial_calls[2][1]
+    assert serial_calls[2][1].index("sink-fail") < len(serial_calls[2][1]) - 1
+
+
+# ----------------------------------------------------------------------
+# The stage hop routes by the live sequence model
+# ----------------------------------------------------------------------
+def flow_lines(eid, minute):
+    return [
+        "2016/05/09 10:%02d:01 gate OPEN flow %s from 10.0.0.9"
+        % (minute, eid),
+        "2016/05/09 10:%02d:03 relay forwarding flow %s bytes %d"
+        % (minute, eid, 5_000_000 + minute),
+        "2016/05/09 10:%02d:09 gate CLOSE flow %s status done"
+        % (minute, eid),
+    ]
+
+
+@pytest.mark.parametrize("execution", BACKENDS)
+def test_publish_rekeys_the_next_steps_parsed_records(execution):
+    service = LogLensService(config=ServiceConfig(
+        num_partitions=2, metrics=MetricsRegistry(), execution=execution,
+    ))
+    keys_per_step = []
+    run_sequence_batch = service.seq_ctx.run_batch
+
+    def spy(records):
+        keys = [r.key for r in records if not r.is_heartbeat]
+        if keys:
+            keys_per_step.append(keys)
+        return run_sequence_batch(records)
+
+    try:
+        service.train(
+            [line for i in range(12) for line in flow_lines("fl-%d" % i, i)]
+        )
+        service.seq_ctx.run_batch = spy
+        service.ingest(flow_lines("fl-a", 30), source="app")
+        service.step()
+        # Re-key the open and forward patterns by their third field; the
+        # close pattern gets no id field.
+        model = service._sequence_bv.get_value()
+        rekeyed = SequenceModel(
+            [
+                replace(a, id_fields={
+                    pid: "P%dF3" % pid for pid in a.id_fields if pid != 3
+                })
+                for a in model.automata
+            ],
+            version=model.version + 1,
+        )
+        service.model_controller.update(SEQUENCE_MODEL, rekeyed.to_dict())
+        service.flush_model_updates()
+        service.ingest(flow_lines("fl-b", 31), source="app")
+        service.step()
+    finally:
+        service.close()
+    assert keys_per_step == [
+        ["fl-a", "fl-a", "fl-a"],
+        ["10.0.0.9", "5000031", None],
+    ]

@@ -69,7 +69,7 @@ class TestGraphExecution:
     def test_sink(self):
         ctx = StreamingContext(num_partitions=1)
         seen = []
-        ctx.source().sink(lambda r: seen.append(r.value))
+        ctx.source().sink(lambda rs: seen.extend(r.value for r in rs))
         ctx.run_batch(records(7, 8))
         assert seen == [7, 8]
 
