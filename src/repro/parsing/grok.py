@@ -29,6 +29,7 @@ from .tokenizer import TokenizedLog
 __all__ = ["Literal", "Field", "GrokElement", "GrokPattern", "CompiledGrok"]
 
 _FIELD_RE = re.compile(r"%\{(?P<type>[A-Z0-9_]+)(?::(?P<name>[^}]+))?\}\Z")
+_WILDCARD = "ANYDATA"
 
 
 @dataclass(frozen=True)
@@ -80,9 +81,15 @@ class GrokPattern:
         self.registry = registry if registry is not None else DEFAULT_REGISTRY
         self._signature: Optional[str] = None
         self._signature_tokens: Optional[Tuple[str, ...]] = None
-        self._has_wildcard = any(
-            isinstance(e, Field) and e.datatype == "ANYDATA"
+        # The match plan: one ``(field name, datatype)`` pair per field
+        # and ``(None, text)`` per literal, so matching reads two tuple
+        # slots per element instead of dispatching on the element class.
+        self._plan: Tuple[Tuple[Optional[str], str], ...] = tuple(
+            (e.name, e.datatype) if isinstance(e, Field) else (None, e.text)
             for e in self.elements
+        )
+        self._has_wildcard = any(
+            name is not None and want == _WILDCARD for name, want in self._plan
         )
 
     # ------------------------------------------------------------------
@@ -190,60 +197,59 @@ class GrokPattern:
         absorption is preferred so trailing structure still binds.
         """
         texts = log.texts
-        if not self._has_wildcard:
-            if len(texts) != len(self.elements):
+        if self._has_wildcard:
+            return self._match_wildcard(texts, log.datatypes)
+        plan = self._plan
+        if len(texts) != len(plan):
+            return None
+        out: Dict[str, str] = {}
+        for text, datatype, (name, want) in zip(texts, log.datatypes, plan):
+            if name is None:
+                if text != want:
+                    return None
+            elif datatype == want or self._field_accepts(want, text, datatype):
+                out[name] = text
+            else:
                 return None
-            out: Dict[str, str] = {}
-            for text, datatype, elem in zip(
-                texts, log.datatypes, self.elements
-            ):
-                if isinstance(elem, Literal):
-                    if text != elem.text:
-                        return None
-                else:
-                    if not self._field_accepts(elem, text, datatype):
-                        return None
-                    out[elem.name] = text
-            return out
-        return self._match_wildcard(texts, log.datatypes)
+        return out
 
-    def _field_accepts(self, elem: Field, text: str, datatype: str) -> bool:
-        if self.registry.is_covered(datatype, elem.datatype):
+    def _field_accepts(self, want: str, text: str, datatype: str) -> bool:
+        """Can a token of ``datatype`` fill a field declared ``want``?"""
+        registry = self.registry
+        if registry.is_covered(datatype, want):
             return True
         # The token's inferred type is not in the declared lattice under
         # the field type; fall back to a direct regex check (covers custom
         # or user-edited datatypes).
-        if elem.datatype in self.registry:
-            return self.registry.matches(text, elem.datatype)
-        return False
+        return want in registry and registry.matches(text, want)
 
     def _match_wildcard(
         self, texts: Sequence[str], datatypes: Sequence[str]
     ) -> Optional[Dict[str, str]]:
-        elements = self.elements
-        n, m = len(texts), len(elements)
+        plan = self._plan
+        n, m = len(texts), len(plan)
         # T[i][j]: tokens[:i] matched by elements[:j] (Algorithm 1 shape,
         # over concrete tokens rather than signatures).
         T = [[False] * (m + 1) for _ in range(n + 1)]
         T[0][0] = True
-        for j in range(1, m + 1):
-            elem = elements[j - 1]
-            if isinstance(elem, Field) and elem.datatype == "ANYDATA":
+        for j, (name, want) in enumerate(plan, 1):
+            if name is not None and want == _WILDCARD:
                 T[0][j] = T[0][j - 1]
             else:
                 break
         for i in range(1, n + 1):
             text = texts[i - 1]
             datatype = datatypes[i - 1]
-            for j in range(1, m + 1):
-                elem = elements[j - 1]
-                if isinstance(elem, Field) and elem.datatype == "ANYDATA":
-                    T[i][j] = T[i - 1][j] or T[i][j - 1]
-                elif isinstance(elem, Literal):
-                    T[i][j] = T[i - 1][j - 1] and text == elem.text
+            above, row = T[i - 1], T[i]
+            for j, (name, want) in enumerate(plan, 1):
+                if name is None:
+                    row[j] = above[j - 1] and text == want
+                elif want == _WILDCARD:
+                    row[j] = above[j] or row[j - 1]
                 else:
-                    T[i][j] = T[i - 1][j - 1] and self._field_accepts(
-                        elem, text, datatype
+                    row[j] = above[j - 1] and (
+                        datatype == want
+                        or self._field_accepts(want, text, datatype)
                     )
         if not T[n][m]:
             return None
@@ -259,26 +265,24 @@ class GrokPattern:
         as little as possible — the same assignment a lazy ``.*?`` regex
         produces, keeping both matching engines consistent.
         """
+        plan = self._plan
         out: Dict[str, str] = {}
-        i, j = len(texts), len(self.elements)
-        wildcard_bounds: Dict[int, List[int]] = {}
+        i, j = len(texts), len(plan)
+        wildcard_bounds: Dict[str, List[int]] = {}
         while j > 0:
-            elem = self.elements[j - 1]
-            if isinstance(elem, Field) and elem.datatype == "ANYDATA":
+            name, want = plan[j - 1]
+            if name is not None and want == _WILDCARD:
                 end = i
                 while i > 0 and T[i - 1][j]:
                     i -= 1
-                wildcard_bounds[j - 1] = [i, end]
-                j -= 1
+                wildcard_bounds[name] = [i, end]
             else:
-                if isinstance(elem, Field):
-                    out[elem.name] = texts[i - 1]
+                if name is not None:
+                    out[name] = texts[i - 1]
                 i -= 1
-                j -= 1
-        for idx, (start, end) in wildcard_bounds.items():
-            elem = self.elements[idx]
-            assert isinstance(elem, Field)
-            out[elem.name] = " ".join(texts[start:end])
+            j -= 1
+        for name, (start, end) in wildcard_bounds.items():
+            out[name] = " ".join(texts[start:end])
         return out
 
     # ------------------------------------------------------------------

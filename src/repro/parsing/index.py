@@ -5,23 +5,28 @@ patterns and n logs.  LogLens reduces the amortised per-log cost to O(1)
 with a hash index keyed by *log-signature* (paper, Section III-B):
 
 1. **Finding** — compute the log's signature and probe the index.
-2. **Building** — on a miss, compare the signature against every
-   pattern-signature with Algorithm 1, collect all candidates, sort them
-   most-specific-first (ascending datatype generality, then token length),
-   and memoise the group — even when it is empty, so repeated unparseable
-   shapes stay O(1).
+2. **Building** — on a miss, collect every pattern whose signature can
+   parse the log's (Algorithm 1), most-specific-first (ascending datatype
+   generality, then token length), and memoise the group — even when it
+   is empty, so repeated unparseable shapes stay O(1).
 3. **Scanning** — try the group's patterns in order until one parses the
    log.
 
 Because distinct log *shapes* are few (thousands) while logs are many
 (millions), almost every probe is a hit.
 
-Group building itself is narrowed twice before Algorithm 1 runs: a
-wildcard-free pattern of k tokens can never parse a log of a different
-length (the by-length table), and its first signature datatype must cover
-the log's first datatype (the first-token dispatch table), so lookups
-skip non-candidate groups of patterns entirely.  Wildcard patterns match
-any shape and are always checked.
+Building a group scans no patterns either.  At the first build the index
+numbers its patterns once, in scan order — ``generality_key()``, then
+wildcard-free before wildcard, then list order — and precomputes
+Python-int bitmasks over those numbers: one per wildcard-free pattern
+length, and one per (position, log datatype) holding the patterns whose
+signature datatype at that position equals or covers the log's.  A
+wildcard-free pattern of k tokens can only parse a log of k tokens whose
+datatypes it covers position by position, so those candidates are the
+length mask ANDed with one mask per token, stopping at zero.  Wildcard
+patterns match any shape; each adds its bit when Algorithm 1's dynamic
+program matches.  Decoding the set bits in ascending order yields the
+group already sorted.
 
 Several threads may share one index through a shared parser, so group
 building/memoisation is guarded by a lock.  The fast path — probing an
@@ -34,8 +39,9 @@ locked ``inc(n)`` per counter.
 
 from __future__ import annotations
 
+import copy
 import threading
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..obs import MetricsRegistry, get_registry
 from .datatypes import DatatypeRegistry, DEFAULT_REGISTRY
@@ -49,17 +55,25 @@ __all__ = ["PatternIndex"]
 class PatternIndex:
     """Signature-keyed index over a fixed set of GROK patterns.
 
-    The index is cheap to construct (pattern signatures are computed
-    lazily and groups are built on demand), so model updates simply build
-    a fresh index — this is what gets rebroadcast to streaming workers.
+    The index is cheap to construct (the ranks and masks are computed at
+    the first group build and groups are built on demand), so model
+    updates simply build a fresh index — this is what gets rebroadcast to
+    streaming workers.
+
+    The first group build snapshots the datatype registry: it copies it,
+    and the masks and every later Algorithm 1 run read only that copy.
+    The index is therefore a function of its patterns and of the registry
+    as it stood at the first build; a later registry edit reaches parsing
+    through the next published model, whose index is new.  A log datatype
+    the snapshot does not know matches only a pattern datatype of the
+    same name.
 
     Thread-safety: concurrent lookups are safe.  Memoised-group probes
     never take the lock; group building is serialised by ``_lock`` so two
-    workers racing on the same unseen signature build it once and the
-    ``_by_length``/``_wildcards``/dispatch side tables are published
-    exactly once.  Counts are exact at quiescence: :meth:`lookup` counts
-    into its own tally and publishes it before returning, and a parser
-    hands its own tally to :meth:`_lookup`.
+    workers racing on the same unseen signature build it once, and the
+    snapshot is taken exactly once.  Counts are exact at quiescence:
+    :meth:`lookup` counts into its own tally and publishes it before
+    returning, and a parser hands its own tally to :meth:`_lookup`.
     """
 
     def __init__(
@@ -82,15 +96,13 @@ class PatternIndex:
             "index.group_build_seconds"
         )
         self._lock = threading.Lock()
-        # Group building only needs to compare signatures of compatible
-        # length and first datatype; see the module docstring.  Each
-        # ``_by_length`` entry pairs the pattern with its first signature
-        # datatype; ``_dispatch`` memoises the per-(length, first) pool.
-        self._by_length: Optional[
-            Dict[int, List[Tuple[GrokPattern, str]]]
-        ] = None
-        self._wildcards: List[GrokPattern] = []
-        self._dispatch: Dict[Tuple[int, str], List[GrokPattern]] = {}
+        # The snapshot (see :meth:`_snapshot`), taken at the first build.
+        # Bit b of every mask stands for ``_ranked[b]``.
+        self._snapshot_registry: Optional[DatatypeRegistry] = None
+        self._ranked: List[GrokPattern] = []
+        self._length_masks: Dict[int, int] = {}
+        self._position_masks: List[Dict[str, int]] = []
+        self._wildcards: List[Tuple[int, Tuple[str, ...]]] = []
 
     def __len__(self) -> int:
         return len(self.patterns)
@@ -151,70 +163,83 @@ class PatternIndex:
                 return group
             self._group_builds.inc()
             with self._build_seconds.time():
-                if self._by_length is None:
-                    self._index_by_length()
-                assert self._by_length is not None
+                if self._snapshot_registry is None:
+                    self._snapshot()
                 parts = signature.split()
-                candidates: List[GrokPattern] = []
-                compared = 0
-                registry = self.registry
-                for pattern in self._dispatch_pool(parts):
-                    compared += 1
-                    if is_matched_tokens(
-                        parts, pattern.signature_tokens(), registry
-                    ):
-                        candidates.append(pattern)
-                for pattern in self._wildcards:
-                    compared += 1
-                    if is_matched_tokens(
-                        parts, pattern.signature_tokens(), registry
-                    ):
-                        candidates.append(pattern)
-                if compared:
-                    self._signature_comparisons.inc(compared)
-                candidates.sort(key=GrokPattern.generality_key)
+                # A signature longer than every pattern has a zero length
+                # mask, so ``zip`` stopping at the last position is safe.
+                mask = self._length_masks.get(len(parts), 0)
+                for masks, datatype in zip(self._position_masks, parts):
+                    if not mask:
+                        break
+                    mask &= masks.get(datatype, 0)
+                registry = self._snapshot_registry
+                for bit, tokens in self._wildcards:
+                    if is_matched_tokens(parts, tokens, registry):
+                        mask |= 1 << bit
+                if self._wildcards:
+                    self._signature_comparisons.inc(len(self._wildcards))
+                ranked = self._ranked
+                group = []
+                while mask:
+                    low = mask & -mask
+                    group.append(ranked[low.bit_length() - 1])
+                    mask ^= low
                 # Empty groups are memoised too: a recurring unparseable
                 # shape must not trigger a full rescan per log.
-                self._groups[signature] = candidates
-            return candidates
+                self._groups[signature] = group
+            return group
 
-    def _dispatch_pool(self, parts: List[str]) -> List[GrokPattern]:
-        """Wildcard-free patterns whose shape could match ``parts``.
+    def _snapshot(self) -> None:
+        """Copy the registry, rank the patterns and precompute the masks.
 
-        Pools are memoised per ``(length, first datatype)``: a pattern
-        survives the filter only when its first signature datatype equals
-        or covers the log's first datatype, so Algorithm 1 never runs
-        against patterns that cannot match (paper's "finding" step, made
-        sub-linear in the pattern count).  Called with ``_lock`` held.
+        Called once, with ``_lock`` held.  Ranks follow the scan order so
+        that ascending bits decode to a sorted group.
         """
-        if not parts:
-            return []
-        assert self._by_length is not None
-        length = len(parts)
-        first = parts[0]
-        key = (length, first)
-        pool = self._dispatch.get(key)
-        if pool is None:
-            is_covered = self.registry.is_covered
-            pool = [
-                pattern
-                for pattern, pattern_first in self._by_length.get(length, ())
-                if first == pattern_first or is_covered(first, pattern_first)
-            ]
-            self._dispatch[key] = pool
-        return pool
-
-    def _index_by_length(self) -> None:
-        by_length: Dict[int, List[Tuple[GrokPattern, str]]] = {}
-        wildcards: List[GrokPattern] = []
-        for pattern in self.patterns:
+        registry = copy.deepcopy(self.registry)
+        patterns = self.patterns
+        order = sorted(
+            range(len(patterns)),
+            key=lambda k: (
+                patterns[k].generality_key(), patterns[k].has_wildcard, k
+            ),
+        )
+        ranked = [patterns[k] for k in order]
+        lengths: Dict[int, int] = {}
+        # by_type[i][t]: wildcard-free patterns whose datatype at i is t.
+        by_type: List[Dict[str, int]] = []
+        wildcards: List[Tuple[int, Tuple[str, ...]]] = []
+        for bit, pattern in enumerate(ranked):
+            tokens = pattern.signature_tokens()
             if pattern.has_wildcard:
-                wildcards.append(pattern)
-            else:
-                tokens = pattern.signature_tokens()
-                first = tokens[0] if tokens else ""
-                by_length.setdefault(len(tokens), []).append(
-                    (pattern, first)
-                )
+                wildcards.append((bit, tokens))
+                continue
+            if not tokens:
+                # An empty log gets no wildcard-free candidate.
+                continue
+            flag = 1 << bit
+            lengths[len(tokens)] = lengths.get(len(tokens), 0) | flag
+            for i, datatype in enumerate(tokens):
+                if i == len(by_type):
+                    by_type.append({})
+                by_type[i][datatype] = by_type[i].get(datatype, 0) | flag
+        # A pattern datatype accepts every log datatype it equals or
+        # covers; a name the registry does not know accepts only itself.
+        pattern_types: Set[str] = set().union(*by_type)
+        known = pattern_types.union(registry.names())
+        accepts = {
+            wide: [n for n in known if registry.is_covered(n, wide)]
+            for wide in pattern_types
+        }
+        position_masks: List[Dict[str, int]] = []
+        for masks in by_type:
+            widened: Dict[str, int] = {}
+            for wide, flags in masks.items():
+                for narrow in accepts[wide]:
+                    widened[narrow] = widened.get(narrow, 0) | flags
+            position_masks.append(widened)
+        self._ranked = ranked
+        self._length_masks = lengths
+        self._position_masks = position_masks
         self._wildcards = wildcards
-        self._by_length = by_length
+        self._snapshot_registry = registry

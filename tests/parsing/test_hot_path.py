@@ -3,7 +3,7 @@
 These tests freeze the *observable* behavior of the optimized tokenizer,
 index, and parser: slot-based tokens must compare/hash like the old
 dataclass values, counts published per batch or per service step must
-equal the counts published per line, and the first-token dispatch table
+equal the counts published per line, and the index's bitset group build
 must never change which pattern claims a log.
 """
 
@@ -228,15 +228,14 @@ class TestDispatchTableEquivalence:
                 "%{NUMBER:Code} ERROR", pattern_id=2
             ),
         ]
-        index = PatternIndex(patterns)
+        metrics = MetricsRegistry()
+        index = PatternIndex(patterns, metrics=metrics)
         log = Tokenizer(timestamp_detector=None).tokenize("ERROR 500")
         group = index.candidate_group(log)
         assert [p.pattern_id for p in group] == [1]
-        # The dispatch pool for this shape excluded the reversed pattern
-        # before Algorithm 1 even ran.
-        key = (2, log.tokens[0].datatype)
-        pool = index._dispatch[key]
-        assert patterns[1] not in pool
+        # The position masks excluded the reversed pattern: Algorithm 1
+        # never ran.
+        assert metrics.counter("index.signature_comparisons").value == 0
 
 
 class TestCompiledFormatCache:

@@ -47,10 +47,15 @@ class TestLookup:
         metrics = MetricsRegistry()
         index = PatternIndex(patterns("%{WORD:w} login"), metrics=metrics)
         comparisons = metrics.counter("index.signature_comparisons")
+        builds = metrics.counter("index.group_builds")
         index.lookup(tl("a b c d"))
         before = comparisons.value
+        built = builds.value
         index.lookup(tl("e f g h"))
         assert comparisons.value == before
+        # Algorithm 1 runs only for wildcard patterns, so the comparison
+        # count alone would pass here without memoisation.
+        assert builds.value == built
 
     def test_most_specific_pattern_wins(self):
         """Section III-B step 2: groups sorted ascending by generality."""

@@ -3,12 +3,14 @@
 One *shared* ``FastLogParser`` driven by many plain threads: every
 thread races on the same ``PatternIndex`` (group builds/memoisation) and
 the same registry counters — the locks exist because callers may share a
-parser across threads.  The engine half runs many batches ×
-rebroadcasts on both execution backends and pins the invariants the
-scheduler must keep — no record lost to ``zip`` truncation, per-partition
-counters summing to the input.
+parser across threads.  A cold ``PatternIndex`` raced by eight threads
+must take its rank-and-mask snapshot once and build each group once.
+The engine half runs many batches × rebroadcasts on both execution
+backends and pins the invariants the scheduler must keep — no record
+lost to ``zip`` truncation, per-partition counters summing to the input.
 """
 
+import itertools
 import sys
 import threading
 
@@ -16,8 +18,9 @@ import pytest
 
 from repro.obs import MetricsRegistry, NullRegistry
 from repro.parsing.grok import GrokPattern
+from repro.parsing.index import PatternIndex
 from repro.parsing.parser import FastLogParser, PatternModel
-from repro.parsing.tokenizer import Tokenizer
+from repro.parsing.tokenizer import TokenizedLog, Tokenizer
 from repro.service.loglens_service import ParseOperator
 from repro.streaming import EXECUTION_BACKENDS
 from repro.streaming.engine import Collector, StreamingContext
@@ -213,6 +216,74 @@ class TestMixedCallStress:
                     == reference.counter(name).value
                 ), name
         assert metrics.counter("tokenizer.logs").value == MIXED_LINES
+
+
+COLD_THREADS = 8
+COLD_TYPES = ("WORD", "NUMBER", "IP", "NOTSPACE")
+
+
+def _cold_logs():
+    """One log per distinct signature: every datatype sequence of one to
+    three tokens (84 shapes)."""
+    return [
+        TokenizedLog(" ".join(shape), list(shape), list(shape))
+        for n in (1, 2, 3)
+        for shape in itertools.product(COLD_TYPES, repeat=n)
+    ]
+
+
+class TestColdIndexRace:
+    def test_cold_index_snapshot_once_groups_exact(self):
+        """Eight threads race on a fresh index, each looking up every
+        distinct signature in its own order: the rank-and-mask snapshot
+        is taken once, each group is built once, and every group equals
+        a serial build's."""
+        patterns = _model().patterns + [
+            GrokPattern.from_string(e, pattern_id=i + 4)
+            for i, e in enumerate(
+                ["%{WORD:w} %{ANYDATA:rest}", "%{NOTSPACE:a} %{NUMBER:n}"]
+            )
+        ]
+        logs = _cold_logs()
+        assert len({log.signature for log in logs}) == len(logs)
+        metrics = MetricsRegistry()
+        index = PatternIndex(patterns, metrics=metrics)
+        snapshots = []
+        take_snapshot = index._snapshot
+
+        def counted_snapshot():
+            snapshots.append(threading.get_ident())
+            take_snapshot()
+
+        index._snapshot = counted_snapshot
+        barrier = threading.Barrier(COLD_THREADS)
+
+        def drive(offset):
+            barrier.wait(timeout=30)
+            for log in logs[offset:] + logs[:offset]:
+                index.lookup(log)
+
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=drive, args=(i * 11,))
+                for i in range(COLD_THREADS)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(switch_interval)
+
+        assert len(snapshots) == 1
+        assert metrics.counter("index.group_builds").value == len(logs)
+        serial = PatternIndex(patterns, metrics=MetricsRegistry())
+        groups = [serial.candidate_group(log) for log in logs]
+        assert any(groups)
+        assert [index.candidate_group(log) for log in logs] == groups
 
 
 class TestEngineRecordAccounting:
