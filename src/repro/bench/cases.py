@@ -60,11 +60,13 @@ Primary cases (each emits one ``BENCH_<case>.json``):
 ``engine_serial`` / ``engine_shm``
     The same full-size parser workload pushed through a
     :class:`~repro.streaming.engine.StreamingContext` micro-batch on the
-    serial backend versus the process backend (columnar frames through
-    shared-memory arenas): identical records, identical operator graph,
-    only the backend differs.  Worker processes are started and warmed
-    during setup, so the timed samples measure steady-state batches,
-    not spawn cost.  The ``engine_batch_records`` param (0 = one batch)
+    serial backend versus the process backend (columnar frames inside
+    the pipe messages): identical records, identical operator graph,
+    only the backend differs.  The ``engine_shm`` name and its
+    ``transport`` param predate the removal of the shared-memory
+    arenas; baselines and tests key on both.  Worker processes are
+    started and warmed during setup, so the timed samples measure
+    steady-state batches, not spawn cost.  The ``engine_batch_records`` param (0 = one batch)
     splits the workload into fixed-size micro-batches for batch-size
     sweeps: ``loglens bench --case engine_shm --set
     engine_batch_records=256``.

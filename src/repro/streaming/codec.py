@@ -6,9 +6,11 @@ the driver pays it encoding, the worker pays it again decoding, every
 micro-batch, both directions.  This codec encodes a whole bucket as
 **field arrays** in one ``bytes`` frame instead: all keys as one string
 column, all timestamps as one integer column, all values as one typed
-column.  Decoding is lazy — records materialise one at a time from
-``memoryview`` slices while the worker walks the bucket, so the frame
-is never copied wholesale.
+column.  The frame rides the pipe as ``bytes`` inside the backend's
+batch message (and its reply).  Decoding reads each column off
+``memoryview`` slices of the frame, then builds the bucket's records
+in one pass into a plain list; nothing decoded refers back to the
+frame.
 
 Column layouts (all integers native-endian, written on the same host
 that reads them):
@@ -37,7 +39,7 @@ import pickle
 import struct
 from array import array
 from itertools import accumulate
-from typing import Any, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from ..errors import ExecutionError
 from ..parsing.parser import ParsedLog
@@ -48,8 +50,6 @@ __all__ = [
     "decode_records",
     "encode_emits",
     "decode_emits",
-    "DecodedRecords",
-    "DecodedEmits",
 ]
 
 _FRAME = struct.Struct("<4sBI")  # magic, frame kind, record count
@@ -266,7 +266,7 @@ def encode_emits(
 
 
 # ----------------------------------------------------------------------
-# Readers: cursor over a memoryview; per-record decode is lazy
+# Readers: cursor over a memoryview of the frame
 # ----------------------------------------------------------------------
 class _Cursor:
     __slots__ = ("buf", "pos")
@@ -455,97 +455,24 @@ def _open_frame(buf: Any, expected_kind: int) -> Tuple[_Cursor, int]:
     return _Cursor(view, _FRAME.size), count
 
 
-class _RecordColumns(Sequence):
-    """Record columns parsed from an open cursor."""
-
-    __slots__ = ("_count", "_keys", "_sources", "_timestamps",
-                 "_heartbeats", "_values")
-
-    def __init__(self, cur: _Cursor, count: int) -> None:
-        self._count = count
-        self._keys = _get_opt_str_column(cur, count)
-        self._sources = _get_opt_str_column(cur, count)
-        self._timestamps = _get_opt_i64_column(cur, count)
-        self._heartbeats = _get_bool_column(cur, count)
-        self._values = _get_value_column(cur, count)
-
-    def release(self) -> None:
-        """Drop decoded columns to free references promptly."""
-        self._keys = self._sources = self._timestamps = []
-        self._heartbeats = self._values = []
-        self._count = 0
-
-    def __len__(self) -> int:
-        return self._count
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(self._count))]
-        if index < 0:
-            index += self._count
-        if not 0 <= index < self._count:
-            raise IndexError(index)
-        return build_record(
-            self._values[index],
-            self._keys[index],
-            self._sources[index],
-            self._timestamps[index],
-            self._heartbeats[index],
-        )
-
-    def __iter__(self) -> Iterator[StreamRecord]:
-        build = build_record
-        for value, key, source, ts, hb in zip(
-            self._values, self._keys, self._sources,
-            self._timestamps, self._heartbeats,
-        ):
-            yield build(value, key, source, ts, hb)
+def _get_record_columns(cur: _Cursor, count: int) -> List[StreamRecord]:
+    keys = _get_opt_str_column(cur, count)
+    sources = _get_opt_str_column(cur, count)
+    timestamps = _get_opt_i64_column(cur, count)
+    heartbeats = _get_bool_column(cur, count)
+    values = _get_value_column(cur, count)
+    return list(map(build_record, values, keys, sources, timestamps,
+                    heartbeats))
 
 
-class DecodedRecords(_RecordColumns):
-    """A lazily-decoded bucket: records materialise during iteration.
-
-    The frame's columns are parsed once up front (cheap array reads off
-    the ``memoryview``); the :class:`StreamRecord` objects themselves
-    are only built as the caller walks the bucket.  No column keeps a
-    reference into the source buffer, so a shared-memory frame may be
-    overwritten or its arena closed as soon as the constructor returns.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, buf: Any) -> None:
-        cur, count = _open_frame(buf, _KIND_RECORDS)
-        super().__init__(cur, count)
+def decode_records(buf: Any) -> List[StreamRecord]:
+    """Decode a records frame into its bucket."""
+    cur, count = _open_frame(buf, _KIND_RECORDS)
+    return _get_record_columns(cur, count)
 
 
-class DecodedEmits(Sequence):
-    """Lazily-decoded ``(node_id, record)`` emissions of one partition."""
-
-    __slots__ = ("_node_ids", "_records")
-
-    def __init__(self, buf: Any) -> None:
-        cur, count = _open_frame(buf, _KIND_EMITS)
-        self._node_ids = cur.i64_array(count)
-        self._records = _RecordColumns(cur, count)
-
-    def __len__(self) -> int:
-        return len(self._node_ids)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        return (self._node_ids[index], self._records[index])
-
-    def __iter__(self) -> Iterator[Tuple[int, StreamRecord]]:
-        return zip(self._node_ids, iter(self._records))
-
-
-def decode_records(buf: Any) -> DecodedRecords:
-    """Decode a records frame (from a shm view or pipe bytes)."""
-    return DecodedRecords(buf)
-
-
-def decode_emits(buf: Any) -> DecodedEmits:
-    """Decode an emissions frame (from a shm view or pipe bytes)."""
-    return DecodedEmits(buf)
+def decode_emits(buf: Any) -> List[Tuple[int, StreamRecord]]:
+    """Decode an emissions frame into its ``(node_id, record)`` pairs."""
+    cur, count = _open_frame(buf, _KIND_EMITS)
+    node_ids = cur.i64_array(count)
+    return list(zip(node_ids, _get_record_columns(cur, count)))

@@ -15,10 +15,9 @@ schedules over is abstracted behind an :class:`ExecutionBackend`:
   so observable semantics match serial execution.
 
 The bulk payloads — record buckets going out, sink emissions coming
-back — travel as single columnar frames (:mod:`repro.streaming.codec`)
-through per-worker shared-memory arenas (:mod:`repro.streaming.shm`);
-only a tiny frame descriptor plus the control metadata (deltas,
-fault-plan state, clock readings, counters) crosses the pipe.  While a
+back — travel as single columnar frames (:mod:`repro.streaming.codec`),
+carried as ``bytes`` inside the pipe message next to the control
+metadata (deltas, fault-plan state, clock readings, counters).  While a
 fault plan has a live call-ordinal budget (``fail_first``/``fail_nth``),
 partitions are chained sequentially in partition order so budget
 counting is *exactly* the serial schedule even across partitions; once
@@ -64,7 +63,6 @@ from ..faults.clock import ManualClock
 from .codec import decode_emits, decode_records, encode_emits, encode_records
 from .records import StreamRecord
 from .retry import QuarantinedRecord, RetryPolicy
-from .shm import FRAME_OVERHEAD, ShmArena, grown_capacity
 
 __all__ = [
     "EXECUTION_BACKENDS",
@@ -378,9 +376,6 @@ class _WorkerInit:
     retry_policy: Optional[RetryPolicy]
     fault_plan: Optional[Any]
     broadcast_values: Dict[int, Any]
-    #: Shared-memory segment names (driver -> worker / worker -> driver).
-    shm_in: str
-    shm_out: str
 
 
 @dataclass
@@ -454,14 +449,6 @@ class ProcessBackend(ExecutionBackend):
         super().__init__()
         self._procs: List[Any] = []
         self._conns: List[Any] = []
-        #: Driver-owned arenas: record buckets out, emissions back.  All
-        #: segments are created *and unlinked* here so a worker killed
-        #: mid-batch can never strand one.
-        self._in_arenas: List[ShmArena] = []
-        self._out_arenas: List[ShmArena] = []
-        #: Out-arena growth pending announcement on the next batch
-        #: message, per partition: ``(segment_name, capacity)``.
-        self._pending_out: List[Optional[Tuple[str, int]]] = []
         #: Broadcast versions already synced to the workers (all workers
         #: receive identical deltas, so one map covers the fleet).
         self._synced_versions: Dict[int, int] = {}
@@ -479,6 +466,16 @@ class ProcessBackend(ExecutionBackend):
             )
         if self._procs:
             return
+        try:
+            self._start()
+        except BaseException:
+            # A half-started pool would serve later calls from workers
+            # that never got their graph: tear it down, so every later
+            # call raises ``ExecutionError`` and no worker outlives it.
+            self.shutdown()
+            raise
+
+    def _start(self) -> None:
         ctx = self._ctx
         mp = multiprocessing.get_context("spawn")
         spec = _graph_spec(ctx._roots)
@@ -488,9 +485,6 @@ class ProcessBackend(ExecutionBackend):
             bv_id: version for bv_id, (version, _) in snapshot.items()
         }
         for partition_id in range(ctx.num_partitions):
-            self._in_arenas.append(ShmArena.create())
-            self._out_arenas.append(ShmArena.create())
-            self._pending_out.append(None)
             parent_conn, child_conn = mp.Pipe()
             proc = mp.Process(
                 target=_worker_main,
@@ -508,8 +502,6 @@ class ProcessBackend(ExecutionBackend):
                 retry_policy=ctx.retry_policy,
                 fault_plan=ctx._fault_plan,
                 broadcast_values=values,
-                shm_in=self._in_arenas[-1].name,
-                shm_out=self._out_arenas[-1].name,
             )
             self._send(partition_id, ("init", init))
         for partition_id in range(ctx.num_partitions):
@@ -538,16 +530,8 @@ class ProcessBackend(ExecutionBackend):
             )
         for conn in self._conns:
             conn.close()
-        # Unlink every arena — including on the terminate path above,
-        # where workers never got to close their mappings (the kernel
-        # drops those with the process; unlink here removes the name).
-        for arena in self._in_arenas + self._out_arenas:
-            arena.close()
         self._procs = []
         self._conns = []
-        self._in_arenas = []
-        self._out_arenas = []
-        self._pending_out = []
 
     # -- wire helpers --------------------------------------------------
     def _send(self, partition_id: int, message: Any) -> None:
@@ -590,27 +574,6 @@ class ProcessBackend(ExecutionBackend):
         }
         return deltas
 
-    def _ship_bucket(self, partition_id: int, frame: bytes) -> Any:
-        """Place one encoded bucket; return the wire reference.
-
-        Prefers the partition's in-arena, growing it (new segment, old
-        one unlinked) when the frame outgrows the current capacity, and
-        falling back to shipping the frame inline over the pipe past
-        the growth cap.
-        """
-        arena = self._in_arenas[partition_id]
-        placed = arena.write(frame)
-        if placed is not None:
-            return ("frame", placed[0], placed[1])
-        capacity = grown_capacity(len(frame))
-        if capacity < len(frame) + FRAME_OVERHEAD:
-            return ("inline", frame)
-        grown = ShmArena.create(capacity)
-        arena.close()
-        self._in_arenas[partition_id] = grown
-        offset, length = grown.write(frame)
-        return ("grow", grown.name, capacity, offset, length)
-
     def _send_batch(
         self,
         partition_id: int,
@@ -622,45 +585,30 @@ class ProcessBackend(ExecutionBackend):
         """Send one batch request; a failure is returned as the
         partition's outcome, not raised."""
         try:
-            ref = self._ship_bucket(partition_id, encode_records(bucket))
-            out_spec = self._pending_out[partition_id]
-            self._pending_out[partition_id] = None
             self._send(
                 partition_id,
-                ("batch", ref, out_spec, deltas, plan_sent, clock_now),
+                ("batch", encode_records(bucket), deltas, plan_sent,
+                 clock_now),
             )
         except Exception as exc:
             return RemoteBatchResult(partition_id, error=exc)
         return None
 
     def _read_outcome(self, partition_id: int) -> RemoteBatchResult:
-        """Read one partition's reply and materialise its emissions; a
-        dead worker or an error reply becomes the outcome's ``error``."""
+        """Read one partition's reply and decode its emissions; a dead
+        worker, an error reply or emissions that fail to decode become
+        the outcome's ``error``."""
         try:
-            ref, result = self._recv(partition_id)
+            frame, result = self._recv(partition_id)
         except Exception as exc:
             return RemoteBatchResult(partition_id, error=exc)
-        if ref is None:
-            return result
-        if ref[0] == "frame":
-            view = self._out_arenas[partition_id].read(ref[1], ref[2])
-            try:
-                result.emitted = decode_emits(view)
-            finally:
-                view.release()
-            return result
-        # ("inline", frame, needed): the emissions outgrew the worker's
-        # out-arena.  Decode from the pipe copy now and grow the arena
-        # for the next batch (announced via the batch message, so the
-        # worker re-attaches before writing again).
-        _, frame, needed = ref
-        result.emitted = decode_emits(frame)
-        capacity = grown_capacity(needed)
-        if capacity >= needed + FRAME_OVERHEAD:
-            grown = ShmArena.create(capacity)
-            self._out_arenas[partition_id].close()
-            self._out_arenas[partition_id] = grown
-            self._pending_out[partition_id] = (grown.name, capacity)
+        try:
+            result.emitted = decode_emits(frame)
+        except Exception as exc:
+            # The reply is read, so the pipe stays in step; the rest of
+            # the outcome (quarantine, retries, clock) still folds in.
+            # The lost emissions outrank any error the walk returned.
+            result.error = exc
         return result
 
     def run_batch(self, buckets: List[List[StreamRecord]]) -> _Errors:
@@ -746,8 +694,6 @@ class _WorkerProcessState:
         self.worker = WorkerContext(
             init.partition_id, BlockManager(init.partition_id)
         )
-        self.arena_in = ShmArena.attach(init.shm_in)
-        self.arena_out = ShmArena.attach(init.shm_out)
         for bv_id, value in init.broadcast_values.items():
             self.worker.block_manager.put(bv_id, value)
         #: Sink emissions the worker graph captured this batch.
@@ -758,49 +704,12 @@ class _WorkerProcessState:
             init.fault_plan,
         )
 
-    def resolve_records(self, ref: Any) -> Sequence[StreamRecord]:
-        """Turn a batch message's bucket reference into records."""
-        kind = ref[0]
-        if kind == "inline":  # frame too big for any arena
-            return decode_records(ref[1])
-        if kind == "grow":  # driver replaced the in-arena
-            _, name, _capacity, offset, length = ref
-            self.arena_in.close()
-            self.arena_in = ShmArena.attach(name)
-            ref = ("frame", offset, length)
-        view = self.arena_in.read(ref[1], ref[2])
+    def pack_emits(self) -> bytes:
+        """Encode this batch's captured emissions, and clear them."""
         try:
-            return decode_records(view)
-        finally:
-            view.release()
-
-    def reattach_out(self, name: str, _capacity: int) -> None:
-        """Adopt a grown out-arena announced by the driver."""
-        self.arena_out.close()
-        self.arena_out = ShmArena.attach(name)
-
-    def pack_emits(self) -> Any:
-        """Move captured emissions into the out-arena; return the ref.
-
-        Returns ``None`` for empty batches.  An ``("inline", frame,
-        needed)`` reference ships the frame over the pipe and asks the
-        driver to grow the out-arena before the next batch.
-        """
-        if not self.emitted:
-            return None
-        try:
-            frame = encode_emits(self.emitted)
+            return encode_emits(self.emitted)
         finally:
             self.emitted.clear()
-        placed = self.arena_out.write(frame)
-        if placed is None:
-            return ("inline", frame, len(frame))
-        return ("frame", placed[0], placed[1])
-
-    def close(self) -> None:
-        """Drop this process's arena mappings (driver owns unlinking)."""
-        self.arena_in.close()
-        self.arena_out.close()
 
     def run_batch(
         self,
@@ -884,12 +793,9 @@ def _worker_main(conn: Any) -> None:
                 state = _WorkerProcessState(message[1])
                 _reply(conn, ("ready", None))
             elif kind == "batch":
-                _, ref, out_spec, deltas, plan_state, clock_now = message
-                if out_spec is not None:
-                    state.reattach_out(*out_spec)
+                _, frame, deltas, plan_state, clock_now = message
                 result = state.run_batch(
-                    state.resolve_records(ref), deltas, plan_state,
-                    clock_now,
+                    decode_records(frame), deltas, plan_state, clock_now
                 )
                 error = result.error
                 if error is not None and not _picklable(error):
@@ -912,6 +818,4 @@ def _worker_main(conn: Any) -> None:
                 _reply(conn, ("error", exc))
             except Exception:  # pragma: no cover - defensive
                 break
-    if state is not None:
-        state.close()
     conn.close()

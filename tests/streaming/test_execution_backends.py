@@ -8,7 +8,10 @@ can unpickle them by import.
 """
 
 import inspect
+import multiprocessing
+import os
 import random
+import signal
 
 import pytest
 
@@ -65,6 +68,24 @@ def state_items(worker):
     for node_id, state in worker._states.items():
         out[node_id] = dict(state.items())
     return out
+
+
+def _refuse_unpickling():
+    raise RuntimeError("this value does not unpickle")
+
+
+class DriverRefuses:
+    """Pickles in a worker; unpickling it, which only the driver does,
+    raises."""
+
+    def __reduce__(self):
+        return (_refuse_unpickling, ())
+
+
+def double_or_refuse(record, worker):
+    if record.value == "refuse":
+        return StreamRecord(value=DriverRefuses(), key=record.key)
+    return StreamRecord(value=record.value * 2, key=record.key)
 
 
 class ReadVersion:
@@ -333,3 +354,89 @@ class TestLifecycle:
         with pytest.raises(TypeError, match="transport"):
             ProcessBackend(transport="shm")
         assert list(inspect.signature(ProcessBackend).parameters) == []
+
+
+class TestStartAndReplyFailures:
+    def test_undecodable_reply_keeps_the_pipes_in_step(self):
+        """Emissions the driver cannot decode fail that partition only:
+        every reply is still read, so the next batch reads its own."""
+        ctx = StreamingContext(
+            num_partitions=2, metrics=MetricsRegistry(), execution="processes"
+        )
+        out = ctx.source().map(double_or_refuse).collector()
+        # Key "d" routes to partition 0 and "a" to partition 1.
+        with pytest.raises(RuntimeError, match="does not unpickle"):
+            ctx.run_batch([
+                StreamRecord(value="refuse", key="d"),
+                StreamRecord(value=5, key="a"),
+            ])
+        assert [r.value for r in out.clear()] == [10]
+        ctx.run_batch([
+            StreamRecord(value=10, key="d"),
+            StreamRecord(value=20, key="a"),
+        ])
+        assert [r.value for r in out.snapshot()] == [20, 40]
+        ctx.shutdown()
+
+    def test_failed_start_tears_the_pool_down(self):
+        before = set(multiprocessing.active_children())
+        ctx = StreamingContext(
+            num_partitions=2, metrics=MetricsRegistry(), execution="processes"
+        )
+        ctx.source().map(lambda record, worker: record).collector()
+        with pytest.raises(ExecutionError, match="could not ship 'init'"):
+            ctx.run_batch(workload(n=4))
+        assert set(multiprocessing.active_children()) <= before
+        with pytest.raises(ExecutionError):
+            ctx.run_batch(workload(n=4))
+        with pytest.raises(ExecutionError):
+            ctx.call_partition(0, state_items)
+        ctx.shutdown()
+
+
+class TestBackendCleanup:
+    def test_clean_shutdown_unlinks_all_arenas(self):
+        """A clean shutdown leaves no worker process running."""
+        ctx = StreamingContext(
+            num_partitions=2, metrics=MetricsRegistry(), execution="processes"
+        )
+        out = ctx.source().map(double).collector()
+        ctx.run_batch([StreamRecord(value=i, key=str(i)) for i in range(8)])
+        assert len(out.snapshot()) == 8
+        procs = list(ctx._backend._procs)
+        assert len(procs) == 2
+        assert all(p.is_alive() for p in procs)
+        ctx.shutdown()
+        assert not any(p.is_alive() for p in procs)
+
+    @pytest.mark.skipif(
+        not hasattr(signal, "SIGSTOP"), reason="needs POSIX job control"
+    )
+    def test_terminate_fallback_unlinks_and_counts(self):
+        """A worker that cannot honour "stop" is terminated, and the
+        terminate fallback is visible via the obs counter."""
+        registry = MetricsRegistry()
+        ctx = StreamingContext(
+            num_partitions=2, metrics=registry, execution="processes"
+        )
+        ctx.source().map(double).collector()
+        ctx.run_batch([StreamRecord(value=1, key="k")])
+        procs = list(ctx._backend._procs)
+        # SIGSTOP one worker: it can neither honour "stop" nor exit, so
+        # shutdown's join times out and the terminate fallback fires.
+        victim = procs[0]
+        real_join = victim.join
+        os.kill(victim.pid, signal.SIGSTOP)
+        try:
+            victim.join = lambda timeout=None: None  # skip the 5s waits
+            ctx.shutdown()
+        finally:
+            try:
+                os.kill(victim.pid, signal.SIGCONT)
+            except ProcessLookupError:
+                pass
+        real_join(timeout=5)
+        assert not any(p.is_alive() for p in procs)
+        assert (
+            registry.counter("execution.worker_terminated").value == 1
+        )

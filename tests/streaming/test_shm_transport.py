@@ -1,4 +1,5 @@
-"""ProcessBackend shm transport: growth, fallbacks, and budget exactness."""
+"""ProcessBackend transport: multi-megabyte frames over the pipe, and
+call-ordinal budget exactness."""
 
 import pytest
 
@@ -9,8 +10,6 @@ from repro.streaming import (
     StreamRecord,
     StreamingContext,
 )
-from repro.streaming import execution as execution_module
-from repro.streaming.shm import DEFAULT_ARENA_BYTES
 
 
 # ---------------------------------------------------------------------------
@@ -22,7 +21,7 @@ def double(record, worker):
 
 
 def widen(record, worker):
-    """Blow each record up so emissions outgrow the default out-arena."""
+    """Blow each record up twentyfold on the way back to the driver."""
     return StreamRecord(value=record.value * 20, key=record.key)
 
 
@@ -54,74 +53,49 @@ class TestTransport:
         )
 
 
-class TestGrowthAndFallback:
-    def test_oversized_bucket_grows_in_arena(self):
-        big = "x" * 4096
-        records = [
-            StreamRecord(value=big + str(i), key=str(i)) for i in range(600)
-        ]  # ~2.4 MB encoded: past the 1 MB default arena
-        ctx = StreamingContext(
-            num_partitions=2, metrics=MetricsRegistry(), execution="processes"
-        )
-        out = ctx.source().map(double).collector()
-        ctx.run_batch(records)
-        backend = ctx._backend
-        assert any(
-            arena.capacity > DEFAULT_ARENA_BYTES
-            for arena in backend._in_arenas
-        )
-        assert len(out.snapshot()) == len(records)
-        # The grown arena serves subsequent batches without regrowing.
-        grown = [arena.name for arena in backend._in_arenas]
-        out.clear()
-        ctx.run_batch(records)
-        assert [arena.name for arena in backend._in_arenas] == grown
-        assert len(out.snapshot()) == len(records)
-        ctx.shutdown()
+def big_inbound_bucket():
+    big = "x" * 4096
+    return [StreamRecord(value=big + str(i), key=str(i)) for i in range(600)]
 
-    def test_oversized_emissions_come_back_inline_then_grow(self):
-        records = [  # distinct values: the ALL_SAME column shortcut
-            StreamRecord(value=str(i) + "y" * 512, key=str(i))  # must not
-            for i in range(300)                                 # kick in
-        ]
-        ctx = StreamingContext(
-            num_partitions=2, metrics=MetricsRegistry(), execution="processes"
-        )
-        out = ctx.source().map(widen).collector()
-        # Batch 1: each partition emits ~150 x 10 KB values — past the
-        # default out-arena, so replies fall back inline and the driver
-        # grows the out-arenas for the next batch.
-        ctx.run_batch(records)
-        backend = ctx._backend
-        assert len(out.snapshot()) == len(records)
-        assert all(
-            arena.capacity > DEFAULT_ARENA_BYTES
-            for arena in backend._out_arenas
-        )
-        out.clear()
-        ctx.run_batch(records)  # batch 2 travels through the grown arenas
-        assert len(out.snapshot()) == len(records)
-        ctx.shutdown()
 
-    def test_frame_past_growth_cap_ships_inline(self, monkeypatch):
-        """With growth capped below the frame size, buckets travel the
-        pipe — slower, never wrong."""
-        monkeypatch.setattr(
-            execution_module, "grown_capacity", lambda needed: 64
-        )
-        big = "z" * (2 << 20)
-        ctx = StreamingContext(
-            num_partitions=2, metrics=MetricsRegistry(), execution="processes"
-        )
-        out = ctx.source().map(double).collector()
-        ctx.run_batch([StreamRecord(value=big, key="k")])
-        assert [r.value for r in out.snapshot()] == [big * 2]
-        backend = ctx._backend
-        assert all(
-            arena.capacity == DEFAULT_ARENA_BYTES
-            for arena in backend._in_arenas
-        )
-        ctx.shutdown()
+def big_emissions():
+    return [  # distinct values, so no column collapses to one value
+        StreamRecord(value=str(i) + "y" * 512, key=str(i))
+        for i in range(300)
+    ]
+
+
+def one_big_value():
+    return [StreamRecord(value="z" * (2 << 20), key="k")]
+
+
+def run_large(execution, op, records):
+    ctx = StreamingContext(
+        num_partitions=2, metrics=MetricsRegistry(), execution=execution
+    )
+    out = ctx.source().map(op).collector()
+    ctx.run_batch(records)
+    ctx.run_batch(records)
+    result = [(r.key, r.value) for r in out.snapshot()]
+    ctx.shutdown()
+    return result
+
+
+class TestLargeFrames:
+    @pytest.mark.parametrize(
+        "op, make_records",
+        [
+            (double, big_inbound_bucket),  # ~2.4 MB bucket out
+            (widen, big_emissions),  # ~3 MB of emissions back
+            (double, one_big_value),  # one 2 MB value
+        ],
+        ids=["inbound_bucket", "outbound_emissions", "single_value"],
+    )
+    def test_processes_match_serial(self, op, make_records):
+        records = make_records()
+        processes = run_large("processes", op, records)
+        assert processes == run_large("serial", op, records)
+        assert len(processes) == 2 * len(records)
 
 
 # ---------------------------------------------------------------------------
