@@ -37,18 +37,18 @@ __all__ = [
 class LinearScanTimestampDetector(TimestampDetector):
     """The paper's naive baseline: flat scan of the whole knowledge base.
 
-    Every :meth:`identify` call tries each format in knowledge-base order,
-    building that format's window and running its regex, until one
-    matches.  O(k) regex executions per lookup for a k-format base.
+    Every lookup tries each format in knowledge-base order, building
+    that format's window and running its regex, until one matches.  O(k)
+    regex executions per lookup for a k-format base.  It overrides
+    :meth:`~repro.parsing.timestamps.TimestampDetector.lookup`, which
+    both ``identify`` and the tokenizer reach.
     """
 
     def __init__(self, formats: Optional[Sequence[str]] = None) -> None:
         super().__init__(formats, use_cache=False, use_filter=False)
 
-    def identify(self, tokens, start: int = 0):
+    def lookup(self, tokens, start: int):
         self.stats.lookups += 1
-        if start >= len(tokens):
-            return None
         available = len(tokens) - start
         for fmt in self._formats:
             span = fmt.token_span

@@ -15,6 +15,16 @@ Every token in a log (and every variable field in a GROK pattern) carries a
 
 The built-in datatypes mirror Table I of the paper.  Users may register
 additional datatypes with :meth:`DatatypeRegistry.register`.
+
+Inference runs one regex per token: the registry compiles one alternation
+of every datatype's regex in inference order, each alternative wrapped in
+a capturing group that ends in ``\\Z``, and maps the index of the group
+that matched back to its datatype.  Regex alternation is ordered, so the
+first datatype that fully matches wins, exactly as a loop over the
+inference order would find it.  The alternation embeds each regex
+unchanged, so :meth:`DatatypeRegistry.register` rejects a regex it cannot
+embed: one that refers to a group (its number would shift) or sets a
+global inline flag (it would apply to every alternative).
 """
 
 from __future__ import annotations
@@ -22,6 +32,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
+
+try:  # Python 3.11+
+    from re import _parser as _sre_parse
+except ImportError:  # pragma: no cover - Python 3.9 and 3.10
+    import sre_parse as _sre_parse  # type: ignore[no-redef]
 
 __all__ = [
     "Datatype",
@@ -75,8 +90,9 @@ class DatatypeRegistry:
 
     The registry maintains:
 
-    * an *inference order* — datatypes sorted most-specific-first, so the
-      first full match wins;
+    * an *inference plan* (:attr:`inference`) — one alternation of the
+      datatypes sorted most-specific-first, so the first full match
+      wins, rebuilt on every :meth:`register`;
     * a *coverage closure* — the reflexive-transitive closure of the
       ``parents`` relation, answering :meth:`is_covered` in O(1).
     """
@@ -85,7 +101,10 @@ class DatatypeRegistry:
         self._types: Dict[str, Datatype] = {}
         self._compiled: Dict[str, "re.Pattern[str]"] = {}
         self._closure: Dict[str, frozenset] = {}
-        self._inference_order: List[str] = []
+        #: ``(alternation, datatype name per group index)``; replaced,
+        #: never edited, by every :meth:`register`, so a holder of the
+        #: old tuple (the tokenizer's memo) can tell inference changed.
+        self.inference = _alternation([])
         for dt in datatypes if datatypes is not None else _builtin_datatypes():
             self.register(dt)
 
@@ -98,7 +117,10 @@ class DatatypeRegistry:
         Raises
         ------
         ValueError
-            If a declared parent is unknown, or the regex does not compile.
+            If a declared parent is unknown, or the regex does not compile
+            or cannot join the inference alternation unchanged (a group
+            reference, an inline global flag, a group name another
+            datatype uses).  The registry is then left as it was.
         """
         for parent in datatype.parents:
             if parent not in self._types and parent != datatype.name:
@@ -106,9 +128,21 @@ class DatatypeRegistry:
                     "datatype %r declares unknown parent %r"
                     % (datatype.name, parent)
                 )
-        self._types[datatype.name] = datatype
-        self._compiled[datatype.name] = datatype.compiled()
-        self._rebuild()
+        compiled = _embeddable(datatype)
+        types = dict(self._types)
+        types[datatype.name] = datatype
+        order = sorted(types.values(), key=lambda d: (d.generality, d.name))
+        try:
+            inference = _alternation(order)
+        except re.error as exc:
+            raise ValueError(
+                "datatype %r cannot join the inference alternation: %s"
+                % (datatype.name, exc)
+            ) from None
+        self._types = types
+        self._compiled[datatype.name] = compiled
+        self.inference = inference
+        self._rebuild_closure()
 
     def __contains__(self, name: str) -> bool:
         return name in self._types
@@ -118,7 +152,7 @@ class DatatypeRegistry:
 
     def names(self) -> List[str]:
         """All registered datatype names, most specific first."""
-        return list(self._inference_order)
+        return [name for name in self.inference[1] if name is not None]
 
     # ------------------------------------------------------------------
     # Queries
@@ -132,10 +166,9 @@ class DatatypeRegistry:
         only reachable for tokens containing whitespace (e.g. merged
         timestamp candidates that failed format validation).
         """
-        for name in self._inference_order:
-            if self._compiled[name].match(token):
-                return name
-        return "ANYDATA"
+        alternation, names = self.inference
+        m = alternation.match(token)
+        return names[m.lastindex] if m is not None else "ANYDATA"
 
     def matches(self, token: str, datatype: str) -> bool:
         """True when ``token`` is fully matched by ``datatype``'s regex."""
@@ -165,11 +198,7 @@ class DatatypeRegistry:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _rebuild(self) -> None:
-        order = sorted(
-            self._types.values(), key=lambda d: (d.generality, d.name)
-        )
-        self._inference_order = [d.name for d in order]
+    def _rebuild_closure(self) -> None:
         closure: Dict[str, set] = {name: set() for name in self._types}
         for name, dt in self._types.items():
             stack = list(dt.parents)
@@ -184,6 +213,61 @@ class DatatypeRegistry:
                 if parent_dt is not None:
                     stack.extend(parent_dt.parents)
         self._closure = {k: frozenset(v) for k, v in closure.items()}
+
+
+def _embeddable(datatype: Datatype) -> "re.Pattern[str]":
+    """``datatype``'s compiled regex, once it is known to keep its
+    meaning inside the inference alternation; else ``ValueError``."""
+    try:
+        bare = re.compile(datatype.pattern)
+        if bare.flags != _DEFAULT_FLAGS:
+            raise ValueError(
+                "datatype %r sets an inline global flag; use a scoped one "
+                "such as (?i:...)" % datatype.name
+            )
+        compiled = datatype.compiled()
+    except re.error as exc:
+        raise ValueError(
+            "datatype %r has an invalid regex: %s" % (datatype.name, exc)
+        ) from None
+    if _refers_to_a_group(_sre_parse.parse(datatype.pattern)):
+        raise ValueError(
+            "datatype %r refers to a group, whose number would shift "
+            "inside the inference alternation" % datatype.name
+        )
+    return compiled
+
+
+_DEFAULT_FLAGS = re.compile("").flags
+_GROUP_REFS = (_sre_parse.GROUPREF, _sre_parse.GROUPREF_EXISTS)
+
+
+def _refers_to_a_group(node: object) -> bool:
+    """True when the parse tree ``node`` holds a back-reference or a
+    conditional on a group, named or numbered."""
+    if isinstance(node, _sre_parse.SubPattern):
+        return any(
+            op in _GROUP_REFS or _refers_to_a_group(av) for op, av in node
+        )
+    if isinstance(node, (tuple, list)):
+        return any(_refers_to_a_group(item) for item in node)
+    return False
+
+
+def _alternation(
+    order: List[Datatype],
+) -> Tuple["re.Pattern[str]", Tuple[Optional[str], ...]]:
+    """One regex trying every datatype of ``order`` in turn, and the
+    datatype name of each alternative's group index (``None`` for the
+    datatypes' own inner groups)."""
+    parts: List[str] = []
+    names: List[Optional[str]] = [None]
+    for dt in order:
+        parts.append(r"((?:%s)\Z)" % dt.pattern)
+        names.append(dt.name)
+        names.extend([None] * re.compile(dt.pattern).groups)
+    source = "|".join(parts) if parts else "(?!)"
+    return re.compile(source), tuple(names)
 
 
 def _builtin_datatypes() -> List[Datatype]:

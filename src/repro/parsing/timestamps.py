@@ -24,13 +24,25 @@ Formats are written in Java ``SimpleDateFormat`` notation (the notation the
 paper adopts) and compiled to Python regexes.  A timestamp may span several
 whitespace-delimited tokens (``Feb 23, 2016 09:00:31``), so identification
 works on a *window* of tokens.
+
+:meth:`TimestampDetector.identify` checks bounds and the gate, then hands
+the window to :meth:`TimestampDetector.lookup`, which does the rest.  The
+tokenizer runs the start-character check and the gate itself, once per
+token, and calls ``lookup`` directly, so a token pays the gate once.  A
+subclass that changes how windows are matched (the naive baseline)
+overrides ``lookup`` and is reached on both paths.  Converting a match
+costs one dict lookup per civil date seen before: a bounded module-level
+cache maps ``(year, month, day)`` to the day number since the epoch and
+the date's canonical text, or to nothing for an impossible date.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 __all__ = [
     "TimestampFormat",
@@ -100,9 +112,11 @@ _SDF_TOKENS: List[Tuple[str, str, str, FrozenSet[str]]] = [
 ]
 
 
-@dataclass(frozen=True)
-class TimestampMatch:
-    """Result of identifying a timestamp inside a token window."""
+class TimestampMatch(NamedTuple):
+    """Result of identifying a timestamp inside a token window.
+
+    An immutable tuple, so the tokenizer unpacks it in one step.
+    """
 
     #: Canonical ``yyyy/MM/dd HH:mm:ss.SSS`` rendering.
     normalized: str
@@ -118,9 +132,13 @@ class TimestampMatch:
 class DetectorStats:
     """Counters exposed for the Section VI-A optimisation experiment.
 
-    They count :meth:`TimestampDetector.identify` calls only.  Tokens the
-    tokenizer's pre-check rejects (start character, then the gate) never
-    reach ``identify``, so ``lookups`` and ``filtered_out`` leave them out.
+    ``lookups`` counts :meth:`TimestampDetector.identify` calls and the
+    tokenizer's direct :meth:`TimestampDetector.lookup` calls, one per
+    window looked at; ``filtered_out`` counts the ``identify`` calls the
+    gate rejected.  On a gated detector the tokenizer answers a token
+    from its datatype memo, or rejects it by start character or gate,
+    before any call, so such tokens are in neither count.  On a detector
+    without a gate it calls ``identify`` for every token it visits.
     """
 
     lookups: int = 0
@@ -506,15 +524,32 @@ class TimestampDetector:
         knowledge base) are joined with single spaces and matched.  Wider
         windows are preferred so ``2016/02/23 09:00:31`` is consumed as one
         timestamp rather than a date followed by an unrelated time.
+        An out-of-range ``start`` and a first token the gate rejects
+        count one lookup and return ``None``; anything else goes to
+        :meth:`lookup`.
+        """
+        stats = self.stats
+        if start >= len(tokens):
+            stats.lookups += 1
+            return None
+        if self.gate is not None and self.gate(tokens[start]) is None:
+            stats.lookups += 1
+            stats.filtered_out += 1
+            return None
+        return self.lookup(tokens, start)
+
+    def lookup(
+        self, tokens: Sequence[str], start: int
+    ) -> Optional[TimestampMatch]:
+        """:meth:`identify` without the bounds check and the gate.
+
+        The caller guarantees ``start < len(tokens)`` and, when the
+        detector has a gate, that ``tokens[start]`` passed it.  Counts
+        one lookup.
         """
         stats = self.stats
         stats.lookups += 1
-        if start >= len(tokens):
-            return None
         first = tokens[start]
-        if self.gate is not None and self.gate(first) is None:
-            stats.filtered_out += 1
-            return None
         available = len(tokens) - start
         cache = self._cache if self.use_cache else ()
         # Cache pass first (the paper's "find if there is a cache hit"):
@@ -611,47 +646,70 @@ class TimestampDetector:
         group = m.group
         if fmt.epoch_scale:
             epoch_ms = int(group(1)) * fmt.epoch_scale
-            y, mo, d, h, mi, s, ms = _from_epoch_millis(epoch_ms)
+            return TimestampMatch(
+                format_epoch_millis(epoch_ms), span, fmt.sdf, epoch_ms
+            )
+        (year, year2, month, name, day,
+         hour, minute, second, milli, micro) = fmt.fields
+        if month:
+            mo = int(group(month))
+        elif name:
+            text = group(name)
+            mo = _MONTH_TO_NUM.get(text.lower()) or _MONTH_TO_NUM[
+                text.translate(_NON_ASCII_FOLD).lower()
+            ]
         else:
-            (year, year2, month, name, day,
-             hour, minute, second, milli, micro) = fmt.fields
-            if month:
-                mo = int(group(month))
-            elif name:
-                text = group(name)
-                mo = _MONTH_TO_NUM.get(text.lower()) or _MONTH_TO_NUM[
-                    text.translate(_NON_ASCII_FOLD).lower()
-                ]
+            mo = 0
+        d = int(group(day)) if day else 0
+        if not mo and not d:
+            y, mo, d = self.default_date
+        else:
+            if year:
+                y = int(group(year))
+            elif year2:
+                y = 2000 + int(group(year2))
             else:
-                mo = 0
-            d = int(group(day)) if day else 0
-            if not mo and not d:
-                y, mo, d = self.default_date
-            else:
-                if year:
-                    y = int(group(year))
-                elif year2:
-                    y = 2000 + int(group(year2))
-                else:
-                    y = self.default_year
-                mo = mo or 1
-                d = d or 1
-            h = int(group(hour)) if hour else 0
-            mi = int(group(minute)) if minute else 0
-            s = int(group(second)) if second else 0
-            if milli:
-                ms = int(group(milli))
-            elif micro:
-                ms = int(group(micro)) // 1000
-            else:
-                ms = 0
-            if not _valid_date(y, mo, d):
-                return None
-            epoch_ms = _to_epoch_millis(y, mo, d, h, mi, s, ms)
-        normalized = "%04d/%02d/%02d %02d:%02d:%02d.%03d" % (
-            y, mo, d, h, mi, s, ms
-        )
+                y = self.default_year
+            mo = mo or 1
+            d = d or 1
+        h = int(group(hour)) if hour else 0
+        mi = int(group(minute)) if minute else 0
+        s = int(group(second)) if second else 0
+        if milli:
+            ms = int(group(milli))
+        elif micro:
+            ms = int(group(micro)) // 1000
+        else:
+            ms = 0
+        key = (y, mo, d)
+        civil = _CIVIL_DAYS.get(key)
+        if civil is None:
+            civil = _civil_day(key)
+        if not civil:
+            return None
+        days, date_text = civil
+        epoch_ms = (((days * 24 + h) * 60 + mi) * 60 + s) * 1000 + ms
+        normalized = date_text + "%02d:%02d:%02d.%03d" % (h, mi, s, ms)
         return TimestampMatch(normalized, span, fmt.sdf, epoch_ms)
+
+
+#: ``(year, month, day)`` → ``(days since 1970-01-01, canonical date text
+#: with its trailing space)``, or ``()`` for an impossible date.  Shared by
+#: every detector, like ``_FORMAT_CACHE``; it stops growing at
+#: ``_CIVIL_DAYS_CAP`` entries (about 55 years of distinct days), after
+#: which an unseen date is computed on every conversion.
+_CIVIL_DAYS: Dict[Tuple[int, int, int], Tuple[int, str]] = {}
+_CIVIL_DAYS_CAP = 20_000
+
+
+def _civil_day(key: Tuple[int, int, int]) -> Tuple[int, str]:
+    """Compute (and cache while there is room) ``_CIVIL_DAYS[key]``."""
+    civil: Tuple[int, str] = ()  # type: ignore[assignment]
+    if _valid_date(*key):
+        civil = (_days_from_civil(*key), "%04d/%02d/%02d " % key)
+    if len(_CIVIL_DAYS) < _CIVIL_DAYS_CAP:
+        _CIVIL_DAYS[key] = civil
+    return civil
 
 
 def _valid_date(year: int, month: int, day: int) -> bool:

@@ -18,12 +18,29 @@ per-token objects; :attr:`TokenizedLog.tokens` builds :class:`Token`
 values on demand for callers off the hot path.  It is the common
 currency of pattern discovery (:mod:`repro.parsing.logmine`) and fast
 parsing (:mod:`repro.parsing.parser`).
+
+Per token the pass costs one dict lookup for a token it has seen and one
+regex for a token it has not.  A datatype memo maps token text to
+datatype and holds only tokens the timestamp detector's gate rejects:
+such a token can never start a timestamp, so a memo hit skips the gate
+and inference alike.  A miss runs the start-character check and the gate
+once.  A token that passes goes to the detector's ungated
+:meth:`~repro.parsing.timestamps.TimestampDetector.lookup`; when it is
+no timestamp it is inferred and not memoised, since the tokens after it
+decide.  Inference is one alternation over the registry's regexes
+(:meth:`~repro.parsing.datatypes.DatatypeRegistry.infer`).  The memo
+belongs to one (gate, inference plan) pair: a call that finds either
+changed (``add_format`` on the detector, ``register`` on the registry,
+or another detector or registry) starts a new, empty memo.  It stops
+growing at 200,000 entries.  A detector with no gate
+(``use_filter=False``, the Section VI-A ablation) keeps the unfiltered
+work: ``identify`` on every token, then memoised inference.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..obs import Counter, MetricsRegistry, get_registry
 from .datatypes import DEFAULT_REGISTRY, DatatypeRegistry
@@ -279,11 +296,12 @@ class Tokenizer:
             )
         else:
             self.timestamp_detector = timestamp_detector
-        # Datatype inference memo: literal vocabulary repeats massively
-        # across logs, so most tokens hit the memo.  Bounded to keep
-        # long-running streams from growing it without limit.
-        self._infer_memo: dict = {}
-        self._infer_memo_cap = 200_000
+        # Datatype memo (see the module docstring): literal vocabulary
+        # repeats massively across logs, so most tokens hit it.  Held
+        # with the gate and inference plan it is valid for; bounded to
+        # keep long-running streams from growing it without limit.
+        self._memo: Tuple[Any, Any, Dict[str, str]] = (None, None, {})
+        self._memo_cap = 200_000
         self._counters = ParseTally.counters(
             metrics if metrics is not None else get_registry(), "tokenizer."
         )
@@ -351,36 +369,63 @@ class Tokenizer:
         i = 0
         n = len(texts)
         detector = self.timestamp_detector
+        gate = detector.gate if detector is not None else None
+        registry = self.registry
+        inference = registry.inference
+        memo_gate, memo_inference, memo = self._memo
+        if memo_gate is not gate or memo_inference is not inference:
+            # The gate or the inference plan changed since the memo was
+            # filled: start a new one (a call still running on the old
+            # one keeps it to itself).
+            memo = {}
+            self._memo = (gate, inference, memo)
         # Hot loop: bind lookups once per call, not once per token.
         append = datatypes.append
-        memo_get = self._infer_memo.get
-        memo = self._infer_memo
-        memo_cap = self._infer_memo_cap
-        infer = self.registry.infer
-        identify = gate = starts = None
-        if detector is not None:
-            identify = detector.identify
-            gate, starts = detector.gate, detector.start_chars
+        memo_get = memo.get
+        memo_cap = self._memo_cap
+        infer = registry.infer
+        if gate is not None:
+            starts = detector.start_chars  # type: ignore[union-attr]
+            lookup = detector.lookup  # type: ignore[union-attr]
+            while i < n:
+                text = texts[i]
+                datatype = memo_get(text)
+                if datatype is None:
+                    # An ASCII first character must be able to start a
+                    # head; a non-ASCII one may case-fold onto one.
+                    if (
+                        text[:1] in starts or text[:1] >= "\x80"
+                    ) and gate(text) is not None:
+                        match = lookup(texts, i)
+                        if match is not None:
+                            normalized, consumed, _, millis = match
+                            texts[i:i + consumed] = (normalized,)
+                            n -= consumed - 1
+                            append("DATETIME")
+                            if ts_millis is None:
+                                ts_millis = millis
+                            i += 1
+                            continue
+                        datatype = infer(text)
+                    else:
+                        datatype = infer(text)
+                        if len(memo) < memo_cap:
+                            memo[text] = datatype
+                append(datatype)
+                i += 1
+            return datatypes, ts_millis
+        identify = detector.identify if detector is not None else None
         while i < n:
             text = texts[i]
-            # Pre-check with the detector's exact gate so most tokens never
-            # cost an identify call: an ASCII first character must be able
-            # to start a head; a non-ASCII one may case-fold onto one.
-            if identify is not None and (
-                gate is None
-                or (
-                    (text[:1] in starts or text[:1] >= "\x80")
-                    and gate(text) is not None
-                )
-            ):
+            if identify is not None:
                 match = identify(texts, i)
                 if match is not None:
-                    consumed = match.tokens_consumed
-                    texts[i:i + consumed] = (match.normalized,)
+                    normalized, consumed, _, millis = match
+                    texts[i:i + consumed] = (normalized,)
                     n -= consumed - 1
                     append("DATETIME")
                     if ts_millis is None:
-                        ts_millis = match.epoch_millis
+                        ts_millis = millis
                     i += 1
                     continue
             datatype = memo_get(text)

@@ -7,6 +7,8 @@ from repro.baselines.naive_timestamp import (
     make_linear_scan_detector,
     make_optimized_detector,
 )
+from repro.datasets.corpora import generate_d5
+from repro.parsing.tokenizer import Tokenizer
 
 
 class TestConfigurations:
@@ -61,3 +63,27 @@ class TestLinearScan:
 
     def test_out_of_range_start(self):
         assert make_linear_scan_detector().identify(["a"], 5) is None
+
+
+class TestThroughTheTokenizer:
+    def test_naive_scan_stays_naive(self):
+        """The tokenizer reaches the baseline's own lookup on every token
+        it visits: one lookup per output token, and the same output as
+        the optimised tokenizer."""
+        lines = generate_d5(n_logs=4000).train[:500]
+        linear = make_linear_scan_detector()
+        naive = Tokenizer(timestamp_detector=linear).tokenize_many(lines)
+        fast = Tokenizer(
+            timestamp_detector=make_optimized_detector()
+        ).tokenize_many(lines)
+        assert naive == fast
+        assert linear.stats.lookups == sum(len(log.texts) for log in naive)
+        # The same scan driven by hand, token by token, does the same work.
+        reference = make_linear_scan_detector()
+        for line in lines:
+            tokens = line.split()
+            i = 0
+            while i < len(tokens):
+                match = reference.identify(tokens, i)
+                i += match.tokens_consumed if match is not None else 1
+        assert linear.stats == reference.stats

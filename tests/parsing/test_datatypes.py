@@ -1,6 +1,7 @@
 """Unit tests for the datatype registry and coverage lattice."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.parsing.datatypes import (
     DEFAULT_REGISTRY,
@@ -145,3 +146,79 @@ class TestRegistryMutation:
         assert "WORD" in DEFAULT_REGISTRY
         assert DEFAULT_REGISTRY["WORD"].name == "WORD"
         assert "MISSING" not in DEFAULT_REGISTRY
+
+
+def _user_registry():
+    """The builtins plus types with capturing groups (one named), a
+    generality tie (``KV``/``CODE`` at 12, ``TAG`` with ``WORD`` at 30)
+    and a parentless type."""
+    registry = DatatypeRegistry()
+    for dt in (
+        Datatype("KV", r"([a-z]+)=([0-9]+)", 12, parents=("NOTSPACE",)),
+        Datatype("CODE", r"E(?P<code>[0-9]+)", 12, parents=("NOTSPACE",)),
+        Datatype("VERSION", r"v([0-9]+)(\.([0-9]+))*", 15,
+                 parents=("NOTSPACE",)),
+        Datatype("TAG", r"#(\w+)", 30),
+    ):
+        registry.register(dt)
+    return registry
+
+
+_REGISTRIES = {"builtin": DatatypeRegistry(), "user": _user_registry()}
+
+
+def _loop_infer(registry, token):
+    """The ordered loop the alternation replaces: the first datatype in
+    inference order whose own anchored regex matches."""
+    for name in registry.names():
+        if registry[name].compiled().match(token):
+            return name
+    return "ANYDATA"
+
+
+@st.composite
+def _tokens(draw, registry):
+    languages = [
+        st.from_regex(registry[name].pattern, fullmatch=True)
+        for name in registry.names()
+    ]
+    return draw(st.one_of(
+        *languages,
+        st.text(max_size=12),
+        st.sampled_from(["", " ", "\t", "a b", "\n", "x\ny", "12 34"]),
+    ))
+
+
+class TestAlternation:
+    @pytest.mark.parametrize("kind", sorted(_REGISTRIES))
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_alternation_equals_ordered_loop(self, kind, data):
+        registry = _REGISTRIES[kind]
+        token = data.draw(_tokens(registry))
+        assert registry.infer(token) == _loop_infer(registry, token)
+
+    def test_user_types_win_in_order(self):
+        registry = _REGISTRIES["user"]
+        assert registry.infer("ab=12") == "KV"
+        assert registry.infer("E42") == "CODE"
+        assert registry.infer("v1.2.3") == "VERSION"
+        assert registry.infer("#ops") == "TAG"
+        assert registry.infer("ops") == "WORD"
+
+    @pytest.mark.parametrize("pattern", [
+        r"(a)\1", r"(?P<x>a)(?P=x)", r"(a)?(?(1)b|c)", r"(?i)abc",
+        r"F(?P<code>[0-9]+)",  # CODE already names a group "code"
+    ])
+    def test_unembeddable_regex_is_rejected(self, pattern):
+        registry = _user_registry()
+        names = registry.names()
+        tokens = ["aa", "ab", "abc", "E42", "#ops", "ops", "12"]
+        before = [registry.infer(t) for t in tokens]
+        with pytest.raises(ValueError):
+            registry.register(
+                Datatype("BAD", pattern, 5, parents=("NOTSPACE",))
+            )
+        assert "BAD" not in registry
+        assert registry.names() == names
+        assert [registry.infer(t) for t in tokens] == before

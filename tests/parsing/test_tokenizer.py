@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.parsing.datatypes import Datatype, DatatypeRegistry
+from repro.parsing.timestamps import TimestampDetector
 from repro.parsing.tokenizer import SplitRule, Tokenizer
 
 
@@ -124,3 +126,34 @@ class TestSplitRules:
 
     def test_apply_returns_groups(self):
         assert SplitRule(r"(a+)(b+)").apply("aabb") == ["aa", "bb"]
+
+
+class TestDatatypeMemo:
+    """The datatype memo never outlives the registry state it came from."""
+
+    def test_registry_edit_reaches_a_warm_tokenizer(self):
+        registry = DatatypeRegistry()
+        tokenizer = Tokenizer(registry=registry)
+        assert tokenizer.tokenize("job E42 done").datatypes == [
+            "WORD", "NOTSPACE", "WORD",
+        ]
+        registry.register(
+            Datatype("CODE", r"E[0-9]+", 12, parents=("NOTSPACE",))
+        )
+        assert tokenizer.tokenize("job E42 done").datatypes == [
+            "WORD", "CODE", "WORD",
+        ]
+        fresh = Tokenizer(registry=registry).tokenize("job E42 done")
+        assert tokenizer.tokenize("job E42 done") == fresh
+
+    def test_registry_edit_reaches_an_unfiltered_tokenizer(self):
+        registry = DatatypeRegistry()
+        tokenizer = Tokenizer(
+            registry=registry,
+            timestamp_detector=TimestampDetector(use_filter=False),
+        )
+        tokenizer.tokenize("job E42 done")
+        registry.register(
+            Datatype("CODE", r"E[0-9]+", 12, parents=("NOTSPACE",))
+        )
+        assert tokenizer.tokenize("job E42 done").datatypes[1] == "CODE"
