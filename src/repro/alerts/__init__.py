@@ -7,8 +7,8 @@ the control loop on top: declarative :class:`AlertRule` objects
 a ``ServiceConfig`` file) are evaluated on the service's heartbeat
 cycle by an :class:`AlertEvaluator`, walk an OK → PENDING → FIRING →
 RESOLVED lifecycle with cooldown and deduplication, are recorded in an
-append-only :class:`AlertHistory` (memory or SQLite, same
-``StorageBackend`` protocol as every other store), and are delivered
+append-only :class:`AlertHistory` (a keyed document table in memory
+or SQLite, like the anomaly store), and are delivered
 through pluggable :class:`AlertSink` implementations with retry and
 dead-lettering.  See ``docs/ALERTING.md``.
 """

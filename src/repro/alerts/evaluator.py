@@ -29,9 +29,10 @@ and — when the retry budget is exhausted — dead-lettered to the
 (history + delivered-or-dead-lettered) and never double-delivered to a
 sink that accepted it (retries happen only after a raised failure).
 
-Anomaly-rate signals reuse the DocumentStore sorted time index
+Anomaly-rate signals reuse the anomaly table's time index
 (:meth:`~repro.service.storage.AnomalyStorage.in_window` is a bisect
-slice, not a scan), so evaluation stays off the hot path — the
+slice in memory and an indexed range on SQLite, not a scan), so
+evaluation stays off the hot path — the
 ``alert_eval`` bench case holds this to the 25% CI gate.
 """
 

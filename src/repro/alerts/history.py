@@ -1,13 +1,12 @@
-"""Append-only alert history on the pluggable storage protocol.
+"""Append-only alert history: a keyed document table.
 
 Every lifecycle transition the evaluator emits is recorded here before
 delivery is attempted, so the history is the source of truth for "what
-fired when" even if every sink is down.  ``backend`` is any
-:class:`~repro.service.backends.StorageBackend`; the service wires an
-in-memory :class:`~repro.service.storage.DocumentStore` by default and
-a :class:`~repro.service.sqlite_store.SQLiteDocumentStore` ``alerts``
-collection when running on ``sqlite:PATH`` storage — the same
-time-index query surface in both cases.
+fired when" even if every sink is down.  The events live in the
+``alerts`` document table (:func:`~repro.service.storage.document_table`,
+keys ``rule`` and ``state``): in memory by default, or in the ``alerts``
+table of the service's SQLite database when running on ``sqlite:PATH``
+storage — the same time-index query surface in both cases.
 """
 
 from __future__ import annotations
@@ -22,46 +21,45 @@ class AlertHistory:
 
     def __init__(
         self,
-        backend: Optional[Any] = None,
         metrics: Optional[Any] = None,
+        database: Optional[Any] = None,
     ) -> None:
-        if backend is None:
-            # Imported lazily: the alerts package must stay importable
-            # from repro.service.config without a circular import.
-            from ..service.storage import DocumentStore
+        # Imported lazily: the alerts package must stay importable
+        # from repro.service.config without a circular import.
+        from ..service.storage import document_table
 
-            backend = DocumentStore(metrics=metrics, name="alerts")
-        self._store = backend
+        self._table = document_table(
+            "alerts", ("rule", "state"), metrics, database
+        )
 
     def append(self, event_dict: Dict[str, Any]) -> int:
         """Record one event document; returns the assigned id."""
-        return self._store.insert(event_dict)
+        return self._table.insert_many([event_dict])[0]
 
     def all(self) -> List[Dict[str, Any]]:
         """Every recorded event, in append order."""
-        return self._store.query()
+        return self._table.all()
 
     def for_rule(self, rule_name: str) -> List[Dict[str, Any]]:
-        return self._store.query(match={"rule": rule_name})
+        return self._table.where("rule", rule_name)
 
     def by_state(self, state: str) -> List[Dict[str, Any]]:
-        return self._store.query(match={"state": state})
+        return self._table.where("state", state)
 
     def in_window(
         self, start_millis: int, end_millis: int
     ) -> List[Dict[str, Any]]:
         """Events inside [start, end], in timestamp order."""
-        return self._store.query(
-            range_=("timestamp_millis", start_millis, end_millis)
-        )
+        return self._table.in_window(start_millis, end_millis)
 
     def last(self, n: int = 10) -> List[Dict[str, Any]]:
         """The most recent ``n`` events, oldest first."""
-        docs = self._store.query()
+        docs = self._table.all()
         return docs[-n:] if n < len(docs) else docs
 
     def count(self) -> int:
-        return self._store.count()
+        return self._table.count()
 
     def clear(self) -> None:
-        self._store.clear()
+        """Drop every recorded event; ``_id`` keeps counting."""
+        self._table.clear()

@@ -27,12 +27,13 @@ Primary cases (each emits one ``BENCH_<case>.json``):
     ``by_source`` / ``by_type`` (hash-index shaped) and ``in_window``
     (time-index shaped) over a large document set.
 ``storage_insert``
-    Bulk ``insert_many`` into a fresh :class:`DocumentStore` with the
-    secondary indexes live (insert-path index maintenance included).
+    Bulk ``store_many`` into a fresh in-memory
+    :class:`~repro.service.storage.AnomalyStorage` (its key and time
+    indexes are maintained on every insert).
 ``storage_query_sqlite`` / ``storage_insert_sqlite``
-    The same two workloads against the persistent
-    :class:`~repro.service.sqlite_store.SQLiteDocumentStore` (WAL mode,
-    batched ``executemany`` ingest, lazily indexed SQL queries) — the
+    The same two workloads against an ``AnomalyStorage`` on a
+    :class:`~repro.service.sqlite_store.SQLiteDatabase` (WAL mode,
+    batched ``executemany`` ingest, indexes created at open) — the
     cost of durability relative to the in-memory store.
 ``storage_sql_many``
     Load-once/query-many (logservatory's design, see SNIPPETS.md): the
@@ -104,12 +105,8 @@ from ..sequence.detector import LogSequenceDetector
 from ..service.bus import MessageBus
 from ..service.config import ServiceConfig
 from ..service.loglens_service import LogLensService
-from ..service.sqlite_store import (
-    SQLiteDatabase,
-    SQLiteDocumentStore,
-    run_readonly_sql,
-)
-from ..service.storage import AnomalyStorage, DocumentStore
+from ..service.sqlite_store import SQLiteDatabase, run_readonly_sql
+from ..service.storage import AnomalyStorage
 from ..streaming import StreamRecord, StreamingContext
 from .harness import BenchCase, CaseResult, run_case, summarize
 from .workloads import (
@@ -700,7 +697,7 @@ def _data_plane_cases(params: Dict[str, Any]) -> List[BenchCase]:
         storage = AnomalyStorage()
         for doc in w.docs:
             storage.store(doc)
-        expected = query_mix(storage, w)  # also warms lazy indexes
+        expected = query_mix(storage, w)
         return (storage, w, expected)
 
     def run_storage_query(state):
@@ -718,12 +715,8 @@ def _data_plane_cases(params: Dict[str, Any]) -> List[BenchCase]:
         return storage_workload(storage_docs, 1).docs
 
     def run_storage_insert(docs):
-        store = DocumentStore()
-        # Touch the queried fields first so the timed insert pays the
-        # full index-maintenance cost a live store pays.
-        store.query(match={"source": "src-0"})
-        store.query(range_=("timestamp_millis", 0, 0))
-        store.insert_many(docs)
+        store = AnomalyStorage(metrics=MetricsRegistry())
+        store.store_many(docs)
         return store
 
     def check_storage_insert(docs, store):
@@ -744,17 +737,16 @@ def _data_plane_cases(params: Dict[str, Any]) -> List[BenchCase]:
             prefix="bench-sqlite-", dir=bench_tmp
         )
 
-    def _fresh_sqlite_store(tmp, name):
-        db = SQLiteDatabase(Path(tmp.name) / ("%s.db" % name))
-        return db, SQLiteDocumentStore(db, name, metrics=MetricsRegistry())
+    def _fresh_sqlite_store(path):
+        db = SQLiteDatabase(path)
+        return db, AnomalyStorage(metrics=MetricsRegistry(), database=db)
 
     def setup_storage_query_sqlite():
         tmp = _sqlite_tmpdir()
         w = storage_workload(storage_docs, sqlite_queries)
-        db, backend = _fresh_sqlite_store(tmp, "anomalies")
-        backend.insert_many(w.docs)
-        storage = AnomalyStorage(backend=backend)
-        expected = query_mix(storage, w)  # also creates the SQL indexes
+        db, storage = _fresh_sqlite_store(Path(tmp.name) / "anomalies.db")
+        storage.store_many(w.docs)
+        expected = query_mix(storage, w)
         return (storage, w, expected, db, tmp)
 
     def run_storage_query_sqlite(state):
@@ -781,16 +773,8 @@ def _data_plane_cases(params: Dict[str, Any]) -> List[BenchCase]:
             path = Path(str(base) + suffix)
             if path.exists():
                 path.unlink()
-        db = SQLiteDatabase(base)
-        store = SQLiteDocumentStore(
-            db, "anomalies", metrics=MetricsRegistry()
-        )
-        # Touch the queried fields first so the timed insert pays the
-        # SQL index maintenance a live store pays (parity with
-        # storage_insert's warmed in-memory indexes).
-        store.query(match={"source": "src-0"})
-        store.query(range_=("timestamp_millis", 0, 0))
-        ids = store.insert_many(docs)
+        db, store = _fresh_sqlite_store(base)
+        ids = store.store_many(docs)
         stored = store.count()
         db.close()  # WAL flush is part of the durability cost
         return (len(ids), stored)
@@ -807,14 +791,11 @@ def _data_plane_cases(params: Dict[str, Any]) -> List[BenchCase]:
     def setup_storage_sql_many():
         tmp = _sqlite_tmpdir()
         w = storage_workload(storage_docs, storage_queries)
-        db, backend = _fresh_sqlite_store(tmp, "anomalies")
-        backend.insert_many(w.docs)
-        # Build the SQL indexes the ad-hoc queries will lean on, then
-        # close the writer: from here on the database is read-only.
-        backend.query(match={"source": w.sources[0]})
-        backend.query(range_=("timestamp_millis", 0, 0))
-        db.close()
         path = str(Path(tmp.name) / "anomalies.db")
+        db, storage = _fresh_sqlite_store(path)
+        storage.store_many(w.docs)
+        # Close the writer: from here on the database is read-only.
+        db.close()
 
         def sql_mix():
             hits = 0

@@ -1290,9 +1290,16 @@ def _cmd_alerts(args: argparse.Namespace) -> int:
 
 
 def _cmd_alerts_history(args: argparse.Namespace) -> int:
-    from .alerts import AlertHistory
+    """Print the ``alerts`` table of a service database, read-only.
+
+    The rows are read through :func:`run_readonly_sql`, so the command
+    never writes to the file it inspects: no table is created and the
+    journal mode is left as it was.
+    """
+    import sqlite3
+
     from .service.backends import parse_storage_spec
-    from .service.sqlite_store import SQLiteDatabase, SQLiteDocumentStore
+    from .service.sqlite_store import run_readonly_sql
 
     spec = args.storage
     if not spec.startswith("sqlite:"):
@@ -1309,14 +1316,17 @@ def _cmd_alerts_history(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    database = SQLiteDatabase(config.path)
     try:
-        history = AlertHistory(
-            backend=SQLiteDocumentStore(database, "alerts")
+        _, rows = run_readonly_sql(
+            config.path, "SELECT _doc FROM alerts ORDER BY _id"
         )
-        events = history.all()
-    finally:
-        database.close()
+    except sqlite3.Error as exc:
+        print(
+            "error: %s holds no alert history (%s)" % (config.path, exc),
+            file=sys.stderr,
+        )
+        return 2
+    events = [json.loads(doc) for (doc,) in rows]
     if args.rule is not None:
         events = [e for e in events if e.get("rule") == args.rule]
     if args.state is not None:

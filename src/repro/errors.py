@@ -26,6 +26,7 @@ __all__ = [
     "ExecutionError",
     "AlertDeliveryError",
     "ConfigFileError",
+    "StorageLayoutError",
 ]
 
 
@@ -51,6 +52,26 @@ class ConfigFileError(LogLensError, ValueError):
     fix-it hint.  Subclasses ``ValueError`` so generic config
     validation handlers keep working.
     """
+
+
+class StorageLayoutError(LogLensError):
+    """A SQLite database holds a table this version cannot use.
+
+    Raised when a store opens a file whose ``table`` has other columns
+    than the store's fixed layout, or that still carries the
+    ``_store_meta`` table of the earlier schemaless layout.  Nothing is
+    appended to the refused table, and a file with ``_store_meta`` is
+    left untouched.
+    """
+
+    def __init__(self, path: str, table: str) -> None:
+        super().__init__(
+            "%s: table %r is from a storage layout this version does "
+            "not use; point the service at a new database file"
+            % (path, table)
+        )
+        self.path = path
+        self.table = table
 
 
 class IngestError(LogLensError):

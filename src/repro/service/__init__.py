@@ -33,7 +33,7 @@ from .model_controller import (
 )
 from .replay import ModelComparison, ReplayOutcome, compare_models, replay
 from .model_manager import ModelManager, PATTERN_MODEL, SEQUENCE_MODEL
-from .storage import AnomalyStorage, DocumentStore, LogStorage, ModelStorage
+from .storage import AnomalyStorage, LogStorage, ModelStorage
 
 __all__ = [
     "FileTailAgent",
@@ -73,7 +73,6 @@ __all__ = [
     "PATTERN_MODEL",
     "SEQUENCE_MODEL",
     "AnomalyStorage",
-    "DocumentStore",
     "LogStorage",
     "ModelStorage",
 ]

@@ -1,16 +1,13 @@
-"""The storage-backend seam: one protocol, pluggable engines.
+"""The storage spec: which backend a service's stores run on.
 
 The paper's deployment persists archived logs, models, and anomalies in
 Elasticsearch so they survive restarts and scale past RAM (Section
-II-B).  This module names the query surface those stores actually rely
-on as a :class:`StorageBackend` protocol, so the document collection
-behind :class:`~repro.service.storage.LogStorage` /
-:class:`~repro.service.storage.AnomalyStorage` can be swapped:
+II-B).  Every store of :mod:`repro.service.storage` runs on one of two
+backends:
 
-* ``memory`` — :class:`~repro.service.storage.DocumentStore`, the
-  indexed in-memory store (fast default, equivalence-test oracle);
-* ``sqlite:PATH`` — :class:`~repro.service.sqlite_store.SQLiteDocumentStore`
-  on a shared WAL-mode database file (restart-durable, RAM-unbounded,
+* ``memory`` — in-process tables (the default);
+* ``sqlite:PATH`` — fixed tables in one shared WAL-mode database file
+  (:mod:`repro.service.sqlite_store`: restart-durable, RAM-unbounded,
   ad-hoc SQL).
 
 Backend selection is a one-line spec string threaded from the CLI
@@ -22,69 +19,12 @@ Backend selection is a one-line spec string threaded from the CLI
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (
-    Any,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Protocol,
-    Tuple,
-    Union,
-    runtime_checkable,
-)
+from typing import Optional, Union
 
 __all__ = [
-    "StorageBackend",
     "StorageConfig",
     "parse_storage_spec",
 ]
-
-
-@runtime_checkable
-class StorageBackend(Protocol):
-    """The document-collection surface every backend must provide.
-
-    Extracted from :class:`~repro.service.storage.DocumentStore` — the
-    in-memory store *is* the reference implementation, and the
-    cross-backend equivalence suite holds every other backend to its
-    observable behaviour:
-
-    * ``insert``/``insert_many`` assign monotonically increasing
-      integer ``_id`` values starting at 0 and stamp them on the stored
-      documents; ``clear`` does **not** reset the counter.
-    * ``query(match=...)`` filters on exact field equality
-      (``doc.get(field) == value``, so a ``None`` probe matches missing
-      fields too) and returns documents in insertion order.
-    * ``query(range_=(field, lo, hi))`` returns documents whose field
-      value lies in the inclusive range (``None`` bounds are open;
-      documents missing the field, or whose value cannot be compared
-      against the bounds, are skipped) ordered by the range field, ties
-      in insertion order.
-    * ``limit`` truncates after that ordering is established.
-    * ``distinct`` lists a field's values in first-insertion order
-      (missing fields contribute ``None``).
-    * Returned documents are read-only views; ``dict(doc)`` copies.
-    """
-
-    def insert(self, doc: Dict[str, Any]) -> int: ...
-
-    def insert_many(self, docs: Iterable[Dict[str, Any]]) -> List[int]: ...
-
-    def get(self, doc_id: int) -> Optional[Dict[str, Any]]: ...
-
-    def query(
-        self,
-        match: Optional[Dict[str, Any]] = None,
-        range_: Optional[Tuple[str, Optional[float], Optional[float]]] = None,
-        limit: Optional[int] = None,
-    ) -> List[Dict[str, Any]]: ...
-
-    def distinct(self, field: str) -> List[Any]: ...
-
-    def count(self, match: Optional[Dict[str, Any]] = None) -> int: ...
-
-    def clear(self) -> None: ...
 
 
 @dataclass(frozen=True)

@@ -60,7 +60,7 @@ from .model_builder import BuiltModels, ModelBuilder
 from .model_controller import ModelBinding, ModelController
 from .model_manager import ModelManager, PATTERN_MODEL, SEQUENCE_MODEL
 from .sections import ReportSection
-from .storage import AnomalyStorage, DocumentStore, LogStorage, ModelStorage
+from .storage import AnomalyStorage, LogStorage, ModelStorage
 
 __all__ = [
     "StepReport",
@@ -488,41 +488,28 @@ class LogLensService:
         self.fault_plan = fault_plan
         builder = config.builder
 
-        # Transport and storage plane.  The backend is pluggable: the
-        # in-memory default, or one shared SQLite(WAL) database so the
-        # archive, models, and anomalies survive a restart.
+        # Transport and storage plane: every store runs in memory, or on
+        # one shared SQLite(WAL) database so the archive, models,
+        # anomalies and alert history survive a restart.
         self.bus = MessageBus(metrics=self.metrics)
         self.bus.ensure_topic("logs.raw", partitions=num_partitions)
-        # ``backend(name)`` opens one named document collection (logs,
-        # anomalies, alerts) of the configured kind.
         self.storage_config = parse_storage_spec(config.storage)
         self.storage_database = None
-        journal: Optional[Callable[[], Any]] = None
+        journal = None
         if self.storage_config.kind == "sqlite":
-            from .sqlite_store import (
-                SQLiteDatabase,
-                SQLiteDocumentStore,
-                SQLiteModelJournal,
-            )
+            from .sqlite_store import SQLiteDatabase, SQLiteModelJournal
 
             self.storage_database = SQLiteDatabase(self.storage_config.path)
-            backend: Callable[[str], Any] = partial(
-                SQLiteDocumentStore,
-                self.storage_database,
-                metrics=self.metrics,
-            )
-            journal = partial(SQLiteModelJournal, self.storage_database)
-        else:
-            backend = partial(DocumentStore, self.metrics)
-        self.log_storage = LogStorage(backend=backend("logs"))
-        self.model_storage = ModelStorage(
-            journal=journal() if journal is not None else None
-        )
-        self.anomaly_storage = AnomalyStorage(backend=backend("anomalies"))
+        database = self.storage_database
+        self.log_storage = LogStorage(self.metrics, database)
+        if database is not None:
+            journal = SQLiteModelJournal(database)
+        self.model_storage = ModelStorage(journal=journal)
+        self.anomaly_storage = AnomalyStorage(self.metrics, database)
         # Alerting plane: rule evaluation on the heartbeat cycle, with
         # the history store on the same backend as the rest of the
-        # storage plane (the ``alerts`` collection).
-        self.alert_history = AlertHistory(backend=backend("alerts"))
+        # storage plane (the ``alerts`` table).
+        self.alert_history = AlertHistory(self.metrics, database)
         self.alert_evaluator = AlertEvaluator(
             config.alerts.rules,
             metrics=self.metrics,

@@ -1,43 +1,30 @@
-"""Document stores: log, model, and anomaly storage (Elasticsearch stand-in).
+"""Log, model, and anomaly storage (Elasticsearch stand-in).
 
 Section II-B of the paper assigns three storage roles to Elasticsearch:
 archived raw logs organised by source (replayable for model rebuilds),
 versioned models, and validated anomalies queryable from the dashboard.
-These in-memory stores reproduce the query surface LogLens uses: exact
-field match, numeric range scans, and source/time organisation.
+LogLens asks each role a fixed question, so each store knows its columns
+when it is built:
 
-**Indexing.** :class:`DocumentStore` keeps lazily-built secondary
-indexes so the query surface stays sub-linear at archive scale:
+* :class:`LogStorage` holds ``(source, timestamp_millis, raw)`` rows,
+  read back by source in arrival order or by source and time window;
+* :class:`AnomalyStorage` (and
+  :class:`~repro.alerts.history.AlertHistory`) is a keyed document
+  table: whole documents read back in insertion order, by exact match
+  on the keys declared at construction, or by a ``timestamp_millis``
+  window;
+* :class:`ModelStorage` holds versioned model dicts, persisted through
+  an optional write-through ``journal``.
 
-* a hash index per exact-match field (built on the first ``match`` query
-  naming the field, maintained on every insert afterwards);
-* a sorted index per range field (bisect slicing for ``range_`` queries);
-* an id map for O(1) :meth:`DocumentStore.get`.
+The log and document stores run in memory by default, or on the tables
+of one shared :class:`~repro.service.sqlite_store.SQLiteDatabase` when
+built with ``database=``.  Both backends answer every read identically,
+order and ``_id`` included.  See ``docs/STORAGE.md``.
 
-Fields whose values turn out to be unhashable (hash index) or mutually
-uncomparable (sorted index) poison that one index and fall back to the
-linear scan — never an error.
-
-**Read views.** Queries return the stored documents themselves as
-immutable read views (:class:`dict` subclass that refuses mutation)
-instead of copying every matching document.  They compare, index, and
-iterate exactly like the dicts the API historically returned; call
-``dict(doc)`` for a mutable copy.
-
-**Ordering** is explicit: ``match``-only queries return documents in
-insertion order; when the sorted index serves a ``range_`` query the
-results come back ordered by the range field (ties in insertion order).
-``limit`` truncates *after* that ordering is established.
-
-**Backends.** :class:`DocumentStore` is the reference implementation of
-the :class:`~repro.service.backends.StorageBackend` protocol — the fast
-in-memory default and the oracle the cross-backend equivalence suite
-holds other backends to.  :class:`LogStorage` and
-:class:`AnomalyStorage` accept any protocol implementation via their
-``backend`` parameter (e.g. the persistent
-:class:`~repro.service.sqlite_store.SQLiteDocumentStore`);
-:class:`ModelStorage` persists through an optional write-through
-``journal``.  See ``docs/STORAGE.md``.
+**Read views.** In-memory reads return the stored documents themselves
+as immutable read views (:class:`dict` subclass that refuses mutation)
+instead of copying every matching document; call ``dict(doc)`` for a
+mutable copy.
 """
 
 from __future__ import annotations
@@ -46,16 +33,18 @@ import copy
 import threading
 from bisect import bisect_left, bisect_right
 from itertools import repeat
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from operator import itemgetter
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..obs import MetricsRegistry, get_registry
 
 __all__ = [
     "ReadOnlyDocument",
-    "DocumentStore",
     "LogStorage",
     "ModelStorage",
     "AnomalyStorage",
+    "check_document",
+    "document_table",
 ]
 
 
@@ -85,396 +74,248 @@ class ReadOnlyDocument(dict):
         return dict(self)
 
 
-class _SortedIndex:
-    """Parallel (keys, docs) lists kept sorted by one field's value."""
+class MemoryLogTable:
+    """The archive in memory: per-source lists of raw lines and times.
 
-    __slots__ = ("keys", "docs")
+    Sources keep their first-arrival order and each source's rows their
+    arrival order.  There is no time index: :meth:`time_range` filters
+    one source and stable-sorts the hits, since only model rebuilds and
+    the dashboard ask it.
+    """
 
-    def __init__(self) -> None:
-        self.keys: List[Any] = []
-        self.docs: List[ReadOnlyDocument] = []
+    def __init__(self, metrics: Optional[MetricsRegistry] = None) -> None:
+        #: source -> (raw lines, timestamps), parallel lists.
+        self._rows: Dict[str, Tuple[List[str], List[Optional[int]]]] = {}
+        self._count = 0
+        self._lock = threading.Lock()
+        obs = metrics if metrics is not None else get_registry()
+        self._g_docs = obs.gauge("storage.documents", store="logs")
+
+    def store_batch(
+        self, entries: Iterable[Tuple[str, str, Optional[int]]]
+    ) -> None:
+        rows = self._rows
+        added = 0
+        with self._lock:
+            try:
+                for raw, source, ts in entries:
+                    pair = rows.get(source)
+                    if pair is None:
+                        pair = rows[source] = ([], [])
+                    pair[0].append(raw)
+                    pair[1].append(ts)
+                    added += 1
+            finally:  # a malformed entry still leaves count == rows kept
+                self._count += added
+                self._g_docs.set(self._count)
+
+    def by_source(self, source: str) -> List[str]:
+        with self._lock:
+            pair = self._rows.get(source)
+            return list(pair[0]) if pair is not None else []
+
+    def sources(self) -> List[str]:
+        with self._lock:
+            return list(self._rows)
+
+    def time_range(
+        self, source: str, start_millis: int, end_millis: int
+    ) -> List[str]:
+        with self._lock:
+            pair = self._rows.get(source)
+            if pair is None:
+                return []
+            hits = [
+                (ts, raw)
+                for raw, ts in zip(*pair)
+                if ts is not None and start_millis <= ts <= end_millis
+            ]
+        hits.sort(key=itemgetter(0))  # stable: ties keep arrival order
+        return [raw for _, raw in hits]
+
+    def count(self, source: Optional[str] = None) -> int:
+        with self._lock:
+            if source is None:
+                return self._count
+            pair = self._rows.get(source)
+            return len(pair[0]) if pair is not None else 0
 
 
-#: Sentinel distinguishing "index never requested" from "index poisoned".
-_UNBUILT = object()
+def check_document(doc: Dict[str, Any], keys: Sequence[str]) -> None:
+    """Refuse ``doc`` unless its ``keys`` and ``timestamp_millis`` hold
+    values both backends index alike.
+
+    A key value must be None, a string or a number and a time None or a
+    number (``bool`` counts as a number, NaN does not): SQLite binds
+    exactly these, and they hash and compare in memory as SQLite
+    compares them.  Tables check a whole batch before storing any of
+    it, so a refused batch leaves the table as it was.
+    """
+    for key in keys:
+        value = doc.get(key)
+        if value is not None and (
+            not isinstance(value, (str, int, float)) or value != value
+        ):
+            raise TypeError(
+                "document key %r must be None, a string or a number, "
+                "not %r" % (key, value)
+            )
+    ts = doc.get("timestamp_millis")
+    if ts is not None and (
+        not isinstance(ts, (int, float)) or ts != ts
+    ):
+        raise TypeError(
+            "timestamp_millis must be None or a number, not %r" % (ts,)
+        )
 
 
-class DocumentStore:
-    """A minimal schemaless document collection with match/range queries.
+class MemoryDocumentTable:
+    """A keyed document table in memory.
 
-    Parameters
-    ----------
-    metrics:
-        Registry for the ``storage.*`` gauges (defaults to the process
-        registry).
-    name:
-        Label distinguishing this store's gauges (``store=<name>``).
+    Every insert stamps an ``_id`` on a read-only copy of the document
+    and keeps two kinds of index current: a hash index per key declared
+    at construction (``doc.get(key)``, so documents missing the key sit
+    under ``None``) and a time index over ``timestamp_millis``
+    (documents without one are left out of it).  ``_id`` counts from 0
+    in insertion order and is never reused, not even after
+    :meth:`clear`.
     """
 
     def __init__(
         self,
+        name: str,
+        keys: Sequence[str],
         metrics: Optional[MetricsRegistry] = None,
-        name: str = "documents",
     ) -> None:
-        self._docs: List[ReadOnlyDocument] = []
-        self._by_id: Dict[int, ReadOnlyDocument] = {}
-        # field -> {value: [doc, ...]} buckets; None marks a field whose
-        # values proved unhashable (permanent linear fallback).
-        self._hash_index: Dict[
-            str, Optional[Dict[Any, List[ReadOnlyDocument]]]
-        ] = {}
-        # field -> _SortedIndex; None marks uncomparable values.
-        self._sorted_index: Dict[str, Optional[_SortedIndex]] = {}
-        self._lock = threading.RLock()
+        self._keys = tuple(keys)
         self._next_id = 0
+        self._lock = threading.Lock()
         obs = metrics if metrics is not None else get_registry()
         self._g_docs = obs.gauge("storage.documents", store=name)
-        self._g_hash_fields = obs.gauge(
-            "storage.hash_index_fields", store=name
-        )
-        self._g_sorted_fields = obs.gauge(
-            "storage.sorted_index_fields", store=name
-        )
-        self._g_index_entries = obs.gauge(
-            "storage.index_entries", store=name
-        )
+        self._empty()
 
-    # ------------------------------------------------------------------
-    # Write path
-    # ------------------------------------------------------------------
-    def insert(self, doc: Dict[str, Any]) -> int:
-        """Store a copy of ``doc``; returns the assigned document id."""
-        return self.insert_many([doc])[0]
+    def _empty(self) -> None:
+        self._docs: List[ReadOnlyDocument] = []
+        self._by_key: Dict[str, Dict[Any, List[ReadOnlyDocument]]] = {
+            key: {} for key in self._keys
+        }
+        #: Timestamped documents sorted by time, ties in insertion order.
+        self._times: List[int] = []
+        self._timed: List[ReadOnlyDocument] = []
 
     def insert_many(self, docs: Iterable[Dict[str, Any]]) -> List[int]:
-        """Store many documents under one lock acquisition.
-
-        The one write path: every insert maintains the indexes and
-        refreshes the gauges here.  The batch loop hoists the live-index
-        lookups out of the per-doc path, so bulk archiving pays the lock
-        and the index plumbing once per batch instead of once per
-        document.
-        """
+        keys = self._keys
         with self._lock:
-            hash_live = [
-                (f, i) for f, i in self._hash_index.items() if i is not None
-            ]
-            sorted_live = [
-                (f, s)
-                for f, s in self._sorted_index.items()
-                if s is not None
-            ]
-            ids: List[int] = []
-            add_id = ids.append
-            add_doc = self._docs.append
-            by_id = self._by_id
-            next_id = self._next_id
-            # Poisoned fields collected per document, applied *after*
-            # each index loop: removing from hash_live/sorted_live while
-            # iterating them silently skipped the next live index for
-            # that document, leaving it invisible to later queries.
-            poisoned: List[str] = []
+            first = next_id = self._next_id
+            batch = []
             for doc in docs:
+                check_document(doc, keys)
                 stored = ReadOnlyDocument(doc)
                 dict.__setitem__(stored, "_id", next_id)
-                add_doc(stored)
-                by_id[next_id] = stored
-                add_id(next_id)
                 next_id += 1
-                for entry in hash_live:
-                    fname, index = entry
-                    value = stored.get(fname)
-                    try:
-                        bucket = index.get(value)
-                    except TypeError:  # unhashable value: poison
-                        self._hash_index[fname] = None
-                        poisoned.append(fname)
-                        continue
+                batch.append(stored)
+            stored_docs, times, timed = self._docs, self._times, self._timed
+            indexes = list(self._by_key.items())
+            for stored in batch:
+                stored_docs.append(stored)
+                for key, index in indexes:
+                    value = stored.get(key)
+                    bucket = index.get(value)
                     if bucket is None:
                         index[value] = [stored]
                     else:
                         bucket.append(stored)
-                if poisoned:
-                    hash_live = [
-                        e for e in hash_live if e[0] not in poisoned
-                    ]
-                    poisoned.clear()
-                for entry in sorted_live:
-                    fname, sindex = entry
-                    value = stored.get(fname)
-                    if value is None:
-                        continue
-                    keys = sindex.keys
-                    try:
-                        if not keys or not value < keys[-1]:
-                            # Monotone fast path: log/anomaly timestamps
-                            # arrive (near-)sorted, so the common insert
-                            # is an append.
-                            keys.append(value)
-                            sindex.docs.append(stored)
-                        else:
-                            # bisect_right keeps equal keys in insertion
-                            # order.
-                            pos = bisect_right(keys, value)
-                            keys.insert(pos, value)
-                            sindex.docs.insert(pos, stored)
-                    except TypeError:  # uncomparable value: poison
-                        self._sorted_index[fname] = None
-                        poisoned.append(fname)
-                if poisoned:
-                    sorted_live = [
-                        e for e in sorted_live if e[0] not in poisoned
-                    ]
-                    poisoned.clear()
+                ts = stored.get("timestamp_millis")
+                if ts is None:
+                    continue
+                if not times or ts >= times[-1]:  # the common, in-order case
+                    times.append(ts)
+                    timed.append(stored)
+                else:
+                    pos = bisect_right(times, ts)
+                    times.insert(pos, ts)
+                    timed.insert(pos, stored)
             self._next_id = next_id
-            self._g_docs.set(len(self._docs))
-            self._refresh_index_gauges()
-            return ids
+            self._g_docs.set(len(stored_docs))
+            return list(range(first, next_id))
 
-    # ------------------------------------------------------------------
-    # Read path
-    # ------------------------------------------------------------------
-    def get(self, doc_id: int) -> Optional[Dict[str, Any]]:
-        """O(1) id lookup via the id map."""
+    def all(self) -> List[Dict[str, Any]]:
         with self._lock:
-            return self._by_id.get(doc_id)
+            return list(self._docs)
 
-    def query(
-        self,
-        match: Optional[Dict[str, Any]] = None,
-        range_: Optional[Tuple[str, Optional[float], Optional[float]]] = None,
-        limit: Optional[int] = None,
+    def where(self, key: str, value: Any) -> List[Dict[str, Any]]:
+        """Documents whose ``key`` equals ``value``, in insertion order."""
+        with self._lock:
+            return list(self._by_key[key].get(value, ()))
+
+    def in_window(
+        self, start_millis: int, end_millis: int
     ) -> List[Dict[str, Any]]:
-        """Filter by exact field equality and/or an inclusive numeric range.
-
-        ``range_`` is ``(field, low, high)``; ``None`` bounds are open.
-        Results are immutable read views of the stored documents.
-
-        Ordering: insertion order for ``match``-only (and unindexed)
-        queries; range-field order — ties in insertion order — when the
-        sorted index serves ``range_``.  ``limit`` keeps the first N of
-        that ordering.
-        """
+        """Documents inside [start, end], in timestamp-then-insertion
+        order."""
         with self._lock:
-            if range_ is not None:
-                out = self._query_range(match, range_, limit)
-            elif match:
-                out = self._query_match(match, limit)
-            else:
-                out = self._docs[:limit]
-            return list(out)
+            lo = bisect_left(self._times, start_millis)
+            hi = bisect_right(self._times, end_millis)
+            return self._timed[lo:hi]
 
-    def _query_range(
-        self,
-        match: Optional[Dict[str, Any]],
-        range_: Tuple[str, Optional[float], Optional[float]],
-        limit: Optional[int],
-    ) -> List[ReadOnlyDocument]:
-        fname, lo, hi = range_
-        sindex = self._sorted_range_index(fname)
-        if sindex is None:
-            return self._scan(match, range_, limit)
-        lo_pos = 0 if lo is None else bisect_left(sindex.keys, lo)
-        hi_pos = (
-            len(sindex.keys) if hi is None
-            else bisect_right(sindex.keys, hi)
-        )
-        candidates = sindex.docs[lo_pos:hi_pos]
-        if not match:
-            return candidates[:limit]
-        out: List[ReadOnlyDocument] = []
-        items = list(match.items())
-        for doc in candidates:
-            if all(doc.get(k) == v for k, v in items):
-                out.append(doc)
-                if limit is not None and len(out) >= limit:
-                    break
-        return out
-
-    def _query_match(
-        self, match: Dict[str, Any], limit: Optional[int]
-    ) -> List[ReadOnlyDocument]:
-        bucket: Optional[List[ReadOnlyDocument]] = None
-        bucket_field: Optional[str] = None
-        for fname, value in match.items():
-            index = self._hash_match_index(fname)
-            if index is None:
-                continue
-            try:
-                bucket = index.get(value, [])
-            except TypeError:  # unhashable probe value; try another field
-                continue
-            bucket_field = fname
-            break
-        if bucket_field is None:
-            return self._scan(match, None, limit)
-        rest = [(k, v) for k, v in match.items() if k != bucket_field]
-        if not rest:
-            return bucket[:limit]
-        out: List[ReadOnlyDocument] = []
-        for doc in bucket:
-            if all(doc.get(k) == v for k, v in rest):
-                out.append(doc)
-                if limit is not None and len(out) >= limit:
-                    break
-        return out
-
-    def _scan(
-        self,
-        match: Optional[Dict[str, Any]],
-        range_: Optional[Tuple[str, Optional[float], Optional[float]]],
-        limit: Optional[int],
-    ) -> List[ReadOnlyDocument]:
-        """The linear fallback (poisoned index or unhashable probe)."""
-        out: List[ReadOnlyDocument] = []
-        for doc in self._docs:
-            if match is not None and any(
-                doc.get(k) != v for k, v in match.items()
-            ):
-                continue
-            if range_ is not None:
-                fname, lo, hi = range_
-                value = doc.get(fname)
-                if value is None:
-                    continue
-                try:
-                    if lo is not None and value < lo:
-                        continue
-                    if hi is not None and value > hi:
-                        continue
-                except TypeError:
-                    # A value the bounds can't compare against can't be
-                    # inside the range; skip it rather than raise.
-                    continue
-            out.append(doc)
-            if limit is not None and len(out) >= limit:
-                break
-        return out
-
-    def distinct(self, field: str) -> List[Any]:
-        """Distinct values of ``field``, in first-insertion order.
-
-        Documents missing the field contribute ``None`` (the same
-        conflation :meth:`query`'s ``match`` applies).
-        """
+    def count(self) -> int:
         with self._lock:
-            index = self._hash_match_index(field)
-            if index is not None:
-                return list(index)
-            seen: List[Any] = []
-            for doc in self._docs:
-                value = doc.get(field)
-                if value not in seen:
-                    seen.append(value)
-            return seen
-
-    def count(self, match: Optional[Dict[str, Any]] = None) -> int:
-        if match is None:
-            with self._lock:
-                return len(self._docs)
-        return len(self.query(match=match))
+            return len(self._docs)
 
     def clear(self) -> None:
+        """Drop every document; later inserts keep counting ``_id``."""
         with self._lock:
-            self._docs.clear()
-            self._by_id.clear()
-            self._hash_index.clear()
-            self._sorted_index.clear()
+            self._empty()
             self._g_docs.set(0)
-            self._refresh_index_gauges()
 
-    # ------------------------------------------------------------------
-    # Index construction (lock held)
-    # ------------------------------------------------------------------
-    def _hash_match_index(
-        self, fname: str
-    ) -> Optional[Dict[Any, List[ReadOnlyDocument]]]:
-        index = self._hash_index.get(fname, _UNBUILT)
-        if index is not _UNBUILT:
-            return index
-        built: Dict[Any, List[ReadOnlyDocument]] = {}
-        try:
-            for doc in self._docs:
-                built.setdefault(doc.get(fname), []).append(doc)
-        except TypeError:  # unhashable value somewhere: poison
-            self._hash_index[fname] = None
-            return None
-        self._hash_index[fname] = built
-        self._refresh_index_gauges()
-        return built
 
-    def _sorted_range_index(self, fname: str) -> Optional[_SortedIndex]:
-        sindex = self._sorted_index.get(fname, _UNBUILT)
-        if sindex is not _UNBUILT:
-            return sindex
-        built = _SortedIndex()
-        pairs = [
-            (doc.get(fname), doc)
-            for doc in self._docs
-            if doc.get(fname) is not None
-        ]
-        try:
-            # Stable sort: equal keys stay in insertion order.
-            pairs.sort(key=lambda pair: pair[0])
-        except TypeError:  # mixed uncomparable values: poison
-            self._sorted_index[fname] = None
-            return None
-        built.keys = [value for value, _ in pairs]
-        built.docs = [doc for _, doc in pairs]
-        self._sorted_index[fname] = built
-        self._refresh_index_gauges()
-        return built
+def document_table(
+    name: str,
+    keys: Sequence[str],
+    metrics: Optional[MetricsRegistry] = None,
+    database: Optional[Any] = None,
+) -> Any:
+    """Open the keyed document table ``name`` in memory or on
+    ``database`` (a :class:`~repro.service.sqlite_store.SQLiteDatabase`).
+    """
+    if database is None:
+        return MemoryDocumentTable(name, keys, metrics)
+    from .sqlite_store import SQLiteDocumentTable
 
-    def _refresh_index_gauges(self) -> None:
-        hash_live = [i for i in self._hash_index.values() if i is not None]
-        sorted_live = [
-            i for i in self._sorted_index.values() if i is not None
-        ]
-        self._g_hash_fields.set(len(hash_live))
-        self._g_sorted_fields.set(len(sorted_live))
-        self._g_index_entries.set(
-            sum(len(i) for i in hash_live)
-            + sum(len(i.keys) for i in sorted_live)
-        )
+    return SQLiteDocumentTable(database, name, keys, metrics)
 
 
 class LogStorage:
     """Archived raw logs organised by source (paper: "Log Storage").
 
-    ``backend`` is any :class:`~repro.service.backends.StorageBackend`
-    implementation; defaults to an in-memory :class:`DocumentStore`.
+    Rows live in memory, or in the ``logs`` table of ``database`` (a
+    :class:`~repro.service.sqlite_store.SQLiteDatabase`).
 
     **Timestamp visibility rule:** rows archived with
-    ``timestamp_millis=None`` (no event time was detected) are
-    permanently invisible to :meth:`time_range` — the time index skips
-    documents missing the range field.  They remain visible to
-    :meth:`by_source` (and therefore to replay) and :meth:`count`.
+    ``timestamp_millis=None`` (no event time was detected) never appear
+    in :meth:`time_range`.  They remain visible to :meth:`by_source`
+    (and therefore to replay) and :meth:`count`.
     """
 
     def __init__(
         self,
         metrics: Optional[MetricsRegistry] = None,
-        backend: Optional[Any] = None,
+        database: Optional[Any] = None,
     ) -> None:
-        self._store = (
-            backend
-            if backend is not None
-            else DocumentStore(metrics=metrics, name="logs")
-        )
+        if database is None:
+            self._table: Any = MemoryLogTable(metrics)
+        else:
+            from .sqlite_store import SQLiteLogTable
+
+            self._table = SQLiteLogTable(database, metrics)
 
     def store(
         self,
         raw: str,
         source: str,
         timestamp_millis: Optional[int] = None,
-    ) -> int:
-        return self._store.insert(
-            {
-                "raw": raw,
-                "source": source,
-                "timestamp_millis": timestamp_millis,
-            }
-        )
+    ) -> None:
+        self._table.store_batch([(raw, source, timestamp_millis)])
 
     def store_many(
         self,
@@ -504,41 +345,30 @@ class LogStorage:
         self, entries: Iterable[Tuple[str, str, Optional[int]]]
     ) -> None:
         """Archive ``(raw, source, timestamp_millis)`` rows in one batch."""
-        self._store.insert_many(
-            [
-                {"raw": raw, "source": source, "timestamp_millis": ts}
-                for raw, source, ts in entries
-            ]
-        )
+        self._table.store_batch(entries)
 
     def by_source(self, source: str) -> List[str]:
         """All raw logs of one source, in arrival order (for replay)."""
-        return [
-            d["raw"] for d in self._store.query(match={"source": source})
-        ]
+        return self._table.by_source(source)
 
     def sources(self) -> List[str]:
-        return self._store.distinct("source")
+        """Every source archived so far, in first-arrival order."""
+        return self._table.sources()
 
     def time_range(
         self, source: str, start_millis: int, end_millis: int
     ) -> List[str]:
         """Raw logs of a source within [start, end] (model rebuild window).
 
-        Served by the time index: results come back in timestamp order
-        (arrival order between equal timestamps).  Rows archived with
-        ``timestamp_millis=None`` never appear here — use
-        :meth:`by_source` for the complete archive.
+        Results come back in timestamp order (arrival order between
+        equal timestamps).  Rows archived with ``timestamp_millis=None``
+        never appear here — use :meth:`by_source` for the complete
+        archive.
         """
-        docs = self._store.query(
-            match={"source": source},
-            range_=("timestamp_millis", start_millis, end_millis),
-        )
-        return [d["raw"] for d in docs]
+        return self._table.time_range(source, start_millis, end_millis)
 
     def count(self, source: Optional[str] = None) -> int:
-        match = {"source": source} if source is not None else None
-        return self._store.count(match=match)
+        return self._table.count(source)
 
 
 class ModelStorage:
@@ -644,47 +474,45 @@ class ModelStorage:
 class AnomalyStorage:
     """Validated anomaly documents (paper: "Anomaly Storage").
 
-    ``backend`` is any :class:`~repro.service.backends.StorageBackend`
-    implementation; defaults to an in-memory :class:`DocumentStore`.
+    A keyed document table (:func:`document_table`) named
+    ``anomalies`` with keys ``type`` and ``source``, in memory or on
+    ``database``.
     """
 
     def __init__(
         self,
         metrics: Optional[MetricsRegistry] = None,
-        backend: Optional[Any] = None,
+        database: Optional[Any] = None,
     ) -> None:
-        self._store = (
-            backend
-            if backend is not None
-            else DocumentStore(metrics=metrics, name="anomalies")
+        self._table = document_table(
+            "anomalies", ("type", "source"), metrics, database
         )
 
     def store(self, anomaly_dict: Dict[str, Any]) -> int:
-        return self._store.insert(anomaly_dict)
+        return self._table.insert_many([anomaly_dict])[0]
 
     def store_many(self, docs: Iterable[Dict[str, Any]]) -> List[int]:
         """Store many anomaly documents in one batch, in order."""
-        return self._store.insert_many(docs)
+        return self._table.insert_many(docs)
 
     def all(self) -> List[Dict[str, Any]]:
-        return self._store.query()
+        return self._table.all()
 
     def by_type(self, type_value: str) -> List[Dict[str, Any]]:
-        return self._store.query(match={"type": type_value})
+        return self._table.where("type", type_value)
 
     def by_source(self, source: str) -> List[Dict[str, Any]]:
-        return self._store.query(match={"source": source})
+        return self._table.where("source", source)
 
     def in_window(
         self, start_millis: int, end_millis: int
     ) -> List[Dict[str, Any]]:
         """Anomalies within the window, in timestamp order."""
-        return self._store.query(
-            range_=("timestamp_millis", start_millis, end_millis)
-        )
+        return self._table.in_window(start_millis, end_millis)
 
     def count(self) -> int:
-        return self._store.count()
+        return self._table.count()
 
     def clear(self) -> None:
-        self._store.clear()
+        """Drop every anomaly; ``_id`` keeps counting."""
+        self._table.clear()

@@ -2,10 +2,10 @@
 cools down, and resolves on real log traffic — on both storage planes.
 """
 
-from repro.alerts import FIRING, OK, RESOLVED, CollectingSink
+from repro.alerts import FIRING, OK, RESOLVED, AlertHistory, CollectingSink
 from repro.service.config import ServiceConfig
 from repro.service.loglens_service import LogLensService
-from repro.service.sqlite_store import SQLiteDatabase, SQLiteDocumentStore
+from repro.service.sqlite_store import SQLiteDatabase
 
 CONFIG_TOML = """
 [service]
@@ -140,10 +140,10 @@ class TestSQLiteStorage:
         # cold and read the same events back.
         database = SQLiteDatabase(str(db_path))
         try:
-            store = SQLiteDocumentStore(database, "alerts")
+            store = AlertHistory(database=database)
             persisted = [
                 {k: v for k, v in doc.items() if k != "_id"}
-                for doc in store.query()
+                for doc in store.all()
             ]
         finally:
             database.close()

@@ -1,6 +1,6 @@
 """AlertEvaluator lifecycle semantics, proved against a brute-force oracle.
 
-The evaluator computes windowed counts through the DocumentStore time
+The evaluator computes windowed counts through the anomaly store's time
 index and walks a state machine with pending/cooldown/dedup gates.  The
 oracle here recomputes every tick by brute force over the raw documents
 and replays the documented lifecycle independently — any divergence is

@@ -4,8 +4,7 @@ import pytest
 
 from repro.alerts import AlertHistory
 from repro.obs import NullRegistry
-from repro.service.sqlite_store import SQLiteDatabase, SQLiteDocumentStore
-from repro.service.storage import DocumentStore
+from repro.service.sqlite_store import SQLiteDatabase
 
 
 def _event(i, rule, state):
@@ -34,15 +33,11 @@ EVENTS = [
 @pytest.fixture(params=["memory", "sqlite"])
 def history(request, tmp_path):
     if request.param == "memory":
-        yield AlertHistory(
-            backend=DocumentStore(metrics=NullRegistry(), name="alerts")
-        )
+        yield AlertHistory(metrics=NullRegistry())
         return
     database = SQLiteDatabase(str(tmp_path / "alerts.db"))
     try:
-        yield AlertHistory(
-            backend=SQLiteDocumentStore(database, "alerts")
-        )
+        yield AlertHistory(database=database)
     finally:
         database.close()
 
@@ -87,23 +82,22 @@ class TestBackendParity:
         history.clear()
         assert history.count() == 0
         assert history.all() == []
+        assert history.for_rule("burst") == [] and history.last(3) == []
+        # ids keep counting after a clear
+        assert history.append(EVENTS[0]) == len(EVENTS)
 
 
 class TestSQLiteDurability:
     def test_history_survives_reopen(self, tmp_path):
         path = str(tmp_path / "alerts.db")
         database = SQLiteDatabase(path)
-        history = AlertHistory(
-            backend=SQLiteDocumentStore(database, "alerts")
-        )
+        history = AlertHistory(database=database)
         seed(history)
         database.close()
 
         reopened_db = SQLiteDatabase(path)
         try:
-            reopened = AlertHistory(
-                backend=SQLiteDocumentStore(reopened_db, "alerts")
-            )
+            reopened = AlertHistory(database=reopened_db)
             assert strip_ids(reopened.all()) == EVENTS
             assert reopened.count() == len(EVENTS)
         finally:

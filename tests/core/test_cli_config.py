@@ -2,6 +2,7 @@
 shared ``--config`` flag on the service-building commands."""
 
 import json
+import sqlite3
 
 import pytest
 
@@ -145,16 +146,11 @@ class TestAlertsTestFire:
 class TestAlertsHistory:
     def _persist_events(self, db_path):
         from repro.alerts import AlertHistory
-        from repro.service.sqlite_store import (
-            SQLiteDatabase,
-            SQLiteDocumentStore,
-        )
+        from repro.service.sqlite_store import SQLiteDatabase
 
         database = SQLiteDatabase(str(db_path))
         try:
-            history = AlertHistory(
-                backend=SQLiteDocumentStore(database, "alerts")
-            )
+            history = AlertHistory(database=database)
             for i, (rule, state) in enumerate([
                 ("burst", "firing"), ("burst", "resolved"),
                 ("quiet", "firing"),
@@ -196,6 +192,40 @@ class TestAlertsHistory:
              str(tmp_path / "nope.db")]
         ) == 2
         assert "existing sqlite" in capsys.readouterr().err
+
+    @staticmethod
+    def _schema(path):
+        conn = sqlite3.connect(str(path))
+        try:
+            return (
+                conn.execute(
+                    "SELECT type, name, sql FROM sqlite_master ORDER BY name"
+                ).fetchall(),
+                conn.execute("PRAGMA journal_mode").fetchone()[0],
+            )
+        finally:
+            conn.close()
+
+    def test_foreign_database_is_left_untouched(self, tmp_path, capsys):
+        path = tmp_path / "other.db"
+        conn = sqlite3.connect(str(path))
+        conn.execute("CREATE TABLE t (x)")
+        conn.commit()
+        conn.close()
+        before = self._schema(path)
+        assert before == ([("table", "t", "CREATE TABLE t (x)")], "delete")
+        status = main(["alerts", "history", "--storage", str(path)])
+        assert self._schema(path) == before
+        assert status == 2
+        assert str(path) in capsys.readouterr().err
+
+    def test_reading_history_writes_nothing(self, tmp_path, capsys):
+        db_path = tmp_path / "svc.db"
+        self._persist_events(db_path)
+        before = self._schema(db_path)
+        assert main(["alerts", "history", "--storage", str(db_path)]) == 0
+        assert "3 event(s) shown of 3" in capsys.readouterr().err
+        assert self._schema(db_path) == before
 
 
 class TestConfigFlagOnServiceCommands:

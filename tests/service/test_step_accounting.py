@@ -91,13 +91,14 @@ def test_each_step_writes_its_anomalies_in_one_batch(storage, tmp_path):
     # Heartbeats on even steps only, so the odd 13th step leaves its
     # event open for final_flush.
     service = _service(storage, tmp_path, heartbeat_period_steps=2)
-    backend = service.anomaly_storage._store
+    storage = service.anomaly_storage
+    backend = storage._table
     expired_seen = False
     try:
         with mock.patch.object(
             backend, "insert_many", wraps=backend.insert_many
         ) as many, mock.patch.object(
-            backend, "insert", wraps=backend.insert
+            storage, "store", wraps=storage.store
         ) as single:
             for i in range(12):
                 before = many.call_count

@@ -2,107 +2,120 @@
 
 import pytest
 
+from repro.alerts import AlertHistory
+from repro.obs import MetricsRegistry
 from repro.service.storage import (
     AnomalyStorage,
-    DocumentStore,
     LogStorage,
     ModelStorage,
+    document_table,
 )
+
+
+def _table(keys=("k",)):
+    """A keyed document table in memory."""
+    return document_table("docs", keys, MetricsRegistry())
 
 
 class TestDocumentStore:
     def test_insert_and_get(self):
-        store = DocumentStore()
-        doc_id = store.insert({"a": 1})
-        assert store.get(doc_id) == {"a": 1, "_id": doc_id}
-        assert store.get(999) is None
+        table = _table()
+        assert table.insert_many([{"a": 1}]) == [0]
+        assert table.all() == [{"a": 1, "_id": 0}]
+        assert table.where("k", None) == [{"a": 1, "_id": 0}]
+        assert table.where("k", "nowhere") == []
 
     def test_insert_copies(self):
-        store = DocumentStore()
+        table = _table()
         doc = {"a": 1}
-        doc_id = store.insert(doc)
+        doc_id = table.insert_many([doc])[0]
         doc["a"] = 2
-        assert store.get(doc_id)["a"] == 1
+        assert table.all()[doc_id]["a"] == 1
+        assert "_id" not in doc
 
     def test_match_query(self):
-        store = DocumentStore()
-        store.insert({"k": "x", "n": 1})
-        store.insert({"k": "y", "n": 2})
-        assert [d["n"] for d in store.query(match={"k": "x"})] == [1]
+        table = _table()
+        table.insert_many([{"k": "x", "n": 1}, {"k": "y", "n": 2}])
+        assert [d["n"] for d in table.where("k", "x")] == [1]
 
     def test_range_query(self):
-        store = DocumentStore()
-        for n in range(5):
-            store.insert({"n": n})
-        docs = store.query(range_=("n", 1, 3))
-        assert [d["n"] for d in docs] == [1, 2, 3]
-        docs = store.query(range_=("n", None, 2))
-        assert [d["n"] for d in docs] == [0, 1, 2]
+        table = _table()
+        table.insert_many({"timestamp_millis": n} for n in range(5))
+        docs = table.in_window(1, 3)
+        assert [d["timestamp_millis"] for d in docs] == [1, 2, 3]
+        docs = table.in_window(-(2**63), 2)
+        assert [d["timestamp_millis"] for d in docs] == [0, 1, 2]
 
     def test_range_skips_missing_field(self):
-        store = DocumentStore()
-        store.insert({"n": 1})
-        store.insert({"other": 9})
-        assert len(store.query(range_=("n", 0, 10))) == 1
+        table = _table()
+        table.insert_many(
+            [{"timestamp_millis": 1}, {"other": 9}, {"timestamp_millis": None}]
+        )
+        assert len(table.in_window(0, 10)) == 1
+        assert table.count() == 3
 
     def test_limit(self):
-        store = DocumentStore()
+        """The one bounded read, ``AlertHistory.last``, keeps the newest
+        ``n`` documents of its table, oldest first."""
+        history = AlertHistory(MetricsRegistry())
         for n in range(10):
-            store.insert({"n": n})
-        assert len(store.query(limit=3)) == 3
+            history.append({"rule": "r", "state": "firing", "n": n})
+        assert [d["n"] for d in history.last(3)] == [7, 8, 9]
+        assert len(history.last(100)) == 10
 
     def test_count_and_clear(self):
-        store = DocumentStore()
-        store.insert({"k": "x"})
-        store.insert({"k": "y"})
-        assert store.count() == 2
-        assert store.count(match={"k": "x"}) == 1
-        store.clear()
-        assert store.count() == 0
+        table = _table()
+        table.insert_many([{"k": "x"}, {"k": "y"}])
+        assert table.count() == 2
+        assert len(table.where("k", "x")) == 1
+        table.clear()
+        assert table.count() == 0
+        assert table.all() == [] and table.where("k", "x") == []
+        assert table.insert_many([{"k": "x"}]) == [2]  # ids never reused
 
 
 class TestInsertManyMidBatchPoison:
-    """insert_many must not skip live indexes when one poisons mid-batch.
+    """A batch holding a value the table refuses stores none of it.
 
-    Regression: the batch loop removed a poisoned index from the live
-    list *while iterating it*, which silently skipped the next live
-    index for that document — the document was stored but invisible to
-    later queries on the skipped field.
+    Regression: the in-memory table appended each document before
+    indexing it, so a key value it could not hash left the document
+    stored but missing from every later index, and the time index could
+    take a value it cannot order.  Every document of a batch is checked
+    first; a refused batch leaves the table and every index as it was.
     """
 
     def test_hash_poison_keeps_next_hash_index_current(self):
-        store = DocumentStore()
-        store.insert({"a": 1, "b": "x"})
-        store.query(match={"a": 1})    # build hash index on "a" first
-        store.query(match={"b": "x"})  # ... then on "b"
-        store.insert_many(
-            [
-                {"a": [1], "b": "y"},  # unhashable "a" poisons its index
-                {"a": 2, "b": "y"},
-            ]
-        )
-        # Both batch docs must be visible through the "b" index.
-        assert store.count(match={"b": "y"}) == 2
-        docs = store.query(match={"b": "y"})
+        table = _table(("a", "b"))
+        table.insert_many([{"a": 1, "b": "x"}])
+        with pytest.raises(TypeError, match="'a'"):
+            table.insert_many(
+                [
+                    {"a": 2, "b": "y"},
+                    {"a": [1], "b": "y"},  # an unhashable "a"
+                ]
+            )
+        assert table.count() == 1 and table.where("b", "y") == []
+        table.insert_many([{"a": 2, "b": "y"}, {"a": 3, "b": "y"}])
+        # Both batch docs are visible through the "b" index.
+        docs = table.where("b", "y")
         assert [d["_id"] for d in docs] == [1, 2]
-        # The poisoned field still answers via the linear fallback.
-        assert store.count(match={"a": 2}) == 1
+        assert [d["_id"] for d in table.where("a", 2)] == [1]
+        assert [d["_id"] for d in table.all()] == [0, 1, 2]
 
     def test_sorted_poison_keeps_next_sorted_index_current(self):
-        store = DocumentStore()
-        store.insert({"p": 5, "q": 10})
-        store.query(range_=("p", 0, 100))  # build sorted index on "p"
-        store.query(range_=("q", 0, 100))  # ... then on "q"
-        store.insert_many(
-            [
-                {"p": "s", "q": 20},  # str vs int poisons "p"'s index
-                {"p": 6, "q": 30},
-            ]
-        )
-        docs = store.query(range_=("q", 15, 35))
-        assert [d["q"] for d in docs] == [20, 30]
-        # Poisoned "p" range queries fall back to the linear scan.
-        assert [d["p"] for d in store.query(range_=("p", 0, 100))] == [5, 6]
+        table = _table()
+        table.insert_many([{"timestamp_millis": 5}])
+        with pytest.raises(TypeError, match="timestamp_millis"):
+            table.insert_many(
+                [
+                    {"timestamp_millis": 20},
+                    {"timestamp_millis": "s"},  # str vs int: unordered
+                ]
+            )
+        table.insert_many([{"timestamp_millis": 30}, {"timestamp_millis": 6}])
+        docs = table.in_window(0, 35)
+        assert [d["timestamp_millis"] for d in docs] == [5, 6, 30]
+        assert [d["_id"] for d in docs] == [0, 2, 1]
 
 
 class TestLogStorage:
@@ -226,6 +239,9 @@ class TestAnomalyStorage:
         storage.clear()
         assert storage.count() == 0
         assert storage.all() == []
+        assert storage.by_type("missing_end") == []
+        assert storage.in_window(0, 1000) == []
+        assert storage.store(self._doc()) == 1  # ids never reused
 
 
 class TestModelStoragePruning:
