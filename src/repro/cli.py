@@ -731,9 +731,9 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         needle = args.poison
 
         def is_poison(record):
+            # The parse stage's records carry the raw line as their value.
             value = getattr(record, "value", None)
-            raw = value.get("raw", "") if isinstance(value, dict) else ""
-            return needle in raw
+            return isinstance(value, str) and needle in value
 
         plan.poison("operator:flat_map:*", is_poison)
     if args.flaky_broadcast > 0:

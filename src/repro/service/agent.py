@@ -10,12 +10,14 @@ the log manager.  Two implementations:
   on disk, shipping lines appended since the last poll (a minimal
   filebeat).
 
-Both tag every record with their source and produce keyed by source so
-per-source ordering survives the bus.
+Both produce each raw line under their source as the bus key, so the
+log manager can identify the source and per-source ordering survives
+the bus.
 """
 
 from __future__ import annotations
 
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator, Union
 
@@ -32,7 +34,7 @@ class ReplayAgent:
     bus / topic:
         Destination; the topic must exist.
     source:
-        Source name stamped on every shipped record.
+        Source name every line is shipped under (the bus key).
     logs:
         The raw lines to replay.
     logs_per_step:
@@ -66,21 +68,12 @@ class ReplayAgent:
 
     def step(self) -> int:
         """Ship the next chunk; returns how many lines were shipped."""
-        shipped = 0
-        while shipped < self.logs_per_step:
-            try:
-                raw = next(self._iterator)
-            except StopIteration:
-                self._exhausted = True
-                break
-            # Keyed by source: the broker only orders within a partition,
-            # and one source's logs must keep their arrival order.
-            self.bus.produce(
-                self.topic,
-                {"raw": raw, "source": self.source},
-                key=self.source,
-            )
-            shipped += 1
+        chunk = list(islice(self._iterator, self.logs_per_step))
+        if len(chunk) < self.logs_per_step:
+            self._exhausted = True
+        # Keyed by source: the broker only orders within a partition,
+        # and one source's logs must keep their arrival order.
+        shipped = self.bus.produce_many(self.topic, chunk, key=self.source)
         self.shipped += shipped
         return shipped
 
@@ -149,15 +142,11 @@ class FileTailAgent:
             return 0
         complete = chunk[: last_newline + 1]
         self._offset += len(complete)
-        shipped = 0
-        for raw_line in complete.decode("utf-8", "replace").splitlines():
-            if not raw_line.strip():
-                continue
-            self.bus.produce(
-                self.topic,
-                {"raw": raw_line, "source": self.source},
-                key=self.source,
-            )
-            shipped += 1
+        lines = [
+            raw_line
+            for raw_line in complete.decode("utf-8", "replace").splitlines()
+            if raw_line.strip()
+        ]
+        shipped = self.bus.produce_many(self.topic, lines, key=self.source)
         self.shipped += shipped
         return shipped

@@ -6,13 +6,23 @@ system relies on: named topics with partitions, append-only partition
 logs, offset-tracking consumers with consumer groups, and keyed produce
 for co-partitioning.  Everything is process-local and thread-safe.
 
+**Lines, not objects**: a partition holds its values and their keys in
+two flat lists, the offset being the list index.  A :class:`Message` is
+built only when one is handed out (:meth:`MessageBus.produce`,
+:meth:`Consumer.poll`, :meth:`MessageBus.drain_dead_letters`), so a
+retained log line costs the bus its string and a list slot, not an
+object.  :meth:`Consumer.poll_slices` reads the same records as
+per-partition ``(keys, values)`` lists without building a message at
+all — the log manager's read.
+
 **Batched hot path**: :meth:`MessageBus.produce_many` appends a whole
-batch under a single lock acquisition, and :meth:`Consumer.poll`
-drains one under a single acquisition on the consume side;
-:meth:`MessageBus.produce` is a thin wrapper over the same locked
-helper, so batch and single-record produce interleave with identical
-ordering semantics.  Metric handles are resolved once per topic/group
-and cached — the broker never does a registry lookup per record.
+batch under a single lock acquisition (a keyed batch is one list
+``extend`` per column), and :meth:`Consumer.poll` drains one under a
+single acquisition on the consume side; :meth:`MessageBus.produce` and
+the batch path share one partition rule, so batch and single-record
+produce interleave with identical ordering semantics.  Metric handles
+are resolved once per topic/group and cached — the broker never does a
+registry lookup per record.
 
 **Dead-letter topics**: records that exhaust the streaming engine's
 retry budget are quarantined via :meth:`MessageBus.produce_failed`, which
@@ -27,7 +37,7 @@ from __future__ import annotations
 import threading
 import zlib
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..errors import TopicNotFoundError
 from ..obs import MetricsRegistry, get_registry
@@ -46,6 +56,11 @@ DEAD_LETTER_SUFFIX = ".deadletter"
 
 #: Consumer group used by ``drain_dead_letters`` (depth = end − committed).
 DEAD_LETTER_GROUP = "__dead-letter-drain__"
+
+
+#: One partition's share of a poll: ``(partition, first offset, keys,
+#: values)``.
+_Slice = Tuple[int, int, List[Optional[str]], List[Any]]
 
 
 def dead_letter_topic(origin: str) -> str:
@@ -67,14 +82,20 @@ class Message:
 class _Topic:
     def __init__(self, name: str, partitions: int) -> None:
         self.name = name
-        self.partitions: List[List[Message]] = [[] for _ in range(partitions)]
+        self.partition_count = partitions
+        #: Per partition, the appended values and their keys: record
+        #: ``offset`` is ``values[p][offset]`` under ``keys[p][offset]``.
+        self.values: List[List[Any]] = [[] for _ in range(partitions)]
+        self.keys: List[List[Optional[str]]] = [[] for _ in range(partitions)]
         #: Records ever appended — drives keyless round-robin without
         #: summing partition lengths per produce.
         self.total_records = 0
 
-    @property
-    def partition_count(self) -> int:
-        return len(self.partitions)
+    def partition_for(self, key: Optional[str]) -> int:
+        if key is None:
+            # Round-robin by total record count for keyless produce.
+            return self.total_records % self.partition_count
+        return zlib.crc32(key.encode("utf-8")) % self.partition_count
 
 
 class MessageBus:
@@ -121,43 +142,45 @@ class MessageBus:
         """Append a record; keyed records land on a stable partition."""
         with self._lock:
             t = self._get_topic(topic)
-            message = self._append_locked(t, value, key)
+            partition = t.partition_for(key)
+            values = t.values[partition]
+            offset = len(values)
+            values.append(value)
+            t.keys[partition].append(key)
+            t.total_records += 1
             self._produced_counter(topic).inc()
-            return message
+            return Message(topic, partition, offset, key, value)
 
     def produce_many(
-        self, topic: str, values: List[Any], key: Optional[str] = None
-    ) -> List[Message]:
-        """Append a batch under one lock acquisition (shared key).
+        self, topic: str, values: Iterable[Any], key: Optional[str] = None
+    ) -> int:
+        """Append a batch under one lock acquisition (shared key); returns
+        how many records were appended.
 
-        Ordering is identical to calling :meth:`produce` per value.
+        Ordering is identical to calling :meth:`produce` per value.  A
+        keyed batch (or any batch on a one-partition topic) lands on one
+        partition, so each column grows by one ``extend``.
         """
         with self._lock:
             t = self._get_topic(topic)
-            out = [self._append_locked(t, value, key) for value in values]
-            if out:
-                self._produced_counter(topic).inc(len(out))
-            return out
-
-    def _append_locked(
-        self, t: _Topic, value: Any, key: Optional[str]
-    ) -> Message:
-        if key is None:
-            # Round-robin by total record count for keyless produce.
-            partition = t.total_records % t.partition_count
-        else:
-            partition = zlib.crc32(key.encode("utf-8")) % t.partition_count
-        log = t.partitions[partition]
-        message = Message(
-            topic=t.name,
-            partition=partition,
-            offset=len(log),
-            key=key,
-            value=value,
-        )
-        log.append(message)
-        t.total_records += 1
-        return message
+            before = t.total_records
+            if key is not None or t.partition_count == 1:
+                # Materialised first: a failing iterator appends nothing.
+                values = values if type(values) is list else list(values)
+                partition = t.partition_for(key)
+                t.values[partition].extend(values)
+                t.keys[partition].extend([key] * len(values))
+                t.total_records += len(values)
+            else:
+                for value in values:
+                    partition = t.partition_for(None)
+                    t.values[partition].append(value)
+                    t.keys[partition].append(None)
+                    t.total_records += 1
+            count = t.total_records - before
+            if count:
+                self._produced_counter(topic).inc(count)
+            return count
 
     # ------------------------------------------------------------------
     def consumer(self, topic: str, group: str) -> "Consumer":
@@ -173,7 +196,7 @@ class MessageBus:
     def end_offsets(self, topic: str) -> List[int]:
         with self._lock:
             t = self._get_topic(topic)
-            return [len(p) for p in t.partitions]
+            return [len(values) for values in t.values]
 
     def _get_topic(self, name: str) -> _Topic:
         topic = self._topics.get(name)
@@ -283,7 +306,7 @@ class MessageBus:
         if t is None:
             return 0
         return sum(
-            len(t.partitions[p])
+            len(t.values[p])
             - self._group_offsets.get((DEAD_LETTER_GROUP, t.name, p), 0)
             for p in range(t.partition_count)
         )
@@ -297,8 +320,10 @@ class MessageBus:
 
         Draining advances the shared :data:`DEAD_LETTER_GROUP` offsets,
         so each quarantined record is handed out exactly once — the
-        hand-off point for reprocessing or archival tooling.  Each
-        origin is drained under a single lock acquisition.
+        hand-off point for reprocessing or archival tooling.  At most
+        ``max_records`` envelopes are returned in all, origins in name
+        order; the rest stay pending.  The drain runs under a single lock
+        acquisition.
         """
         with self._lock:
             origins = (
@@ -308,10 +333,13 @@ class MessageBus:
             )
             out: List[Message] = []
             for origin in origins:
+                budget = max_records - len(out)
+                if budget <= 0:
+                    break
                 topic = dead_letter_topic(origin)
                 if topic not in self._topics:
                     continue
-                out.extend(self._poll(topic, DEAD_LETTER_GROUP, max_records))
+                out.extend(self._poll(topic, DEAD_LETTER_GROUP, budget))
                 self._refresh_dead_letter_gauge(origin)
             return out
 
@@ -326,29 +354,53 @@ class MessageBus:
             gauge.set(self._dl_depth_locked(origin_topic))
 
     # ------------------------------------------------------------------
-    def _poll(
+    def _take(
         self, topic: str, group: str, max_records: int
-    ) -> List[Message]:
+    ) -> List[_Slice]:
+        """Advance ``group`` past up to ``max_records`` records, in
+        partition order, under one lock acquisition.
+
+        Returns one ``(partition, first offset, keys, values)`` slice per
+        partition that yielded records.
+        """
         with self._lock:
             t = self._get_topic(topic)
-            out: List[Message] = []
+            slices: List[_Slice] = []
+            budget = max_records
             for partition in range(t.partition_count):
                 key = (group, topic, partition)
                 offset = self._group_offsets.get(key, 0)
-                log = t.partitions[partition]
-                take = log[offset:offset + max(0, max_records - len(out))]
-                out.extend(take)
-                new_offset = offset + len(take)
-                self._group_offsets[key] = new_offset
+                values = t.values[partition]
+                end = len(values)
+                stop = min(end, offset + max(0, budget))
+                if stop > offset:
+                    slices.append((
+                        partition,
+                        offset,
+                        t.keys[partition][offset:stop],
+                        values[offset:stop],
+                    ))
+                    budget -= stop - offset
+                self._group_offsets[key] = stop
                 # Per-topic-partition consumer lag, refreshed on poll.
-                self._lag_gauge(topic, group, partition).set(
-                    len(log) - new_offset
-                )
-                if len(out) >= max_records:
+                self._lag_gauge(topic, group, partition).set(end - stop)
+                if budget <= 0:
                     break
-            if out:
-                self._consumed_counter(topic, group).inc(len(out))
-            return out
+            taken = max_records - budget
+            if taken > 0:
+                self._consumed_counter(topic, group).inc(taken)
+            return slices
+
+    def _poll(
+        self, topic: str, group: str, max_records: int
+    ) -> List[Message]:
+        return [
+            Message(topic, partition, offset + index, key, value)
+            for partition, offset, keys, values in self._take(
+                topic, group, max_records
+            )
+            for index, (key, value) in enumerate(zip(keys, values))
+        ]
 
     def committed(self, topic: str, group: str) -> List[int]:
         with self._lock:
@@ -370,6 +422,18 @@ class Consumer:
     def poll(self, max_records: int = 1000) -> List[Message]:
         """Fetch up to ``max_records`` new records and advance offsets."""
         return self._bus._poll(self.topic, self.group, max_records)
+
+    def poll_slices(
+        self, max_records: int = 1000
+    ) -> List[Tuple[List[Optional[str]], List[Any]]]:
+        """:meth:`poll` without the messages: the same records as one
+        ``(keys, values)`` pair of lists per partition, in poll order."""
+        return [
+            (keys, values)
+            for _, _, keys, values in self._bus._take(
+                self.topic, self.group, max_records
+            )
+        ]
 
     def lag(self) -> int:
         """Records produced but not yet consumed by this group."""

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from ..obs import MetricsRegistry, get_registry
 from ..streaming.records import StreamRecord, heartbeat_record
@@ -75,26 +75,61 @@ class HeartbeatController:
 
     # ------------------------------------------------------------------
     def observe(self, source: str, timestamp_millis: Optional[int]) -> None:
-        """Record a log arrival from ``source`` (called by the log manager)."""
-        clock = self._clocks.setdefault(source, SourceClock())
+        """Record one log arrival from ``source``.
+
+        The one-record form of :meth:`observe_records`, which the
+        service's ``step()`` calls once per parsed bucket.
+        """
+        self._observe_run(source, (timestamp_millis,))
+
+    def observe_records(self, records: Sequence[StreamRecord]) -> None:
+        """Record the arrivals of a bucket of parsed records, in order.
+
+        Each record counts for its ``source`` (``"unknown"`` when it has
+        none) at its ``timestamp_millis``.  Consecutive records of one
+        source are folded as one run, with the same per-line rate update
+        :meth:`observe` makes, so the clocks end exactly as one
+        :meth:`observe` call per record would leave them.
+        """
+        run_source: Optional[str] = None
+        run: List[Optional[int]] = []
+        for record in records:
+            source = record.source or "unknown"
+            if source != run_source:
+                if run:
+                    self._observe_run(run_source, run)
+                run_source = source
+                run = []
+            run.append(record.timestamp_millis)
+        if run:
+            self._observe_run(run_source, run)
+
+    def _observe_run(
+        self, source: str, timestamps: Sequence[Optional[int]]
+    ) -> None:
+        """Fold consecutive arrivals of one source into its clock."""
+        clock = self._clocks.get(source)
+        if clock is None:
+            clock = self._clocks[source] = SourceClock()
         clock.silent_ticks = 0
-        clock.observed += 1
-        if timestamp_millis is None:
-            return
-        if clock.last_timestamp is not None:
-            gap = max(0, timestamp_millis - clock.last_timestamp)
-            if clock.mean_gap == 0.0:
-                clock.mean_gap = float(gap)
-            else:
-                clock.mean_gap = (
-                    self.ewma_alpha * gap
-                    + (1 - self.ewma_alpha) * clock.mean_gap
-                )
-        if (
-            clock.last_timestamp is None
-            or timestamp_millis > clock.last_timestamp
-        ):
-            clock.last_timestamp = timestamp_millis
+        clock.observed += len(timestamps)
+        last = clock.last_timestamp
+        mean_gap = clock.mean_gap
+        alpha = self.ewma_alpha
+        keep = 1 - alpha
+        for timestamp in timestamps:
+            if timestamp is None:
+                continue
+            if last is not None:
+                gap = max(0, timestamp - last)
+                if mean_gap == 0.0:
+                    mean_gap = float(gap)
+                else:
+                    mean_gap = alpha * gap + keep * mean_gap
+            if last is None or timestamp > last:
+                last = timestamp
+        clock.last_timestamp = last
+        clock.mean_gap = mean_gap
 
     def deactivate(self, source: str) -> None:
         """Stop heartbeating for a source whose agent went away."""

@@ -1,12 +1,14 @@
 """The log manager (paper, Section II-B).
 
 Receives logs from agents, controls the incoming rate, identifies log
-sources, and hands the flow straight to the parser.  Rate control is a
-token bucket refilled per poll cycle, so a bursty agent cannot starve
-the parsing stage.  The paper forwards to the parser over a second Kafka
-topic because the two run as separately deployed services; in one
-process that hop would only copy every line, so :meth:`LogManager.cycle`
-returns the cycle's records to its caller.
+sources, and hands the flow straight to the parser.  Agents produce each
+raw line under its source as the bus key; one cycle reads the polled
+keys and lines as per-partition lists and builds exactly one record per
+line.  Rate control is a token bucket refilled per poll cycle, so a
+bursty agent cannot starve the parsing stage.  The paper forwards to
+the parser over a second Kafka topic because the two run as separately
+deployed services; in one process that hop would only copy every line,
+so :meth:`LogManager.cycle` returns the cycle's records to its caller.
 
 The manager does not archive.  A line's event time comes from the
 parser, which detects its timestamps anyway, so
@@ -20,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
-from ..streaming.records import StreamRecord
+from ..streaming.records import StreamRecord, build_record
 from .bus import Consumer, MessageBus
 
 __all__ = ["LogManagerStats", "LogManager"]
@@ -67,27 +69,25 @@ class LogManager:
     def cycle(self) -> List[StreamRecord]:
         """One manager period: poll, identify sources, hand over.
 
-        Returns one record per forwarded log, in poll order: the bus
-        payload untouched as ``value``, keyed by the identified source.
+        Returns one record per forwarded line, in poll order: the raw
+        line as ``value``, keyed by its source.  The source is the bus
+        key the line was produced under, or ``"unknown"`` for a line
+        produced without one.
         """
-        messages = self._consumer.poll(max_records=self.max_rate_per_cycle)
+        slices = self._consumer.poll_slices(self.max_rate_per_cycle)
         self.stats.deferred = self._consumer.lag()
-        records = []
-        for message in messages:
-            payload = message.value
-            source = self._identify_source(payload)
-            records.append(
-                StreamRecord(value=payload, key=source, source=source)
-            )
+        build = build_record
+        records: List[StreamRecord] = []
+        for keys, lines in slices:
+            sources = [key or "unknown" for key in keys]
+            # First-seen order: update() keeps a known source in place.
+            self._known_sources.update(dict.fromkeys(sources))
+            records += [
+                build(raw, source, source, None, False)
+                for source, raw in zip(sources, lines)
+            ]
         self.stats.forwarded += len(records)
         return records
-
-    # ------------------------------------------------------------------
-    def _identify_source(self, payload: Dict) -> str:
-        source = payload.get("source") or "unknown"
-        if source not in self._known_sources:
-            self._known_sources[source] = None
-        return source
 
     def sources(self) -> List[str]:
         """All sources seen so far, in first-seen order."""

@@ -146,7 +146,7 @@ class ParseOperator:
 
         def parse_record(record: StreamRecord) -> List[StreamRecord]:
             source = record.source
-            result = parse(record.value["raw"], source, tally)
+            result = parse(record.value, source, tally)
             return [build_record(
                 result, record.key, source, result.timestamp_millis, False
             )]
@@ -691,12 +691,11 @@ class LogLensService:
         self._event_times = {}
         if not records:
             return
-        entries = []
-        for record in records:
-            raw = record.value["raw"]
-            entries.append((raw, record.source, event_times.get(raw)))
         # One storage lock for the whole cycle, not one per record.
-        self.log_storage.store_batch(entries)
+        self.log_storage.store_batch([
+            (record.value, record.source, event_times.get(record.value))
+            for record in records
+        ])
 
     def _route_parsed(self, records: List[StreamRecord]) -> None:
         """The parse stage's one sink, called once per bucket: parsed
@@ -727,21 +726,30 @@ class LogLensService:
                 self._stage_anomaly(value.to_dict())
 
     def _quarantine_parse(self, quarantined: QuarantinedRecord) -> None:
-        self._dead_letter(PARSE_STAGE, quarantined)
+        # The parse stage's records carry the bare line; its dead letter
+        # keeps the line together with the source it arrived under.
+        record = quarantined.record
+        self._dead_letter(
+            PARSE_STAGE,
+            quarantined,
+            {"raw": record.value, "source": record.source},
+        )
 
     def _quarantine_sequence(
         self, quarantined: QuarantinedRecord
     ) -> None:
-        self._dead_letter(SEQUENCE_STAGE, quarantined)
+        self._dead_letter(
+            SEQUENCE_STAGE, quarantined, quarantined.record.value
+        )
 
     def _dead_letter(
-        self, stage: str, quarantined: QuarantinedRecord
+        self, stage: str, quarantined: QuarantinedRecord, value: Any
     ) -> None:
-        """Route an exhausted record to the stage's dead-letter topic."""
-        payload = quarantined.to_payload()
+        """Route an exhausted record's ``value`` to the stage's
+        dead-letter topic."""
         self.bus.produce_failed(
             stage,
-            payload["value"],
+            value,
             "%s: %s" % (quarantined.error_type, quarantined.error),
             key=quarantined.record.key,
             metadata={
@@ -774,16 +782,20 @@ class LogLensService:
     def ingest(self, raw_logs: Iterable[str], source: str) -> int:
         """Enqueue raw lines onto the agent topic; returns the count.
 
-        Records are keyed by source: the broker only guarantees order
-        within a partition, and event logs of one source must stay in
-        arrival order for sequence detection.
+        Each line is produced as is, keyed by source: the broker only
+        guarantees order within a partition, and event logs of one
+        source must stay in arrival order for sequence detection.  A
+        bare ``str`` (or ``bytes``) is refused with ``TypeError`` before
+        anything is produced, rather than enqueued one character at a
+        time.
         """
-        produced = self.bus.produce_many(
-            "logs.raw",
-            [{"raw": raw, "source": source} for raw in raw_logs],
-            key=source,
-        )
-        return len(produced)
+        if isinstance(raw_logs, (str, bytes)):
+            raise TypeError(
+                "ingest() takes an iterable of lines, not a bare %s; "
+                "wrap a single line in a list"
+                % type(raw_logs).__name__
+            )
+        return self.bus.produce_many("logs.raw", raw_logs, key=source)
 
     def step(self) -> StepReport:
         """Advance one end-to-end micro-batch period."""
@@ -809,10 +821,7 @@ class LogLensService:
 
             parsed_records = self._parsed_buffer
             self._parsed_buffer = []
-            for record in parsed_records:
-                self.heartbeat_controller.observe(
-                    record.source or "unknown", record.timestamp_millis
-                )
+            self.heartbeat_controller.observe_records(parsed_records)
 
             heartbeats: List[StreamRecord] = []
             if (

@@ -28,14 +28,18 @@ The operator-graph walk itself — fault injection, retry loop, quarantine
 driver and the worker processes.  It walks a bucket at a time: each
 operator node runs over the whole bucket that reaches it before its
 children see the outputs.  An operator that defines ``bind`` is bound
-once per bucket, and each record's call runs under the retry loop.
-It calls a sink function directly, once with the whole bucket that
-reaches it; in a worker process each sink is a capture function
-recording the bucket as ``(node_id, record)`` pairs, which the driver
-replays as one call per captured bucket in partition order — exactly
-the sink calls of serial execution.  Each walk returns one
-:class:`PartitionOutcome`, folded into the driver in partition order; a
-failing partition's exception is raised after every partition's fold.
+once per bucket.  With a fault plan or a per-attempt timeout, every
+record's call runs under the retry loop; without them, only the first
+record's call does (it binds), the rest of the bucket runs in one plain
+loop, and a record that raises drops the walk back to the retry loop
+from that record on.  The walk calls a sink function directly, once
+with the whole bucket that reaches it; in a worker process each sink
+is a capture function recording the bucket as ``(node_id, record)``
+pairs, which the driver replays as one call per captured bucket in
+partition order — exactly the sink calls of serial execution.  Each
+walk returns one :class:`PartitionOutcome`, folded into the driver in
+partition order; a failing partition's exception is raised after every
+partition's fold.
 
 See ``docs/PARALLELISM.md`` for the protocol and its determinism
 caveats.
@@ -125,11 +129,21 @@ class PartitionExecutor:
     A ``flat_map`` or ``map_with_state`` function may define
     ``bind(worker)`` (``bind(state, worker)`` for ``map_with_state``):
     called once per node and bucket, it returns the per-record function,
-    which returns a list of that record's outputs.  Every record's call
-    runs under :meth:`_invoke` (fault site, retries, quarantine).  The
-    bind happens inside the first record's call, so a bind that raises
-    is retried like that call; while no bind has succeeded, each record
-    binds again.
+    which returns a list of that record's outputs.  The bind happens
+    inside the first record's call, which runs under :meth:`_invoke`
+    (fault site, retries, quarantine), so a bind that raises is retried
+    like that call; while no bind has succeeded, each record binds
+    again.
+
+    Once bound, the rest of the bucket runs under :meth:`_invoke` too
+    while a fault plan or a per-attempt timeout is set.  Otherwise it
+    runs in one plain loop over the bound function: a call that returns
+    needs neither a fault site nor a clock read.  When a record raises
+    there, a non-retryable exception (or any, with no retry policy)
+    propagates as :meth:`_invoke` would propagate it; a retryable one
+    counts as that record's attempt 1, and the walk continues under
+    :meth:`_invoke` from that record on, with the same retries, backoffs
+    and quarantine.
     """
 
     def __init__(
@@ -181,12 +195,37 @@ class PartitionExecutor:
             return call(record)
 
         invoke = self._invoke
+        policy = self.retry_policy
+        # Without a fault site or a per-attempt clock, a call that
+        # returns needs no wrapper: once bound, the bucket runs in one
+        # plain loop until a record raises.
+        fast = self.fault_plan is None and (
+            policy is None or policy.per_attempt_timeout_seconds is None
+        )
+        retryable = policy.retryable if policy is not None else ()
+        pending = iter(records)
         outputs: List[StreamRecord] = []
         try:
-            for record in records:
-                out = invoke(node, call or bind_and_call, record, worker)
-                if out is not _QUARANTINED:
-                    outputs += out
+            while True:
+                for record in pending:
+                    out = invoke(node, call or bind_and_call, record, worker)
+                    if out is not _QUARANTINED:
+                        outputs += out
+                    if fast and call is not None:
+                        break
+                else:
+                    return
+                try:
+                    for record in pending:
+                        outputs += call(record)
+                    return
+                except retryable as exc:
+                    # That call was the record's attempt 1: the record
+                    # and the rest of the bucket go through _invoke.
+                    fast = False
+                    out = invoke(node, call, record, worker, exc)
+                    if out is not _QUARANTINED:
+                        outputs += out
         finally:
             # On a failure, the outputs of the records before it still
             # go down.
@@ -223,12 +262,15 @@ class PartitionExecutor:
         call: Callable[[Any], List[Any]],
         record: StreamRecord,
         worker: Any,
+        failed: Optional[BaseException] = None,
     ) -> Any:
         """One record's operator call under fault injection and retries.
 
         Returns the operator's outputs, or the ``_QUARANTINED`` sentinel
         when the record exhausted its retry budget (the failing node's
-        subtree is skipped for it; other records proceed).
+        subtree is skipped for it; other records proceed).  ``failed``
+        is the retryable exception of an attempt 1 already made outside
+        this method; the retry loop then starts at attempt 2.
         """
         plan = self.fault_plan
         policy = self.retry_policy
@@ -240,6 +282,10 @@ class PartitionExecutor:
         clock = policy.clock
         timeout = policy.per_attempt_timeout_seconds
         attempt = 0
+        if failed is not None:
+            attempt = 1
+            if self._attempt_failed(node, record, worker, 1, failed):
+                return _QUARANTINED
         while True:
             attempt += 1
             if timeout is not None:
@@ -266,14 +312,30 @@ class PartitionExecutor:
                         )
                 return outputs
             except policy.retryable as exc:
-                if attempt >= policy.max_attempts:
-                    return self._exhausted(node, record, worker,
-                                           attempt, exc)
-                self._outcome.retries += 1
-                delay = policy.delay_for(attempt)
-                self._outcome.backoffs.append(delay)
-                if delay > 0:
-                    clock.sleep(delay)
+                if self._attempt_failed(node, record, worker, attempt, exc):
+                    return _QUARANTINED
+
+    def _attempt_failed(
+        self,
+        node: Any,
+        record: StreamRecord,
+        worker: Any,
+        attempt: int,
+        exc: BaseException,
+    ) -> bool:
+        """Attempt ``attempt`` raised the retryable ``exc``: back off
+        before the next one, or, with the budget spent, quarantine the
+        record (True) or fail fast."""
+        policy = self.retry_policy
+        if attempt >= policy.max_attempts:
+            self._exhausted(node, record, worker, attempt, exc)
+            return True
+        self._outcome.retries += 1
+        delay = policy.delay_for(attempt)
+        self._outcome.backoffs.append(delay)
+        if delay > 0:
+            policy.clock.sleep(delay)
+        return False
 
     def _exhausted(
         self,
@@ -282,7 +344,7 @@ class PartitionExecutor:
         worker: Any,
         attempts: int,
         exc: BaseException,
-    ) -> Any:
+    ) -> None:
         """Retry budget spent: quarantine the record (or fail fast)."""
         if self.retry_policy.on_exhaust == "raise":
             raise QuarantinedRecordError(
@@ -303,7 +365,6 @@ class PartitionExecutor:
             partition_id=worker.partition_id,
             attempts=attempts,
         ))
-        return _QUARANTINED
 
 
 # ----------------------------------------------------------------------

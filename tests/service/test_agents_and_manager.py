@@ -44,7 +44,7 @@ class TestReplayAgent:
         ReplayAgent(bus, "logs.raw", "app7", ["x"]).drain()
         consumer = bus.consumer("logs.raw", "t")
         [message] = consumer.poll()
-        assert message.value == {"raw": "x", "source": "app7"}
+        assert (message.key, message.value) == ("app7", "x")
 
     def test_drain(self):
         bus = make_bus()
@@ -98,10 +98,7 @@ class TestLogManager:
         ]
         # The bus payload itself is handed over, in arrival order.
         on_bus = [m.value for m in bus.consumer("logs.raw", "t").poll()]
-        assert [r.value for r in records] == [
-            {"raw": "l1", "source": "app1"},
-            {"raw": "l2", "source": "app1"},
-        ]
+        assert [r.value for r in records] == ["l1", "l2"]
         assert all(r.value is v for r, v in zip(records, on_bus))
 
     def test_rate_limit_defers_surplus(self):
@@ -131,16 +128,16 @@ class TestLogManager:
 
     def test_missing_source_becomes_unknown(self):
         with running_service() as service:
-            service.bus.produce("logs.raw", {"raw": "x", "source": None})
+            service.bus.produce("logs.raw", "x")
             service.step()
             assert service.log_storage.by_source("unknown") == ["x"]
 
         bus = make_bus()
         manager = LogManager(bus)
-        bus.produce("logs.raw", {"raw": "x", "source": None})
+        bus.produce("logs.raw", "x")
         (record,) = manager.cycle()
         assert (record.key, record.source) == ("unknown", "unknown")
-        assert record.value == {"raw": "x", "source": None}
+        assert record.value == "x"
 
     def test_keyed_forwarding_copartitions_by_source(self):
         bus = make_bus()
@@ -237,7 +234,7 @@ class TestNoLineLost:
     @pytest.mark.parametrize("on_exhaust", ["quarantine", "raise"])
     def test_poisoned_lines_are_archived(self, storage_spec, on_exhaust):
         plan = FaultPlan().poison(
-            "operator:flat_map:*", lambda r: "POISON" in r.value["raw"]
+            "operator:flat_map:*", lambda r: "POISON" in r.value
         )
         policy = RetryPolicy.no_wait(
             max_attempts=2, on_exhaust=on_exhaust, clock=ManualClock()

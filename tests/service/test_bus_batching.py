@@ -34,26 +34,30 @@ class TestBatchedProduce:
         batched = fresh_bus()
         sequential = fresh_bus()
         values = ["v%d" % i for i in range(10)]
-        out = batched.produce_many("t", values, key="k")
-        for v in values:
-            sequential.produce("t", v, key="k")
+        assert batched.produce_many("t", values, key="k") == len(values)
+        singles = [sequential.produce("t", v, key="k") for v in values]
+        out = batched.consumer("t", group="g").poll()
         assert [
             (m.partition, m.offset, m.key, m.value) for m in out
         ] == [
+            (m.partition, m.offset, m.key, m.value) for m in singles
+        ] == [
             (m.partition, m.offset, m.key, m.value)
-            for p in sequential._topics["t"].partitions
-            for m in p
+            for m in sequential.consumer("t", group="g").poll()
         ]
 
     def test_keyless_round_robin_spans_batches(self):
         """The round-robin cursor is shared by batch and single produce."""
         bus = fresh_bus(partitions=3)
-        first = bus.produce_many("t", ["a", "b"])
+        assert bus.produce_many("t", ["a", "b"]) == 2
         single = bus.produce("t", "c")
-        second = bus.produce_many("t", ["d"])
-        assert [m.partition for m in first + [single] + second] == [
-            0, 1, 2, 0,
-        ]
+        assert bus.produce_many("t", ["d"]) == 1
+        assert single.partition == 2
+        placed = {
+            m.value: m.partition
+            for m in bus.consumer("t", group="g").poll()
+        }
+        assert [placed[v] for v in "abcd"] == [0, 1, 2, 0]
 
     def test_produce_many_takes_the_lock_once(self):
         bus = fresh_bus()
@@ -91,3 +95,22 @@ class TestBatchedPoll:
         drained = bus.drain_dead_letters()
         assert len(drained) == 5
         assert counter.acquisitions == 1
+
+    def test_drain_dead_letters_budget_spans_origins(self):
+        """``max_records`` bounds the whole drain, not each origin's."""
+        bus = fresh_bus()
+        for origin in ("stage-a", "stage-b"):
+            for i in range(5):
+                bus.produce_failed(origin, "v%d" % i, "boom", key="k")
+        drained = bus.drain_dead_letters(max_records=3)
+        assert [m.value["origin"] for m in drained] == ["stage-a"] * 3
+        assert bus.dead_letter_depth() == 7
+        drained = bus.drain_dead_letters(max_records=4)
+        assert [m.value["origin"] for m in drained] == (
+            ["stage-a"] * 2 + ["stage-b"] * 2
+        )
+        assert bus.dead_letter_depth() == 3
+        assert [m.value["value"] for m in bus.drain_dead_letters()] == [
+            "v2", "v3", "v4",
+        ]
+        assert bus.dead_letter_depth() == 0

@@ -134,7 +134,7 @@ class TestCheckpointAcrossBackends:
 
 def _poison_unparsable(record):
     value = getattr(record, "value", None)
-    return isinstance(value, dict) and "totally unparsable" in value["raw"]
+    return isinstance(value, str) and "totally unparsable" in value
 
 
 class TestFaultInjectionEquivalence:
@@ -170,7 +170,7 @@ class TestFaultInjectionEquivalence:
 
 def _poisoned_line(record):
     value = getattr(record, "value", None)
-    return isinstance(value, dict) and "POISON" in value["raw"]
+    return isinstance(value, str) and "POISON" in value
 
 
 class TestFailingStep:

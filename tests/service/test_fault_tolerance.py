@@ -46,7 +46,7 @@ class TestPoisonRecords:
     def poisoned_service(self):
         plan = FaultPlan().poison(
             "operator:flat_map:*",
-            lambda r: "POISON" in r.value["raw"],
+            lambda r: "POISON" in r.value,
         )
         service = trained_service(fault_plan=plan)
         lines = event_lines("dl-1", 10)
@@ -88,19 +88,19 @@ class TestPoisonRecords:
     def test_sourceless_poison_keeps_its_payload_as_produced(self):
         plan = FaultPlan().poison(
             "operator:flat_map:*",
-            lambda r: "POISON" in r.value["raw"],
+            lambda r: "POISON" in r.value,
         )
         service = trained_service(fault_plan=plan)
-        service.bus.produce(
-            "logs.raw", {"raw": "POISON payload line", "source": None}
-        )
+        # Produced without a key: the line is archived under "unknown",
+        # and its dead letter names the same source.
+        service.bus.produce("logs.raw", "POISON payload line")
         service.run_until_drained()
         (message,) = service.drain_dead_letters()
         envelope = message.value
         assert envelope["metadata"]["source"] == "unknown"
         assert envelope["value"] == {
             "raw": "POISON payload line",
-            "source": None,
+            "source": "unknown",
         }
 
     def test_quarantine_is_observable_in_metrics(self):
@@ -108,7 +108,7 @@ class TestPoisonRecords:
 
         plan = FaultPlan().poison(
             "operator:flat_map:*",
-            lambda r: "POISON" in r.value["raw"],
+            lambda r: "POISON" in r.value,
         )
         service = trained_service(
             fault_plan=plan, metrics=MetricsRegistry()
@@ -133,7 +133,7 @@ class TestReportFacade:
 
     def test_report_merges_quarantine_and_metrics(self):
         plan = FaultPlan().poison(
-            "operator:flat_map:*", lambda r: "BAD" in r.value["raw"]
+            "operator:flat_map:*", lambda r: "BAD" in r.value
         )
         service = trained_service(fault_plan=plan)
         service.ingest(["BAD line"], source="app")

@@ -18,7 +18,7 @@ class TestFileTailAgent:
         agent = FileTailAgent(bus, "logs.raw", "app", path)
         assert agent.poll() == 2
         consumer = bus.consumer("logs.raw", "t")
-        assert [m.value["raw"] for m in consumer.poll()] == ["l1", "l2"]
+        assert [m.value for m in consumer.poll()] == ["l1", "l2"]
 
     def test_only_new_lines_on_next_poll(self, tmp_path):
         path = tmp_path / "app.log"
@@ -42,7 +42,7 @@ class TestFileTailAgent:
             handle.write("ial\n")
         assert agent.poll() == 1
         consumer = bus.consumer("logs.raw", "t")
-        raws = [m.value["raw"] for m in consumer.poll()]
+        raws = [m.value for m in consumer.poll()]
         assert raws == ["complete", "partial"]
 
     def test_missing_file_polls_empty(self, tmp_path):

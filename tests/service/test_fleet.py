@@ -64,6 +64,11 @@ class TestProvisioning:
 
 
 class TestRouting:
+    def test_a_bare_string_is_refused(self, fleet):
+        with pytest.raises(TypeError):
+            fleet.ingest("web", "one line")
+        assert sum(fleet.service_for("web").bus.end_offsets("logs.raw")) == 0
+
     def test_clean_traffic_both_sources(self, fleet):
         fleet.ingest("web", web_train(2)[:4])
         fleet.ingest("db", db_train(2)[:4])

@@ -1,8 +1,10 @@
 """Unit tests for the external heartbeat controller (Section V-B)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.service.heartbeat import HeartbeatController
+from repro.streaming.records import StreamRecord
 
 
 class TestObservation:
@@ -94,3 +96,62 @@ class TestSources:
             HeartbeatController(ewma_alpha=0)
         with pytest.raises(ValueError):
             HeartbeatController(ewma_alpha=1.5)
+
+
+# A bucket of parsed records: interleaved sources (``None`` included)
+# with missing, repeated and backwards timestamps.
+_records = st.lists(
+    st.builds(
+        lambda source, ts: StreamRecord(
+            value=None, source=source, timestamp_millis=ts
+        ),
+        st.sampled_from(["a", "b", "c", "unknown", None]),
+        st.one_of(
+            st.none(),
+            st.integers(min_value=0, max_value=50),
+            st.integers(min_value=0, max_value=10 ** 13),
+        ),
+    ),
+    max_size=30,
+)
+
+
+class TestBucketObservation:
+    """``observe_records`` (one call per bucket) leaves the controller
+    exactly where one ``observe`` call per record does."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        buckets=st.lists(st.tuples(_records, st.booleans()), max_size=6),
+        alpha=st.sampled_from([0.3, 1.0, 0.17, 0.5]),
+    )
+    def test_bucket_call_matches_per_line_observe(self, buckets, alpha):
+        per_bucket = HeartbeatController(ewma_alpha=alpha)
+        per_line = HeartbeatController(ewma_alpha=alpha)
+        for records, tick in buckets:
+            per_bucket.observe_records(records)
+            for record in records:
+                per_line.observe(
+                    record.source or "unknown", record.timestamp_millis
+                )
+            assert per_bucket.snapshot() == per_line.snapshot()
+            assert list(per_bucket.snapshot()) == list(per_line.snapshot())
+            for source in per_line.sources():
+                assert per_bucket.estimated_time(source) == (
+                    per_line.estimated_time(source)
+                )
+            if tick:
+                assert [
+                    (r.source, r.timestamp_millis)
+                    for r in per_bucket.tick()
+                ] == [
+                    (r.source, r.timestamp_millis) for r in per_line.tick()
+                ]
+
+    def test_empty_bucket_touches_nothing(self):
+        hb = HeartbeatController()
+        hb.observe("a", 1_000)
+        hb.tick()
+        before = hb.snapshot()
+        hb.observe_records([])
+        assert hb.snapshot() == before

@@ -1,5 +1,7 @@
 """Integration-grade unit tests for the fully wired LogLensService."""
 
+import pytest
+
 from repro.obs import MetricsRegistry
 from repro.parsing.parser import FastLogParser, ParsedLog
 from repro.service.config import ServiceConfig
@@ -134,6 +136,30 @@ class TestLogManagerToParser:
             "source", "flat_map", "sink",
         ]
         assert service.log_storage.count("app") == total
+
+
+class TestIngestTakesLines:
+    @pytest.mark.parametrize(
+        "bare", ["one line", b"one line"], ids=["str", "bytes"]
+    )
+    def test_a_bare_string_is_refused_before_anything_is_produced(
+        self, bare
+    ):
+        service = trained_service()
+        with pytest.raises(TypeError):
+            service.ingest(bare, source="app")
+        assert sum(service.bus.end_offsets("logs.raw")) == 0
+        assert service.step().ingested == 0
+        assert service.ingest(["one line"], source="app") == 1
+        assert service.step().ingested == 1
+
+    def test_any_iterable_of_lines_is_taken(self):
+        service = trained_service()
+        lines = event_lines("it-1", 1)
+        assert service.ingest(iter(lines), source="app") == len(lines)
+        assert service.ingest((), source="app") == 0
+        assert service.step().ingested == len(lines)
+        assert service.log_storage.by_source("app") == lines
 
 
 class TestLiveModelUpdate:

@@ -150,7 +150,7 @@ def test_a_raising_parse_stage_loses_no_staged_doc(storage, tmp_path):
     from repro.streaming.retry import RetryPolicy
 
     plan = FaultPlan().poison(
-        "operator:flat_map:*", lambda r: "POISON" in r.value["raw"]
+        "operator:flat_map:*", lambda r: "POISON" in r.value
     )
     service = _service(
         storage,

@@ -97,6 +97,33 @@ def test_homogeneous_columns_beat_pickle_on_size():
     assert len(frame) < len(pickle.dumps(bucket, protocol=5)) / 1.3
 
 
+def test_log_manager_buckets_use_the_str_value_column(monkeypatch):
+    """A cycle's records carry the raw line, so the codec encodes their
+    values as one string column, never through the pickle fallback."""
+    from repro.service.agent import ReplayAgent
+    from repro.service.bus import MessageBus
+    from repro.service.log_manager import LogManager
+    from repro.streaming import codec
+
+    bus = MessageBus()
+    bus.create_topic("logs.raw", partitions=2)
+    manager = LogManager(bus)
+    for source in ("app", "db", "web"):
+        lines = ["2016/05/09 10:00:%02d %s line %d" % (i, source, i)
+                 for i in range(5)]
+        ReplayAgent(bus, "logs.raw", source, lines).drain()
+    bus.produce("logs.raw", "a line produced without a key")
+    bucket = manager.cycle()
+    assert len(bucket) == 16
+
+    def no_pickle(out, obj):
+        raise AssertionError("value column fell back to pickle")
+
+    monkeypatch.setattr(codec, "_put_pickled", no_pickle)
+    frame = encode_records(bucket)
+    assert list(decode_records(frame)) == bucket
+
+
 def test_lazy_sequence_semantics():
     bucket = [StreamRecord(value=i, key=str(i)) for i in range(10)]
     decoded = decode_records(encode_records(bucket))

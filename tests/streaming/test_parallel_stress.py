@@ -312,7 +312,7 @@ class TestEngineRecordAccounting:
                 lines = _make_lines(b, BATCH_SIZE)
                 batch = [
                     StreamRecord(
-                        value={"raw": line, "source": "stress"},
+                        value=line,
                         key="k%d" % (i % 31),
                     )
                     for i, line in enumerate(lines)
