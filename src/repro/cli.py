@@ -58,6 +58,7 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from .core.config import LogLensConfig
 from .core.pipeline import LogLens
+from .errors import ConfigFileError, StorageLayoutError
 from .parsing.parser import ParsedLog
 
 __all__ = ["main", "build_parser"]
@@ -177,8 +178,8 @@ def _config_parent(*, required: bool = False) -> argparse.ArgumentParser:
 def _load_file_config(args: argparse.Namespace):
     """Parse ``--config FILE`` into a ServiceConfig, or ``None``.
 
-    Raises :class:`~repro.errors.ConfigFileError` on a bad file; the
-    command wrappers turn that into exit code 2.
+    Raises :class:`~repro.errors.ConfigFileError` on a bad file;
+    :func:`main` turns that into exit code 2.
     """
     path = getattr(args, "config", None)
     if not path:
@@ -623,15 +624,10 @@ def _print_anomaly_docs(docs: List[Dict[str, Any]]) -> int:
 def _cmd_watch(args: argparse.Namespace) -> int:
     import time
 
-    from .errors import ConfigFileError
     from .service.agent import FileTailAgent
 
     lens = _make_lens(args).load(args.model)
-    try:
-        service = _build_service(args, lens)
-    except ConfigFileError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+    service = _build_service(args, lens)
     source = args.source or Path(args.logfile).stem
     agent = FileTailAgent(
         service.bus,
@@ -668,7 +664,6 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     so this is the quickest way to see the whole pipeline's behaviour on
     a workload.
     """
-    from .errors import ConfigFileError
     from .obs import get_registry, render_table
 
     registry = get_registry()
@@ -678,11 +673,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     if status:
         return status
     lines = _read_lines(args.logs)
-    try:
-        service = _build_service(args, lens)
-    except ConfigFileError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+    service = _build_service(args, lens)
     service.ingest(lines, source=args.source)
     service.run_until_drained()
     service.final_flush()
@@ -711,7 +702,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     0 only when every ingested record is accounted for — parsed,
     reported as an anomaly, or quarantined with failure metadata.
     """
-    from .errors import ConfigFileError
     from .faults import FaultPlan, ManualClock
     from .obs import get_registry
     from .streaming.retry import RetryPolicy
@@ -754,13 +744,9 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         base_delay_seconds=0.01,
         clock=clock,
     )
-    try:
-        service = _build_service(
-            args, lens, retry_policy=policy, fault_plan=plan
-        )
-    except ConfigFileError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+    service = _build_service(
+        args, lens, retry_policy=policy, fault_plan=plan
+    )
 
     lines = _read_lines(args.logs)
     transport = None
@@ -949,18 +935,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     """
     import time
 
-    from .errors import ConfigFileError
     from .ingest import IngestServerThread, front_door
 
     lens = _make_lens(args)
     status = _fit_or_load(args, lens)
     if status:
         return status
-    try:
-        service = _build_service(args, lens)
-    except ConfigFileError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+    service = _build_service(args, lens)
     door = front_door(
         service,
         host=args.host,
@@ -1031,13 +1012,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         load_results,
         run_bench,
     )
-    from .errors import ConfigFileError
 
-    try:
-        file_config = _load_file_config(args)
-    except ConfigFileError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+    file_config = _load_file_config(args)
     execution = args.execution or (
         file_config.execution if file_config is not None else None
     ) or "serial"
@@ -1186,14 +1162,9 @@ def _cmd_config(args: argparse.Namespace) -> int:
     operators can see exactly what a service built from this file would
     run with.
     """
-    from .errors import ConfigFileError
     from .service.config import ServiceConfig
 
-    try:
-        config = ServiceConfig.from_file(args.path)
-    except ConfigFileError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+    config = ServiceConfig.from_file(args.path)
     if args.config_command == "show":
         print(json.dumps(config.describe(), sort_keys=True, indent=2))
         return 0
@@ -1220,18 +1191,12 @@ def _cmd_alerts(args: argparse.Namespace) -> int:
     through every configured sink, proving notification wiring end to
     end (deliveries are retried; exhausted sinks are reported).
     """
-    from .errors import ConfigFileError
-
     if args.alerts_command == "history":
         return _cmd_alerts_history(args)
 
     from .service.config import ServiceConfig
 
-    try:
-        config = ServiceConfig.from_file(args.config)
-    except ConfigFileError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+    config = ServiceConfig.from_file(args.config)
 
     if args.alerts_command == "list":
         sinks = config.alerts.describe()["sinks"]
@@ -1389,7 +1354,13 @@ _COMMANDS = {
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except (ConfigFileError, StorageLayoutError) as exc:
+        # A bad config file or an old-layout database: the message names
+        # the file and what is wrong with it, so no traceback.
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -9,6 +9,12 @@ knowledge base:
 
 * **Caching matched formats** — logs from one source reuse the same few
   formats, so previously-matched formats are tried first (19.4x of the 22x).
+  Dense logs also share clock ticks, so each cached format keeps one memo
+  slot: the last window its regex matched and the result (``None`` for an
+  impossible date).  A window equal to it costs one string comparison,
+  with no regex and no conversion.  A failed regex leaves the slot alone,
+  so interleaved sources in different formats keep their own slots.  The
+  memo is part of the cache pass: a detector without the cache has none.
 * **Filtering** — a *gate* derived from the knowledge base rejects tokens
   that cannot start a timestamp before any format regex runs.  Each format's
   *head* is the regex of its first whitespace chunk; a window can only
@@ -477,6 +483,11 @@ class TimestampDetector:
         #: call reads it once, so its sweep skips exactly the formats its
         #: own cache pass tried even while another thread adds one.
         self._cache: Tuple[int, ...] = ()
+        #: Window memo of the cache pass: format index → the last
+        #: ``(window, result)`` its regex matched, ``result`` ``None`` for
+        #: an impossible date.  One slot per cached format, each
+        #: replaced whole (a tuple), so a reader never sees a torn pair.
+        self._last: Dict[int, Tuple[str, Optional[TimestampMatch]]] = {}
         self.stats = DetectorStats()
         self._rebuild_span_index()
 
@@ -511,8 +522,12 @@ class TimestampDetector:
         self._rebuild_span_index()
 
     def reset_cache(self) -> None:
-        """Drop the matched-format cache (used by benchmarks)."""
+        """Drop the matched-format cache and its window memo.
+
+        ``add_format`` keeps both: format indices are append-only.
+        """
         self._cache = ()
+        self._last = {}
 
     # ------------------------------------------------------------------
     def identify(
@@ -545,7 +560,9 @@ class TimestampDetector:
 
         The caller guarantees ``start < len(tokens)`` and, when the
         detector has a gate, that ``tokens[start]`` passed it.  Counts
-        one lookup.
+        one lookup.  In the cache pass a window equal to the last one a
+        cached format matched returns that format's stored answer; the
+        counts are those of running its regex again.
         """
         stats = self.stats
         stats.lookups += 1
@@ -554,10 +571,12 @@ class TimestampDetector:
         cache = self._cache if self.use_cache else ()
         # Cache pass first (the paper's "find if there is a cache hit"):
         # sources reuse a handful of formats, so a warm cache resolves a
-        # genuine timestamp with one regex match and one conversion,
-        # skipping the whole span sweep below.
+        # genuine timestamp with one regex match and one conversion, or
+        # one string comparison for a repeated window, skipping the
+        # whole span sweep below.
         if cache:
             formats = self._formats
+            last = self._last
             window_span = 0
             window = first
             for idx in cache:
@@ -573,10 +592,17 @@ class TimestampDetector:
                     )
                     window_span = span
                 stats.formats_tried += 1
-                m = fmt.match(window)
-                if m is None:
-                    continue
-                result = self._convert(m, fmt, span)
+                # Dense logs share clock ticks: a window equal to the
+                # last one this format matched gets that answer back.
+                slot = last.get(idx)
+                if slot is not None and slot[0] == window:
+                    result = slot[1]
+                else:
+                    m = fmt.match(window)
+                    if m is None:
+                        continue
+                    result = self._convert(m, fmt, span)
+                    last[idx] = (window, result)
                 if result is None:
                     continue
                 stats.cache_hits += 1

@@ -297,3 +297,35 @@ class TestConfigFlagOnServiceCommands:
              "--storage", str(db_path), "--json"]
         ) == 0
         assert json.loads(capsys.readouterr().out) == {"n": 2}
+
+
+class TestOldLayoutDatabase:
+    def test_metrics_on_store_meta_file_exits_two_untouched(
+        self, tmp_path, training_file, capsys
+    ):
+        """A database from the earlier schemaless layout is refused with
+        one ``error:`` line naming the file and the table, not a
+        traceback, and the file is left as it was."""
+        path = tmp_path / "old.db"
+        conn = sqlite3.connect(str(path))
+        conn.execute(
+            "CREATE TABLE _store_meta (store TEXT PRIMARY KEY, "
+            "next_id INTEGER NOT NULL, field_kinds TEXT NOT NULL)"
+        )
+        conn.commit()
+        conn.close()
+        before = TestAlertsHistory._schema(path)
+        stream = tmp_path / "stream.log"
+        stream.write_text(
+            "2016/05/09 17:00:01 gate OPEN call o-1 from 10.0.0.8\n"
+        )
+        capsys.readouterr()
+        status = main(
+            ["metrics", str(stream), "--train", str(training_file),
+             "--storage", "sqlite:%s" % path]
+        )
+        err = capsys.readouterr().err
+        assert status == 2
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert str(path) in err and "'_store_meta'" in err
+        assert TestAlertsHistory._schema(path) == before

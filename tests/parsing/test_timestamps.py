@@ -1,6 +1,10 @@
 """Unit tests for timestamp identification and unification."""
 
+import calendar
+import datetime
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.parsing.timestamps import (
     CANONICAL_FORMAT,
@@ -10,6 +14,8 @@ from repro.parsing.timestamps import (
     format_epoch_millis,
     parse_canonical,
 )
+
+from .test_timestamp_knowledge_base import render_sdf
 
 
 class TestKnowledgeBase:
@@ -161,6 +167,64 @@ class TestDetector:
         assert match.normalized == "2021/03/04 09:00:31.000"
 
 
+_KB = build_default_formats()
+#: Formats ``add_format`` appends mid-stream: a literal-led one, one no
+#: default format matches, and a duplicate of a default format.
+_USER_FORMATS = ["[dd/MMM/yyyy:HH:mm:ss]", "yyyy/MM/dd'T'HH:mm", "HH:mm:ss"]
+#: Formats with a civil date, so Feb 30 is impossible in them.
+_DATED = [sdf for sdf in _KB if "d" in sdf and "M" in sdf]
+
+
+def _instant(year, month, day, hour, minute, second, milli):
+    """A :func:`render_sdf` reference for one instant."""
+    when = datetime.datetime(year, month, day, hour, minute, second)
+    seconds = calendar.timegm(when.timetuple())
+    return {
+        "year": year, "month": month, "day": day, "hour": hour,
+        "minute": minute, "second": second, "milli": milli,
+        "weekday": when.strftime("%a"), "weekday_full": when.strftime("%A"),
+        "epoch_seconds": seconds, "epoch_millis": seconds * 1000 + milli,
+    }
+
+
+#: Days from 13 keep MM/dd and dd/MM apart; years 2002-2031 keep the
+#: epoch renderings at 10 and 13 digits.  Under those, a warm cache and
+#: no cache agree on every default format (the cache picks the first
+#: cached format that matches, the sweep the widest).
+_INSTANTS = st.builds(
+    _instant,
+    st.integers(2002, 2031), st.integers(1, 12), st.integers(13, 28),
+    st.integers(0, 23), st.integers(0, 59), st.integers(0, 59),
+    st.integers(0, 999),
+)
+_FEB_30 = dict(_instant(2016, 2, 1, 10, 0, 0, 0), day=30)
+
+_STEPS = st.one_of(
+    # A run of one identical window.
+    st.tuples(
+        st.just("run"), st.sampled_from(_KB + _USER_FORMATS), _INSTANTS,
+        st.integers(1, 4),
+    ),
+    # The same text as separate tokens, then as one token: the window
+    # text reaches formats of two spans.
+    st.tuples(st.just("split-joined"), st.sampled_from(_KB), _INSTANTS),
+    st.tuples(
+        st.just("run"), st.sampled_from(_DATED), st.just(_FEB_30),
+        st.integers(1, 3),
+    ),
+    st.tuples(st.just("add"), st.sampled_from(_USER_FORMATS)),
+    st.just(("reset",)),
+)
+
+
+def _windows(step):
+    """The token lists one step looks up, in order."""
+    text = render_sdf(step[1], step[2])
+    if step[0] == "run":
+        return [text.split(" ") + ["tail"]] * step[3]
+    return [text.split(" ") + ["tail"], [text, "tail"]]
+
+
 class TestDetectorOptimisations:
     def test_cache_records_matched_format(self):
         detector = TimestampDetector()
@@ -247,6 +311,90 @@ class TestDetectorOptimisations:
                     m = det.identify(tokens, 0)
                     results.add(None if m is None else m.normalized)
                 assert len(results) == 1, (extra, tokens)
+
+    @given(st.lists(_STEPS, min_size=1, max_size=25))
+    @settings(max_examples=80, deadline=None)
+    @example([
+        # Two cached formats of one span see the same window: the first
+        # fails it, the second matches it.
+        ("run", "yyyy/MM/dd HH:mm", _instant(2016, 2, 23, 9, 7, 31, 0), 1),
+        ("run", "yyyy/MM/dd HH:mm:ss", _instant(2016, 2, 23, 9, 7, 31, 0),
+         3),
+        # A span-1 format is cached, then one text as two tokens and as
+        # one token.
+        ("run", "EPOCH_SECONDS", _instant(2016, 2, 23, 9, 7, 31, 0), 1),
+        ("split-joined", "yyyy/MM/dd HH:mm:ss",
+         _instant(2016, 2, 23, 9, 7, 31, 0)),
+        ("run", "yyyy-MM-dd HH:mm:ss", _FEB_30, 2),
+        ("reset",),
+        ("add", "[dd/MMM/yyyy:HH:mm:ss]"),
+        ("run", "[dd/MMM/yyyy:HH:mm:ss]", _instant(2020, 5, 17, 1, 2, 3, 4),
+         2),
+    ])
+    def test_memo_changes_no_answer_and_no_count(self, steps):
+        """Every answer equals a cacheless detector's, and the answers
+        and every :class:`DetectorStats` count equal those of a detector
+        whose memo is emptied before every call.  This fails for a memo
+        keyed without the format index, a ``reset_cache`` that keeps the
+        memo, and a memo hit that skips ``formats_tried`` or
+        ``cache_hits``."""
+        memo = TimestampDetector()
+        scrubbed = TimestampDetector()
+        uncached = TimestampDetector(use_cache=False)
+        detectors = (memo, scrubbed, uncached)
+        for step in steps:
+            if step[0] == "add":
+                for detector in detectors:
+                    detector.add_format(step[1])
+                continue
+            if step[0] == "reset":
+                for detector in detectors:
+                    detector.reset_cache()
+                assert memo._last == {}
+                continue
+            for tokens in _windows(step):
+                got = memo.identify(tokens, 0)
+                scrubbed._last.clear()
+                assert got == scrubbed.identify(tokens, 0), (step, tokens)
+                assert memo.stats == scrubbed.stats, (step, tokens)
+                # All but the format name: "MMM d" and "MMM dd" both
+                # read "Feb 23".
+                plain = uncached.identify(tokens, 0)
+                assert (got and got[:2] + got[3:]) == (
+                    plain and plain[:2] + plain[3:]
+                ), (step, tokens)
+
+    def test_repeat_skips_conversion(self, monkeypatch):
+        """The sweep caches the format; the cache pass fills its slot;
+        the next equal window is answered from the slot."""
+        detector = TimestampDetector()
+        tokens = ["2016/02/23", "09:00:31", "x"]
+        detector.identify(tokens, 0)
+        second = detector.identify(tokens, 0)
+        converted = []
+        monkeypatch.setattr(
+            detector, "_convert", lambda *a: converted.append(a)
+        )
+        tried = detector.stats.formats_tried
+        assert detector.identify(list(tokens), 0) is second
+        assert converted == []
+        assert detector.stats.cache_hits == 2
+        assert detector.stats.formats_tried == tried + 1
+
+    def test_impossible_date_repeat_is_remembered_as_none(
+        self, monkeypatch
+    ):
+        detector = TimestampDetector()
+        detector.identify(["2016/02/23", "09:00:31"], 0)
+        assert detector.identify(["2016/02/30", "09:00:31"], 0) is None
+        converted = []
+        monkeypatch.setattr(
+            detector, "_convert", lambda *a: converted.append(a)
+        )
+        for _ in range(2):
+            assert detector.identify(["2016/02/30", "09:00:31"], 0) is None
+        assert converted == []
+        assert detector.stats.cache_hits == 0
 
 
 class TestCanonicalHelpers:

@@ -20,6 +20,7 @@ from repro.obs import MetricsRegistry, NullRegistry
 from repro.parsing.grok import GrokPattern
 from repro.parsing.index import PatternIndex
 from repro.parsing.parser import FastLogParser, PatternModel
+from repro.parsing.timestamps import TimestampDetector
 from repro.parsing.tokenizer import TokenizedLog, Tokenizer
 from repro.service.loglens_service import ParseOperator
 from repro.streaming import EXECUTION_BACKENDS
@@ -284,6 +285,70 @@ class TestColdIndexRace:
         groups = [serial.candidate_group(log) for log in logs]
         assert any(groups)
         assert [index.candidate_group(log) for log in logs] == groups
+
+
+TS_THREADS = 8
+
+
+def _stamp_windows():
+    """Token lists of two formats of different spans, interleaved, each
+    stamp repeated so the detector's window memo hits and misses; every
+    eleventh window is an impossible date (Feb 30)."""
+    windows = []
+    for i in range(1200):
+        second = i // 4 % 60
+        if i % 11 == 0:
+            windows.append(["2024/02/30", "10:00:%02d.500" % second, "x"])
+        elif i % 2:
+            windows.append(
+                ["2024/01/01", "10:%02d:%02d.500" % (i // 240, second), "x"]
+            )
+        else:
+            windows.append(["Jan", "2", "11:%02d:%02d" % (i // 240, second)])
+    return windows
+
+
+class TestSharedTimestampDetectorRace:
+    def test_threads_get_a_single_threads_answers(self):
+        """Eight threads share one detector, each walking the windows
+        from its own offset, close enough that they race on the same
+        memo slots: every answer equals a one-thread detector's, so no
+        thread reads a slot torn by another."""
+        windows = _stamp_windows()
+        shared = TimestampDetector()
+        barrier = threading.Barrier(TS_THREADS)
+        answers = {}
+
+        def drive(offset):
+            order = windows[offset:] + windows[:offset]
+            barrier.wait(timeout=30)
+            answers[offset] = [shared.identify(t, 0) for t in order]
+
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=drive, args=(i,))
+                for i in range(TS_THREADS)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(switch_interval)
+
+        assert len(answers) == TS_THREADS
+        for offset, got in answers.items():
+            single = TimestampDetector()
+            order = windows[offset:] + windows[:offset]
+            assert got == [single.identify(t, 0) for t in order], offset
+        # The stream is what it claims: both formats, and Feb 30 unread.
+        assert sum(m is None for m in answers[0]) == len(windows[::11])
+        assert {m.format for m in answers[0] if m is not None} == {
+            "yyyy/MM/dd HH:mm:ss.SSS", "MMM d HH:mm:ss",
+        }
 
 
 class TestEngineRecordAccounting:
