@@ -6,7 +6,8 @@ models between micro-batches instead.  This example drives the Table V
 experiment live: while the service processes a stream, a human operator
 deletes one automaton through the model manager — the running detectors
 pick the change up at the next batch boundary, open events survive, and
-downtime stays at exactly zero.
+the step that applies the change parses every line it polled: the only
+pause is the in-memory swap between batches, which the engine times.
 
 Run:  python examples/live_model_update_service.py
 """
@@ -53,16 +54,24 @@ print(
 # 4. Phase two: the rest of the stream flows through the updated model.
 # ----------------------------------------------------------------------
 service.ingest(dataset.test[half:], source="d2")
+swaps = service.metrics.histogram("engine.rebroadcast_apply_seconds")
+before = swaps.sum
+applying = service.step()
+swap_seconds = swaps.sum - before
 service.run_until_drained()
 service.final_flush()
 
-stats = service.report(include_metrics=False).counters()
+final = service.report(include_metrics=False)
 print("\nFinal state:")
-print("    anomalies stored : %d" % stats["anomalies"])
-print("    model updates    : %d" % stats["model_updates"])
-print("    downtime         : %.1f s" % stats["downtime_seconds"])
+print("    anomalies stored : %d" % final.anomalies)
+print("    model updates    : %d" % final.model_updates)
+print(
+    "    applying step    : %d of %d lines parsed, swap %.3f ms"
+    % (applying.parsed, applying.ingested, swap_seconds * 1e3)
+)
 
-assert stats["downtime_seconds"] == 0.0
+assert applying.model_updates_applied == 1
+assert applying.parsed == applying.ingested > 0
 print(
     "\nOK — the model changed mid-stream with zero downtime and no "
     "state loss."

@@ -190,23 +190,32 @@ def _load_file_config(args: argparse.Namespace):
 
 
 def _build_service(args: argparse.Namespace, lens: LogLens, **kwargs):
-    """``lens.to_service`` with ``--config`` / flag precedence applied.
+    """Open the service, then fit or load its models (``-m``/``--train``).
 
     A config file, when given, is the service construction surface
     (storage, execution, ingest limits, alert rules and sinks); explicit
     command-line flags override individual file values.  Without a
-    file, flags apply on top of the lens-derived defaults.
+    file, flags apply on top of the lens-derived defaults.  The config
+    file and the storage are opened before any training, so a bad file
+    or a refused database costs no fit.
+
+    Returns ``(service, 0)``, or ``(None, status)`` when no model could
+    be had.
     """
     if getattr(args, "storage", None) is not None:
         kwargs["storage"] = args.storage
     if getattr(args, "execution", None) is not None:
         kwargs["execution"] = args.execution
-    file_config = _load_file_config(args)
-    if file_config is not None:
-        if kwargs:
-            file_config = file_config.replace(**kwargs)
-        return lens.to_service(config=file_config)
-    return lens.to_service(**kwargs)
+    service = lens.open_service(config=_load_file_config(args), **kwargs)
+    try:
+        status = _fit_or_load(args, lens)
+    except BaseException:
+        service.close()
+        raise
+    if status:
+        service.close()
+        return None, status
+    return lens.publish_to(service), 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -626,8 +635,9 @@ def _cmd_watch(args: argparse.Namespace) -> int:
 
     from .service.agent import FileTailAgent
 
-    lens = _make_lens(args).load(args.model)
-    service = _build_service(args, lens)
+    service, status = _build_service(args, _make_lens(args))
+    if status:
+        return status
     source = args.source or Path(args.logfile).stem
     agent = FileTailAgent(
         service.bus,
@@ -668,12 +678,10 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
     registry = get_registry()
     registry.reset()  # only this run's activity in the report
-    lens = _make_lens(args)
-    status = _fit_or_load(args, lens)
+    lines = _read_lines(args.logs)
+    service, status = _build_service(args, _make_lens(args))
     if status:
         return status
-    lines = _read_lines(args.logs)
-    service = _build_service(args, lens)
     service.ingest(lines, source=args.source)
     service.run_until_drained()
     service.final_flush()
@@ -708,11 +716,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
     registry = get_registry()
     registry.reset()  # only this run's activity in the report
-    lens = _make_lens(args)
-    status = _fit_or_load(args, lens)
-    if status:
-        return status
-
     clock = ManualClock()
     plan = FaultPlan(clock=clock)
     if args.fail_first > 0:
@@ -744,11 +747,12 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         base_delay_seconds=0.01,
         clock=clock,
     )
-    service = _build_service(
-        args, lens, retry_policy=policy, fault_plan=plan
-    )
-
     lines = _read_lines(args.logs)
+    service, status = _build_service(
+        args, _make_lens(args), retry_policy=policy, fault_plan=plan
+    )
+    if status:
+        return status
     transport = None
     if args.socket:
         ingested, transport, pump_reports = _chaos_over_socket(
@@ -937,11 +941,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from .ingest import IngestServerThread, front_door
 
-    lens = _make_lens(args)
-    status = _fit_or_load(args, lens)
+    service, status = _build_service(args, _make_lens(args))
     if status:
         return status
-    service = _build_service(args, lens)
     door = front_door(
         service,
         host=args.host,
@@ -1360,6 +1362,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # A bad config file or an old-layout database: the message names
         # the file and what is wrong with it, so no traceback.
         print("error: %s" % exc, file=sys.stderr)
+        return 2
+    except FileNotFoundError as exc:
+        print("error: %s: %s" % (exc.filename, exc.strerror), file=sys.stderr)
         return 2
 
 

@@ -137,7 +137,17 @@ class LogLens:
         config: Optional[ServiceConfig] = None,
         **service_kwargs: Any,
     ) -> LogLensService:
-        """A fully wired real-time service carrying the fitted models.
+        """A fully wired real-time service carrying the fitted models:
+        :meth:`open_service`, then :meth:`publish_to`."""
+        self._require_fitted()
+        return self.publish_to(self.open_service(config, **service_kwargs))
+
+    def open_service(
+        self,
+        config: Optional[ServiceConfig] = None,
+        **service_kwargs: Any,
+    ) -> LogLensService:
+        """A wired service with no models yet; needs no fitted lens.
 
         Builds a :class:`~repro.service.config.ServiceConfig` from this
         facade's :class:`~repro.core.config.LogLensConfig`; extra
@@ -145,8 +155,9 @@ class LogLens:
         ``retry_policy=`` / ``fault_plan=`` for chaos configurations,
         ``storage=`` for persistence, ``ingest=`` for front-door
         limits), or pass a complete ``config=`` to take full control.
+        Opening the service opens its storage, so a refused database
+        is reported before any model is fitted.
         """
-        self._require_fitted()
         if config is None:
             config = ServiceConfig(
                 num_partitions=self.config.num_partitions,
@@ -159,7 +170,11 @@ class LogLens:
             )
         if service_kwargs:
             config = config.replace(**service_kwargs)
-        service = LogLensService(config=config)
+        return LogLensService(config=config)
+
+    def publish_to(self, service: LogLensService) -> LogLensService:
+        """Roll the fitted models out to ``service``; returns it."""
+        self._require_fitted()
         service.model_manager.register_built(
             # Re-wrap so the service's model storage holds version 1.
             _as_built(self.pattern_model, self.sequence_model)

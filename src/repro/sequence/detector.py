@@ -14,9 +14,9 @@ extrapolates from the last observed log), never with the wall clock.
 
 Expiry is scheduled on a min-heap keyed by ``(deadline, key)`` with lazy
 invalidation, so a heartbeat touches only the events that actually
-expired instead of scanning every open event.  The linear scan survives
-as ``sweep="linear"`` — the oracle the equivalence tests compare the
-heap against; both emit expired events in open-map insertion order.
+expired instead of scanning every open event.  Expired events are
+emitted in open-map insertion order, as a full scan of the open map
+would emit them; the equivalence tests hold a linear-scan oracle.
 
 One :class:`~repro.core.anomaly.Anomaly` is emitted per anomalous event;
 its type is the highest-priority violated rule and ``details["violations"]``
@@ -143,10 +143,6 @@ class LogSequenceDetector:
     min_expiry_millis:
         Lower bound on the expiry window, covering automata whose learned
         max duration is ~0 (default 1000).
-    sweep:
-        Expiry-sweep strategy: ``"heap"`` (default) pops due deadlines
-        off a lazily-invalidated min-heap; ``"linear"`` scans every open
-        event per heartbeat — kept as the oracle for equivalence tests.
 
     Notes
     -----
@@ -161,16 +157,12 @@ class LogSequenceDetector:
         expiry_factor: float = 2.0,
         min_expiry_millis: int = 1000,
         severity_policy: Optional[SeverityPolicy] = None,
-        sweep: str = "heap",
     ) -> None:
         if expiry_factor <= 0:
             raise ValueError("expiry_factor must be positive")
-        if sweep not in ("heap", "linear"):
-            raise ValueError("sweep must be 'heap' or 'linear'")
         self._model = model
         self.expiry_factor = expiry_factor
         self.min_expiry_millis = min_expiry_millis
-        self.sweep_strategy = sweep
         self.severity_policy = (
             severity_policy
             if severity_policy is not None
@@ -401,11 +393,6 @@ class LogSequenceDetector:
         heapq.heapify(self._heap)
 
     def _sweep(self, now_millis: int) -> List[Anomaly]:
-        if self.sweep_strategy == "linear":
-            return self._sweep_linear(now_millis)
-        return self._sweep_heap(now_millis)
-
-    def _sweep_heap(self, now_millis: int) -> List[Anomaly]:
         heap = self._heap
         expired: List[Tuple[int, Tuple[int, str]]] = []
         while heap and heap[0][0] < now_millis:
@@ -430,26 +417,6 @@ class LogSequenceDetector:
             anomaly = self._validate(automaton, event, expired=True)
             if anomaly is not None:
                 anomalies.append(anomaly)
-        return anomalies
-
-    def _sweep_linear(self, now_millis: int) -> List[Anomaly]:
-        """The original full-scan sweep — the equivalence-test oracle."""
-        anomalies: List[Anomaly] = []
-        for key in list(self._open):
-            event = self._open[key]
-            automaton = self._model.get(event.automaton_id)
-            reference = (
-                event.last_time
-                if event.last_time is not None
-                else now_millis
-            )
-            if now_millis - reference > self._expiry_window(automaton):
-                del self._open[key]
-                self._forget(key)
-                self.stats.events_expired += 1
-                anomaly = self._validate(automaton, event, expired=True)
-                if anomaly is not None:
-                    anomalies.append(anomaly)
         return anomalies
 
     # ------------------------------------------------------------------

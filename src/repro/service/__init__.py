@@ -17,7 +17,7 @@ from .dashboard import AdHocQuery, Dashboard
 from .fleet import FleetService
 from .heartbeat import HeartbeatController, SourceClock
 from .scheduler import RelearnAutomation, ScheduledTask, SimulatedScheduler
-from .log_manager import LogManager, LogManagerStats
+from .log_manager import LogManager
 from .loglens_service import (
     LogLensService,
     QuarantineReport,
@@ -50,7 +50,6 @@ __all__ = [
     "HeartbeatController",
     "SourceClock",
     "LogManager",
-    "LogManagerStats",
     "AlertsConfig",
     "LogLensService",
     "QuarantineReport",

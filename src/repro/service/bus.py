@@ -361,7 +361,8 @@ class MessageBus:
         partition order, under one lock acquisition.
 
         Returns one ``(partition, first offset, keys, values)`` slice per
-        partition that yielded records.
+        partition that yielded records.  Every partition's lag gauge is
+        refreshed, also those past the point where the budget ran out.
         """
         with self._lock:
             t = self._get_topic(topic)
@@ -384,8 +385,6 @@ class MessageBus:
                 self._group_offsets[key] = stop
                 # Per-topic-partition consumer lag, refreshed on poll.
                 self._lag_gauge(topic, group, partition).set(end - stop)
-                if budget <= 0:
-                    break
             taken = max_records - budget
             if taken > 0:
                 self._consumed_counter(topic, group).inc(taken)

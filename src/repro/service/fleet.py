@@ -112,12 +112,6 @@ class FleetService:
             for source, service in sorted(self._services.items())
         }
 
-    def stats(self) -> Dict[str, Dict[str, Any]]:
-        return {
-            source: report.counters()
-            for source, report in self.reports().items()
-        }
-
     def open_event_count(self) -> int:
         return sum(
             service.open_event_count()

@@ -19,19 +19,12 @@ timestamp-detected twice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List
 
 from ..streaming.records import StreamRecord, build_record
 from .bus import Consumer, MessageBus
 
-__all__ = ["LogManagerStats", "LogManager"]
-
-
-@dataclass
-class LogManagerStats:
-    forwarded: int = 0
-    deferred: int = 0
+__all__ = ["LogManager"]
 
 
 class LogManager:
@@ -45,8 +38,8 @@ class LogManager:
         The agent topic to poll.
     max_rate_per_cycle:
         Token-bucket capacity: at most this many logs are forwarded per
-        :meth:`cycle`; the surplus stays on the bus (back-pressure) and is
-        counted as deferred.
+        :meth:`cycle`; the surplus stays on the bus (back-pressure), where
+        the ``bus.consumer_lag`` gauges count it.
     """
 
     def __init__(
@@ -61,7 +54,6 @@ class LogManager:
         self.in_topic = in_topic
         self.max_rate_per_cycle = max_rate_per_cycle
         self._consumer: Consumer = bus.consumer(in_topic, group="log-manager")
-        self.stats = LogManagerStats()
         #: Sources seen so far, in first-seen order (a dict: O(1) lookup).
         self._known_sources: Dict[str, None] = {}
 
@@ -75,7 +67,6 @@ class LogManager:
         produced without one.
         """
         slices = self._consumer.poll_slices(self.max_rate_per_cycle)
-        self.stats.deferred = self._consumer.lag()
         build = build_record
         records: List[StreamRecord] = []
         for keys, lines in slices:
@@ -86,7 +77,6 @@ class LogManager:
                 build(raw, source, source, None, False)
                 for source, raw in zip(sources, lines)
             ]
-        self.stats.forwarded += len(records)
         return records
 
     def sources(self) -> List[str]:

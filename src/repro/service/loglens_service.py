@@ -357,10 +357,9 @@ class QuarantineReport:
 class ServiceReport:
     """The one results surface of a running service.
 
-    Returned by :meth:`LogLensService.report`; merges the old
-    ``stats()`` counters and ``metrics_snapshot()`` export into one
-    typed object.  ``metrics`` is the full observability snapshot (or
-    ``None`` when requested without it).
+    Returned by :meth:`LogLensService.report`: the service's counters,
+    one section per registered provider, and ``metrics``, the full
+    observability snapshot (or ``None`` when requested without it).
 
     ``sections`` holds one dict per registered
     :class:`~repro.service.sections.ReportSection` provider, keyed by
@@ -377,7 +376,6 @@ class ServiceReport:
     parse_batches: int
     sequence_batches: int
     model_updates: int
-    downtime_seconds: float
     quarantine: QuarantineReport
     metrics: Optional[Dict[str, Any]] = None
     sections: Dict[str, Dict[str, Any]] = field(default_factory=dict)
@@ -387,9 +385,10 @@ class ServiceReport:
         """The alerting section (None when no evaluator registered)."""
         return self.sections.get("alerts")
 
-    def counters(self) -> Dict[str, Any]:
-        """The legacy ``stats()`` dict (exactly the historical keys)."""
-        return {
+    def to_dict(self) -> Dict[str, Any]:
+        """JSON-safe export: counters, then each registered section in
+        registration order, then the optional metrics snapshot."""
+        out: Dict[str, Any] = {
             "steps": self.steps,
             "logs_archived": self.logs_archived,
             "anomalies": self.anomalies,
@@ -397,24 +396,7 @@ class ServiceReport:
             "parse_batches": self.parse_batches,
             "sequence_batches": self.sequence_batches,
             "model_updates": self.model_updates,
-            "downtime_seconds": self.downtime_seconds,
         }
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-safe export: counters, then each registered section in
-        registration order, then the optional metrics snapshot."""
-        out = self.counters()
-        if "quarantine" not in self.sections:
-            # Hand-constructed reports (no section registry): keep the
-            # historical quarantine export from the typed field.
-            out["quarantine"] = {
-                "retries": self.quarantine.retries,
-                "quarantined": self.quarantine.quarantined,
-                "dead_letter_depth": self.quarantine.dead_letter_depth,
-                "dead_letter_origins": list(
-                    self.quarantine.dead_letter_origins
-                ),
-            }
         for name, section in self.sections.items():
             out[name] = dict(section)
         if self.metrics is not None:
@@ -1065,11 +1047,10 @@ class LogLensService:
     def report(self, include_metrics: bool = True) -> ServiceReport:
         """Typed snapshot of everything the service can tell you.
 
-        Merges the historical ``stats()`` counters, one section per
-        registered :class:`~repro.service.sections.ReportSection`
-        provider (quarantine accounting, alerting, ...), and (unless
-        ``include_metrics`` is false) the full observability snapshot
-        previously returned by ``metrics_snapshot()``.
+        Merges the service counters, one section per registered
+        :class:`~repro.service.sections.ReportSection` provider
+        (quarantine accounting, alerting, ...), and (unless
+        ``include_metrics`` is false) the full observability snapshot.
         """
         sections: Dict[str, Dict[str, Any]] = {}
         for provider in self._report_sections:
@@ -1085,10 +1066,6 @@ class LogLensService:
             model_updates=(
                 self.parse_ctx.metrics.model_updates
                 + self.seq_ctx.metrics.model_updates
-            ),
-            downtime_seconds=(
-                self.parse_ctx.metrics.downtime_seconds
-                + self.seq_ctx.metrics.downtime_seconds
             ),
             quarantine=QuarantineReport(
                 retries=quarantine["retries"],

@@ -70,7 +70,6 @@ class ModelController:
 
     def __init__(self) -> None:
         self._bindings: Dict[str, ModelBinding] = {}
-        self.applied: List[ControlInstruction] = []
 
     # ------------------------------------------------------------------
     def bind(self, target: str, binding: ModelBinding) -> None:
@@ -102,7 +101,6 @@ class ModelController:
         else:
             value = binding.empty()
         binding.context.rebroadcast(binding.variable, value)
-        self.applied.append(instruction)
 
     def update(self, target: str, payload: Dict[str, Any]) -> None:
         """Convenience wrapper for an UPDATE instruction."""

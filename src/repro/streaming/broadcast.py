@@ -23,21 +23,11 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import BroadcastError
 
 __all__ = ["BlockManager", "BroadcastVariable", "BroadcastManager"]
-
-
-@dataclass
-class BlockManagerStats:
-    """Cache behaviour counters (used by the rebroadcast bench)."""
-
-    hits: int = 0
-    misses: int = 0
-    invalidations: int = 0
 
 
 class BlockManager:
@@ -46,14 +36,11 @@ class BlockManager:
     def __init__(self, worker_id: int) -> None:
         self.worker_id = worker_id
         self._cache: Dict[int, Any] = {}
-        self.stats = BlockManagerStats()
 
     def get(self, bv_id: int) -> Tuple[bool, Any]:
         """Look up ``bv_id``; returns ``(hit, value)``."""
         if bv_id in self._cache:
-            self.stats.hits += 1
             return True, self._cache[bv_id]
-        self.stats.misses += 1
         return False, None
 
     def put(self, bv_id: int, value: Any) -> None:
@@ -61,8 +48,7 @@ class BlockManager:
 
     def invalidate(self, bv_id: int) -> None:
         """Drop a cached value so the next read pulls from the driver."""
-        if self._cache.pop(bv_id, None) is not None:
-            self.stats.invalidations += 1
+        self._cache.pop(bv_id, None)
 
 
 class BroadcastVariable:
@@ -121,10 +107,6 @@ class BroadcastManager:
         self._lock = threading.Lock()
         self._pending: "deque[Tuple[int, Any]]" = deque()
         self._workers: List[BlockManager] = []
-        #: Number of pull requests served to workers.
-        self.pulls = 0
-        #: Number of rebroadcast operations applied.
-        self.rebroadcasts_applied = 0
         #: Optional :class:`~repro.faults.FaultPlan`; when set, worker
         #: pulls run through its ``broadcast.pull`` site so chaos tests
         #: can make fetches flaky (the engine's retry policy heals the
@@ -174,7 +156,6 @@ class BroadcastManager:
                 for worker in self._workers:
                     worker.invalidate(bv_id)
                 applied += 1
-                self.rebroadcasts_applied += 1
         return applied
 
     @property
@@ -194,7 +175,6 @@ class BroadcastManager:
 
     def _pull(self, bv_id: int) -> Any:
         with self._lock:
-            self.pulls += 1
             if bv_id not in self._values:
                 raise BroadcastError(bv_id)
             return self._values[bv_id]

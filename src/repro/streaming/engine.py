@@ -29,11 +29,11 @@ operator invocation can run under a
 re-execute with exponential backoff (deterministic jitter hook,
 injectable clock), and records that still fail are *quarantined*:
 wrapped as :class:`~repro.streaming.retry.QuarantinedRecord` with
-failure metadata, stored on the context, and routed to an optional
-dead-letter sink.  The batch always completes; sibling branches and
-other records are unaffected.  Sinks are driver callbacks, not
-operators: each is called once per non-empty bucket, never retried.  A
-:class:`~repro.faults.FaultPlan` may be installed to inject failures at
+failure metadata, and handed to the context's dead-letter sink, or kept
+on the context when it has none.  The batch always completes; sibling
+branches and other records are unaffected.  Sinks are driver callbacks,
+not operators: each is called once per non-empty bucket, never retried.
+A :class:`~repro.faults.FaultPlan` may be installed to inject failures at
 every operator site and at broadcast pulls (see ``docs/FAULT_TOLERANCE.md``).
 """
 
@@ -193,7 +193,8 @@ class CollectedRecords(Sequence):
 
 
 class QuarantineStore:
-    """Thread-safe store of records quarantined during batches."""
+    """Thread-safe store of records quarantined during batches by a
+    context that has no ``dead_letter`` sink."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -299,7 +300,7 @@ class BatchMetrics:
 
 @dataclass
 class EngineMetrics:
-    """Whole-run accounting; ``downtime_seconds`` stays zero by design.
+    """Whole-run accounting.
 
     Totals only: each batch's :class:`BatchMetrics` is returned by
     :meth:`StreamingContext.run_batch` and not kept, so a long-running
@@ -307,9 +308,7 @@ class EngineMetrics:
     """
 
     batches: int = 0
-    records: int = 0
     model_updates: int = 0
-    downtime_seconds: float = 0.0
     retries: int = 0
     quarantined: int = 0
 
@@ -337,7 +336,9 @@ class StreamingContext:
     dead_letter:
         Callable receiving each :class:`QuarantinedRecord` (the service
         wires this to the bus's dead-letter topic).  Providing a sink
-        without a policy enables quarantine with zero retries.
+        without a policy enables quarantine with zero retries.  A
+        context without a sink keeps its quarantined records in
+        :attr:`quarantine` instead.
     fault_plan:
         Optional :class:`~repro.faults.FaultPlan`; installs injection
         sites at every operator invocation (``operator:<kind>:<id>``)
@@ -460,7 +461,6 @@ class StreamingContext:
         self._batch_seconds.observe(elapsed)
         self._records_in.inc(len(records))
         self.metrics.batches += 1
-        self.metrics.records += len(records)
         self.metrics.model_updates += updates
         for error in errors:
             if error is not None:
@@ -535,8 +535,8 @@ class StreamingContext:
         if outcome.quarantined:
             self.metrics.quarantined += len(outcome.quarantined)
             self._quarantined_total.inc(len(outcome.quarantined))
+            # One home per record: the sink, or the context's store.
+            keep = self._dead_letter or self.quarantine.add
             for quarantined in outcome.quarantined:
-                self.quarantine.add(quarantined)
-                if self._dead_letter is not None:
-                    self._dead_letter(quarantined)
+                keep(quarantined)
         return error

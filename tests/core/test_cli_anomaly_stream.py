@@ -78,8 +78,9 @@ def run_counted(argv, on_sleep):
     real_build = cli._build_service
 
     def build(*args, **kwargs):
-        built.append(real_build(*args, **kwargs))
-        return built[-1]
+        service, status = real_build(*args, **kwargs)
+        built.append(service)
+        return service, status
 
     def sleep(seconds):
         if threading.current_thread() is threading.main_thread():

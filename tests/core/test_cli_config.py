@@ -329,3 +329,60 @@ class TestOldLayoutDatabase:
         assert err.count("\n") == 1 and err.startswith("error: ")
         assert str(path) in err and "'_store_meta'" in err
         assert TestAlertsHistory._schema(path) == before
+
+    @pytest.mark.parametrize("command", ["metrics", "chaos", "serve"])
+    def test_database_refused_before_training(
+        self, tmp_path, command, capsys
+    ):
+        """The storage is opened before the model is fitted: with a
+        training file that does not exist, the refused database is what
+        the one error line names."""
+        path = tmp_path / "old.db"
+        conn = sqlite3.connect(str(path))
+        conn.execute(
+            "CREATE TABLE _store_meta (store TEXT PRIMARY KEY, "
+            "next_id INTEGER NOT NULL, field_kinds TEXT NOT NULL)"
+        )
+        conn.commit()
+        conn.close()
+        stream = tmp_path / "stream.log"
+        stream.write_text("2016/05/09 17:00:01 gate OPEN call o-1\n")
+        missing = tmp_path / "no-such-training.log"
+        argv = [command]
+        if command != "serve":
+            argv.append(str(stream))
+        argv += ["--train", str(missing), "--storage", "sqlite:%s" % path]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert str(path) in err and str(missing) not in err
+
+
+class TestMissingLogFile:
+    @pytest.mark.parametrize(
+        "command",
+        ["train", "detect", "parse", "quality", "metrics", "chaos"],
+    )
+    def test_one_error_line_names_the_file(
+        self, tmp_path, training_file, command, capsys
+    ):
+        model = tmp_path / "model.json"
+        assert main(["train", str(training_file), "-o", str(model)]) == 0
+        missing = tmp_path / "missing.log"
+        argv = [command, str(missing)]
+        if command != "train":
+            argv += ["-m", str(model)]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "error: %s: No such file or directory\n" % missing
+
+    def test_missing_training_file(self, tmp_path, capsys):
+        stream = tmp_path / "stream.log"
+        stream.write_text("2016/05/09 17:00:01 gate OPEN call o-1\n")
+        missing = tmp_path / "normal.log"
+        capsys.readouterr()
+        assert main(["metrics", str(stream), "--train", str(missing)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: %s: No such file or directory\n" % missing

@@ -67,8 +67,8 @@ class TestMidLineDisconnect:
         thread.stop()
         settle(service)
 
-        counters = service.report(include_metrics=False).counters()
-        assert counters["logs_archived"] == len(lines)
+        archived = service.report(include_metrics=False).logs_archived
+        assert archived == len(lines)
         (message,) = service.drain_dead_letters()
         envelope = message.value
         assert envelope["origin"] == INGEST_STAGE
@@ -100,8 +100,8 @@ class TestMidLineDisconnect:
         )
         thread.stop()
         settle(service)
-        counters = service.report(include_metrics=False).counters()
-        assert counters["logs_archived"] == len(lines)
+        archived = service.report(include_metrics=False).logs_archived
+        assert archived == len(lines)
         assert thread.server.accepted_total == len(lines)
 
 
@@ -126,8 +126,8 @@ class TestOversizedLines:
         thread.stop()
         settle(service)
 
-        counters = service.report(include_metrics=False).counters()
-        assert counters["logs_archived"] == len(good)
+        archived = service.report(include_metrics=False).logs_archived
+        assert archived == len(good)
         (message,) = service.drain_dead_letters()
         envelope = message.value
         assert envelope["metadata"]["reason"] == "oversized"
@@ -161,8 +161,8 @@ class TestSlowLoris:
         # deliberately loose.)
         assert plan.call_count("ingest.read") >= 5
         assert thread.server.dropped_connections_total == 0
-        counters = service.report(include_metrics=False).counters()
-        assert counters["logs_archived"] == len(lines)
+        archived = service.report(include_metrics=False).logs_archived
+        assert archived == len(lines)
 
 
 class TestBurstThenSilence:
@@ -189,8 +189,8 @@ class TestBurstThenSilence:
         sock.close()
         thread.stop()
         settle(service)
-        counters = service.report(include_metrics=False).counters()
-        assert counters["logs_archived"] == len(lines)
+        archived = service.report(include_metrics=False).logs_archived
+        assert archived == len(lines)
         assert service.drain_dead_letters() == []
 
 
@@ -243,8 +243,8 @@ class TestConcurrentClients:
 
         assert errors == []
         assert thread.server.accepted_total == total
-        counters = service.report(include_metrics=False).counters()
-        assert counters["logs_archived"] == total
+        archived = service.report(include_metrics=False).logs_archived
+        assert archived == total
         assert service.drain_dead_letters() == []
         # Per-source order survived the concurrency: each client's
         # archive matches what it sent, in order.

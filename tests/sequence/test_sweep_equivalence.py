@@ -1,10 +1,10 @@
 """Heap-scheduled sweep == linear-scan sweep, on randomized streams.
 
 The expiry min-heap is an optimization of ``_sweep`` only: for any
-interleaving of logs and heartbeats, a ``sweep="heap"`` detector must
-emit exactly the same anomalies, in the same order, with the same stats
-as the ``sweep="linear"`` oracle — including across snapshot/restore
-round-trips and model swaps.
+interleaving of logs and heartbeats, the detector must emit exactly the
+same anomalies, in the same order, with the same stats as
+:class:`LinearSweepDetector`, the full-scan oracle defined here —
+including across snapshot/restore round-trips and model swaps.
 """
 
 import random
@@ -13,6 +13,30 @@ from repro.parsing.parser import ParsedLog
 from repro.sequence.automata import Automaton, StateRule
 from repro.sequence.detector import LogSequenceDetector
 from repro.sequence.model import SequenceModel
+
+
+class LinearSweepDetector(LogSequenceDetector):
+    """The original full-scan sweep: every open event is checked against
+    its automaton's expiry window on every heartbeat."""
+
+    def _sweep(self, now_millis):
+        anomalies = []
+        for key in list(self._open):
+            event = self._open[key]
+            automaton = self._model.get(event.automaton_id)
+            reference = (
+                event.last_time
+                if event.last_time is not None
+                else now_millis
+            )
+            if now_millis - reference > self._expiry_window(automaton):
+                del self._open[key]
+                self._forget(key)
+                self.stats.events_expired += 1
+                anomaly = self._validate(automaton, event, expired=True)
+                if anomaly is not None:
+                    anomalies.append(anomaly)
+        return anomalies
 
 
 def plog(pattern_id, eid, ts):
@@ -105,10 +129,8 @@ class TestHeapEqualsLinear:
     def test_randomized_streams(self):
         for seed in range(6):
             stream = random_stream(seed)
-            heap = LogSequenceDetector(two_automata_model(), sweep="heap")
-            linear = LogSequenceDetector(
-                two_automata_model(), sweep="linear"
-            )
+            heap = LogSequenceDetector(two_automata_model())
+            linear = LinearSweepDetector(two_automata_model())
             assert_equivalent(
                 drive(heap, stream), drive(linear, stream), heap, linear
             )
@@ -116,8 +138,8 @@ class TestHeapEqualsLinear:
     def test_same_deadline_keeps_open_order(self):
         """Events expiring on one heartbeat come out in open-map order."""
         model = two_automata_model()
-        heap = LogSequenceDetector(model, sweep="heap")
-        linear = LogSequenceDetector(model, sweep="linear")
+        heap = LogSequenceDetector(model)
+        linear = LinearSweepDetector(model)
         for det in (heap, linear):
             # Same timestamp => same deadline; insertion order differs
             # from key order on purpose.
@@ -131,8 +153,8 @@ class TestHeapEqualsLinear:
     def test_touched_event_is_rescheduled(self):
         """A later log pushes the deadline out; the stale entry is inert."""
         model = two_automata_model()
-        heap = LogSequenceDetector(model, sweep="heap")
-        linear = LogSequenceDetector(model, sweep="linear")
+        heap = LogSequenceDetector(model)
+        linear = LinearSweepDetector(model)
         for det in (heap, linear):
             det.process(plog(1, "e", 0))
             det.process(plog(1, "e", 1_900))  # touch: new deadline
@@ -150,10 +172,8 @@ class TestHeapEqualsLinear:
         for seed in (10, 11):
             stream = random_stream(seed)
             cut = len(stream) // 2
-            heap = LogSequenceDetector(two_automata_model(), sweep="heap")
-            linear = LogSequenceDetector(
-                two_automata_model(), sweep="linear"
-            )
+            heap = LogSequenceDetector(two_automata_model())
+            linear = LinearSweepDetector(two_automata_model())
             heap_out = drive(heap, stream[:cut])
             linear_out = drive(linear, stream[:cut])
             # Restore both from the *heap* detector's snapshot: the
@@ -161,10 +181,10 @@ class TestHeapEqualsLinear:
             snap = heap.snapshot()
             assert snap == linear.snapshot()
             heap2 = LogSequenceDetector.restore(snap, two_automata_model())
-            linear2 = LogSequenceDetector.restore(
+            linear2 = LinearSweepDetector.restore(
                 snap, two_automata_model()
             )
-            linear2.sweep_strategy = "linear"
+            assert type(linear2) is LinearSweepDetector
             heap_out += drive(heap2, stream[cut:])
             linear_out += drive(linear2, stream[cut:])
             assert_equivalent(heap_out, linear_out, heap2, linear2)
@@ -187,8 +207,8 @@ class TestHeapEqualsLinear:
                 )
             ]
         )
-        heap = LogSequenceDetector(two_automata_model(), sweep="heap")
-        linear = LogSequenceDetector(two_automata_model(), sweep="linear")
+        heap = LogSequenceDetector(two_automata_model())
+        linear = LinearSweepDetector(two_automata_model())
         heap_out = drive(heap, stream[:cut])
         linear_out = drive(linear, stream[:cut])
         heap.model = shrunk
@@ -200,7 +220,7 @@ class TestHeapEqualsLinear:
     def test_heap_compacts_stale_entries(self):
         """Repeated touches cannot grow the heap without bound."""
         model = two_automata_model()
-        heap = LogSequenceDetector(model, sweep="heap")
+        heap = LogSequenceDetector(model)
         heap.process(plog(3, "only", 0))
         for i in range(1, 2000):
             heap.process(plog(3, "only", i * 10))

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.obs import MetricsRegistry
 from repro.service.bus import MessageBus
 
 
@@ -106,6 +107,30 @@ class TestProduceConsume:
         assert consumer.lag() == 6
         consumer.poll()
         assert consumer.lag() == 0
+
+    def test_lag_gauges_cover_partitions_past_the_budget(self):
+        """A poll whose budget runs out in partition 0 still refreshes
+        the lag gauge of every later partition."""
+        metrics = MetricsRegistry()
+        bus = MessageBus(metrics=metrics)
+        bus.create_topic("t", partitions=4)
+        for k in range(8):
+            bus.produce_many("t", ["line"] * 10, key="k%d" % k)
+        consumer = bus.consumer("t", group="g")
+        taken = sum(len(values) for _, values in consumer.poll_slices(5))
+        assert taken == 5
+        gauges = {
+            g["labels"]["partition"]: g["value"]
+            for g in metrics.to_dict()["bus.consumer_lag"]
+        }
+        assert sorted(gauges) == ["0", "1", "2", "3"]
+        assert sum(gauges.values()) == consumer.lag() == 75
+        assert gauges == {
+            str(p): end - done
+            for p, (end, done) in enumerate(
+                zip(bus.end_offsets("t"), bus.committed("t", "g"))
+            )
+        }
 
     def test_message_metadata(self):
         bus = MessageBus()

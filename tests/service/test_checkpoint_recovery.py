@@ -88,7 +88,7 @@ class TestCheckpointRecovery:
         service = trained_service()
         service.ingest(event_lines("ck-4", 10), source="app")
         service.run_until_drained()
-        steps = service.report(include_metrics=False).counters()["steps"]
+        steps = service.report(include_metrics=False).steps
         replacement = LogLensService(config=ServiceConfig(num_partitions=2))
         replacement.restore_checkpoint(service.checkpoint())
-        assert replacement.report(include_metrics=False).counters()["steps"] == steps
+        assert replacement.report(include_metrics=False).steps == steps

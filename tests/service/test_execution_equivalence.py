@@ -14,6 +14,7 @@ from repro.errors import ExecutionError, QuarantinedRecordError
 from repro.faults import FaultPlan
 from repro.obs import MetricsRegistry
 from repro.service import LogLensService, ServiceConfig
+from repro.service.loglens_service import PARSE_STAGE
 from repro.streaming.partitioner import partition_records
 from repro.streaming.records import StreamRecord
 from repro.streaming.retry import RetryPolicy
@@ -152,11 +153,17 @@ class TestFaultInjectionEquivalence:
             )
             service.ingest(LIVE, source="app")
             service.run_until_drained()
-            quarantined = sorted(
-                (q.record.value, q.attempts, q.error_type, q.kind)
-                for q in service.parse_ctx.quarantine.snapshot()
-            )
             report = service.report(include_metrics=False).to_dict()
+            # A quarantined record's one home is its dead-letter topic.
+            quarantined = sorted(
+                (
+                    m.value["value"]["raw"],
+                    m.value["metadata"]["attempts"],
+                    m.value["metadata"]["error_type"],
+                    m.value["metadata"]["operator_kind"],
+                )
+                for m in service.bus.drain_dead_letters(PARSE_STAGE)
+            )
             injected = plan.injected_total()
             service.close()
             return quarantined, report, injected

@@ -4,7 +4,11 @@ import json
 
 import pytest
 
-from tests.service.test_loglens_service import event_lines, trained_service
+from tests.service.test_loglens_service import (
+    event_lines,
+    trained_service,
+    training_lines,
+)
 
 from repro.errors import TopicNotFoundError
 from repro.faults import FaultPlan
@@ -12,11 +16,10 @@ from repro.service import ServiceReport, dead_letter_topic
 from repro.service.config import ServiceConfig
 from repro.service.loglens_service import PARSE_STAGE, LogLensService
 
-LEGACY_STATS_KEYS = {
+LEGACY_STATS_KEYS = [
     "steps", "logs_archived", "anomalies", "open_events",
     "parse_batches", "sequence_batches", "model_updates",
-    "downtime_seconds",
-}
+]
 
 
 class TestTransientFaults:
@@ -129,7 +132,8 @@ class TestReportFacade:
         service = trained_service()
         report = service.report(include_metrics=False)
         assert isinstance(report, ServiceReport)
-        assert set(report.counters()) == LEGACY_STATS_KEYS
+        # The counters lead the export, in their historical order.
+        assert list(report.to_dict())[:7] == LEGACY_STATS_KEYS
 
     def test_report_merges_quarantine_and_metrics(self):
         plan = FaultPlan().poison(
@@ -146,7 +150,7 @@ class TestReportFacade:
         doc = report.to_dict()
         json.dumps(doc)  # JSON-safe
         assert doc["quarantine"]["quarantined"] == 1
-        assert set(doc) >= LEGACY_STATS_KEYS
+        assert set(doc) >= set(LEGACY_STATS_KEYS)
 
 
 class TestHeartbeatFaults:
@@ -231,3 +235,45 @@ class TestCheckpointUnderFaults:
         assert len(
             replacement.anomaly_storage.by_type("missing_end")
         ) == 1
+
+
+class TestStateKeptOnce:
+    """Each fact the driver keeps has one home, so a long run that
+    drains its dead letters holds no second copy of them."""
+
+    def test_drained_dead_letters_leave_no_copy(self):
+        plan = FaultPlan().poison(
+            "operator:flat_map:*",
+            lambda r: isinstance(r.value, str) and "POISON" in r.value,
+        )
+        service = trained_service(fault_plan=plan)
+        drained = 0
+        for step in range(20):
+            service.ingest(
+                event_lines("st-%d" % step, step % 50)
+                + ["POISON line %d.%d" % (step, k) for k in range(3)],
+                source="app",
+            )
+            assert service.step().quarantined == 3
+            drained += len(service.drain_dead_letters())
+        assert drained == 60
+        assert len(service.parse_ctx.quarantine) == 0
+        assert len(service.seq_ctx.quarantine) == 0
+        report = service.report(include_metrics=False)
+        assert report.quarantine.quarantined == 60
+        assert report.quarantine.dead_letter_depth == 0
+
+    def test_relearn_loop_leaves_nothing_on_the_controller(self):
+        service = trained_service()
+        service.ingest(training_lines(6), source="app")
+        service.run_until_drained()
+        for version in range(2, 6):
+            service.model_manager.rebuild(service.log_storage, "app")
+            assert service.step().model_updates_applied == 2
+            assert (
+                service.model_storage.latest_version("pattern_model")
+                == version
+            )
+        controller = service.model_controller
+        assert list(vars(controller)) == ["_bindings"]
+        assert controller.targets() == ["pattern_model", "sequence_model"]

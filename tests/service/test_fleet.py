@@ -118,7 +118,7 @@ class TestFleetViews:
     def test_stats_per_source(self, fleet):
         fleet.ingest("web", web_train(1)[:2])
         fleet.run_until_drained()
-        stats = fleet.stats()
-        assert set(stats) == {"db", "web"}
-        assert stats["web"]["logs_archived"] == 2
-        assert stats["db"]["logs_archived"] == 0
+        reports = fleet.reports()
+        assert set(reports) == {"db", "web"}
+        assert reports["web"].logs_archived == 2
+        assert reports["db"].logs_archived == 0

@@ -46,9 +46,7 @@ class TestTraining:
         service = trained_service()
         assert service.model_storage.latest_version("pattern_model") == 1
         assert service.model_storage.latest_version("sequence_model") == 1
-        stats = service.report(include_metrics=False).counters()
-        assert stats["model_updates"] == 2
-        assert stats["downtime_seconds"] == 0.0
+        assert service.report(include_metrics=False).model_updates == 2
 
 
 class TestEndToEnd:
@@ -175,14 +173,16 @@ class TestLiveModelUpdate:
         assert service.anomaly_storage.count() == 1
         # Delete the only automaton through the management plane.
         service.model_manager.delete_automaton(1)
-        service.ingest(
-            event_lines("fl-two", 30, finish=False), source="app"
-        )
-        service.run_until_drained()
+        lines = event_lines("fl-two", 30, finish=False)
+        service.ingest(lines, source="app")
+        reports = service.run_until_drained()
         service.final_flush()
         # No new anomaly: the automaton is gone; service never restarted.
         assert service.anomaly_storage.count() == 1
-        assert service.report(include_metrics=False).counters()["downtime_seconds"] == 0.0
+        # Zero downtime: the step that applies the update parses its
+        # whole batch.
+        assert reports[0].model_updates_applied == 1
+        assert reports[0].parsed == reports[0].ingested == len(lines)
 
     def test_pattern_model_update_changes_parsing(self):
         service = trained_service()
@@ -215,12 +215,11 @@ class TestHeartbeatCadence:
 
     def test_stats_keys_stable(self):
         service = trained_service()
-        stats = service.report(include_metrics=False).counters()
-        assert set(stats) == {
+        assert list(service.report(include_metrics=False).to_dict()) == [
             "steps", "logs_archived", "anomalies", "open_events",
             "parse_batches", "sequence_batches", "model_updates",
-            "downtime_seconds",
-        }
+            "quarantine", "alerts",
+        ]
 
 
 class TestParseWorkers:

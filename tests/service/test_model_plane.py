@@ -130,11 +130,19 @@ class TestModelController:
                              lambda: PatternModel([])),
             )
 
-    def test_applied_log(self):
-        controller, ctx, _ = self._controller()
+    def test_delete_keeps_no_history(self):
+        """The controller queues each instruction and keeps none of them:
+        the broadcast variable is the one home of the live model."""
+        controller, ctx, bv = self._controller()
+        model = PatternModel.from_dict(
+            {"version": 2, "patterns": [{"id": 1, "grok": "x %{WORD:w}"}]}
+        )
+        for _ in range(3):
+            controller.update("pattern_model", model.to_dict())
         controller.delete("pattern_model")
-        assert len(controller.applied) == 1
-        assert controller.applied[0].op is ControlOp.DELETE
+        ctx.run_batch([])
+        assert len(bv.get_value()) == 0
+        assert list(vars(controller)) == ["_bindings"]
 
     def test_targets(self):
         controller, _, _ = self._controller()

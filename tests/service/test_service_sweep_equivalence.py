@@ -10,25 +10,18 @@ faults injected via :mod:`repro.faults`.
 from unittest import mock
 
 from repro.faults import FaultPlan
-from repro.sequence.detector import LogSequenceDetector
 from repro.service.config import ServiceConfig
 from repro.service.loglens_service import LogLensService
 
+from tests.sequence.test_sweep_equivalence import LinearSweepDetector
+
 from .test_loglens_service import event_lines, training_lines
-
-
-class _LinearSweepDetector(LogSequenceDetector):
-    """Forces every detector the service builds onto the linear oracle."""
-
-    def __init__(self, *args, **kwargs):
-        kwargs.setdefault("sweep", "linear")
-        super().__init__(*args, **kwargs)
 
 
 def linear_service(**kwargs):
     with mock.patch(
         "repro.service.loglens_service.LogSequenceDetector",
-        _LinearSweepDetector,
+        LinearSweepDetector,
     ):
         service = LogLensService(config=ServiceConfig(num_partitions=2, **kwargs))
         service.train(training_lines())
@@ -86,7 +79,7 @@ class TestServiceSweepEquivalence:
         linear2 = linear_service()
         with mock.patch(
             "repro.service.loglens_service.LogSequenceDetector",
-            _LinearSweepDetector,
+            LinearSweepDetector,
         ):
             linear2.restore_checkpoint(checkpoint)
         heap2.restore_checkpoint(checkpoint)

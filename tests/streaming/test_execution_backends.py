@@ -123,7 +123,7 @@ def run_stateless(execution, records, batches=2):
     result = (
         [r.value for r in out.snapshot()],
         ctx.metrics.batches,
-        ctx.metrics.records,
+        ctx.obs.counter("engine.records").value,
         ctx.retries_total,
         ctx.quarantined_total,
     )
