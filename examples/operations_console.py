@@ -3,7 +3,8 @@
 Combines three management-plane components around a running service:
 
 * the **dashboard** back-end (Section II-B "Visualization Dashboard") —
-  ad-hoc queries, per-type histograms, a timeline, model inspection;
+  ad-hoc queries, per-type histograms, a timeline, model inspection,
+  and a drill-down from an anomaly to the archived logs around it;
 * **temporal anomaly clustering** — the Figure-6 analysis that surfaces
   attack bursts as clusters;
 * the **relearn automation** (Section II-B) — "every midnight, rebuild
@@ -85,7 +86,21 @@ for idx, cluster in enumerate(clusters, 1):
     )
 
 # ----------------------------------------------------------------------
-# 4. Inspect the models the service is currently running.
+# 4. Drill down: the archived logs around the first anomaly of a burst.
+# ----------------------------------------------------------------------
+first = min(
+    clusters[0].anomalies, key=lambda doc: doc["timestamp_millis"]
+)
+context = dashboard.context_logs(first, window_millis=5_000)
+print(
+    "\nDrill-down: %d archived log(s) within 5 s of the %s at %d"
+    % (len(context), first["type"], first["timestamp_millis"])
+)
+for raw in context[:3]:
+    print("    " + raw)
+
+# ----------------------------------------------------------------------
+# 5. Inspect the models the service is currently running.
 # ----------------------------------------------------------------------
 summary = dashboard.model_summary()
 print(
@@ -99,5 +114,6 @@ print(
 )
 
 assert len(clusters) == 4
+assert context
 assert sum(c.size for c in clusters) == dataset.attack_count
 print("\nOK — four attack bursts surfaced on the console.")

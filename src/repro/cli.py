@@ -1091,6 +1091,35 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
+def _database_file(storage: str, command: str) -> Optional[str]:
+    """The existing SQLite file a read-only ``command`` inspects.
+
+    ``storage`` is a ``--storage`` spec; a bare path stands for
+    ``sqlite:PATH``.  Anything else (``memory``, a missing file) prints
+    one ``error:`` line and returns ``None``.
+    """
+    from .service.backends import parse_storage_spec
+
+    spec = storage
+    if spec != "memory" and not spec.startswith("sqlite:"):
+        spec = "sqlite:" + spec  # bare paths are a convenience alias
+    try:
+        config = parse_storage_spec(spec)
+    except ValueError as exc:
+        error = str(exc)
+    else:
+        if config.kind != "sqlite":
+            error = "%r needs a sqlite database, got %r" % (
+                command, config.describe(),
+            )
+        elif not Path(config.path).is_file():
+            error = "no such database file: %s" % config.path
+        else:
+            return config.path
+    print("error: %s" % error, file=sys.stderr)
+    return None
+
+
 def _cmd_query(args: argparse.Namespace) -> int:
     """Ad-hoc read-only SQL against a ``--storage sqlite:PATH`` database.
 
@@ -1101,32 +1130,13 @@ def _cmd_query(args: argparse.Namespace) -> int:
     """
     import sqlite3
 
-    from .service.backends import parse_storage_spec
     from .service.sqlite_store import run_readonly_sql
 
-    spec = args.storage
-    if not spec.startswith("sqlite:"):
-        spec = "sqlite:" + spec  # bare paths are a convenience alias
-    try:
-        config = parse_storage_spec(spec)
-    except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    if config.kind != "sqlite":
-        print(
-            "error: 'query' needs a sqlite database, got %r"
-            % config.describe(),
-            file=sys.stderr,
-        )
-        return 2
-    if not Path(config.path).is_file():
-        print(
-            "error: no such database file: %s" % config.path,
-            file=sys.stderr,
-        )
+    path = _database_file(args.storage, "query")
+    if path is None:
         return 2
     try:
-        columns, rows = run_readonly_sql(config.path, args.sql)
+        columns, rows = run_readonly_sql(path, args.sql)
     except sqlite3.Error as exc:
         print("sql error: %s" % exc, file=sys.stderr)
         return 1
@@ -1265,31 +1275,18 @@ def _cmd_alerts_history(args: argparse.Namespace) -> int:
     """
     import sqlite3
 
-    from .service.backends import parse_storage_spec
     from .service.sqlite_store import run_readonly_sql
 
-    spec = args.storage
-    if not spec.startswith("sqlite:"):
-        spec = "sqlite:" + spec  # bare paths are a convenience alias
-    try:
-        config = parse_storage_spec(spec)
-    except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    if config.kind != "sqlite" or not Path(config.path).is_file():
-        print(
-            "error: 'alerts history' needs an existing sqlite "
-            "database, got %r" % args.storage,
-            file=sys.stderr,
-        )
+    path = _database_file(args.storage, "alerts history")
+    if path is None:
         return 2
     try:
         _, rows = run_readonly_sql(
-            config.path, "SELECT _doc FROM alerts ORDER BY _id"
+            path, "SELECT _doc FROM alerts ORDER BY _id"
         )
     except sqlite3.Error as exc:
         print(
-            "error: %s holds no alert history (%s)" % (config.path, exc),
+            "error: %s holds no alert history (%s)" % (path, exc),
             file=sys.stderr,
         )
         return 2

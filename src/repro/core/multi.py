@@ -10,8 +10,7 @@ routes mixed streams of ``(source, line)`` pairs to the right models.
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .anomaly import Anomaly, AnomalyType, Severity
 from .config import LogLensConfig
@@ -119,25 +118,3 @@ class MultiSourceLogLens:
             source=source,
             severity=Severity.WARNING,
         )
-
-    # ------------------------------------------------------------------
-    def save_all(self, directory: Union[str, Path]) -> List[Path]:
-        """Persist every source's models as ``<source>.json`` files."""
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        written = []
-        for source, lens in sorted(self._lenses.items()):
-            path = directory / ("%s.json" % source)
-            lens.save(path)
-            written.append(path)
-        return written
-
-    def load_all(self, directory: Union[str, Path]) -> List[str]:
-        """Load every ``<source>.json`` in a directory; returns sources."""
-        directory = Path(directory)
-        loaded = []
-        for path in sorted(directory.glob("*.json")):
-            source = path.stem
-            self._lenses[source] = LogLens(self.config).load(path)
-            loaded.append(source)
-        return loaded

@@ -84,11 +84,6 @@ class WorkflowSpec:
     gap_choices_millis: Tuple[int, ...] = (1000, 2000, 3000)
     id_prefix: str = "ev"
 
-    def state_count_bounds(self) -> Tuple[int, int]:
-        lo = 2 + sum(s.repeat[0] for s in self.middles)
-        hi = 2 + sum(s.repeat[1] for s in self.middles)
-        return lo, hi
-
 
 @dataclass(frozen=True)
 class InjectedAnomaly:
@@ -115,13 +110,6 @@ class EventDataset:
     @property
     def total_anomalies(self) -> int:
         return len(self.injected)
-
-    @property
-    def heartbeat_only_anomalies(self) -> int:
-        return sum(1 for a in self.injected if a.needs_heartbeat)
-
-    def anomalies_for_workflow(self, workflow: str) -> int:
-        return sum(1 for a in self.injected if a.workflow == workflow)
 
 
 _ANOMALY_KINDS = (
@@ -268,22 +256,6 @@ class EventStreamGenerator:
                     )
         pending.sort(key=lambda pair: pair[0])
         return [line for _, line in pending], injected
-
-    def ensure_extremes(
-        self, specs: Sequence[WorkflowSpec], start_millis: int
-    ) -> List[str]:
-        """Two pinned events (min & max shape) per workflow, for training."""
-        lines: List[Tuple[int, str]] = []
-        offset = 0
-        for spec in specs:
-            for extreme in ("min", "max"):
-                ev, _ = self.generate_event(
-                    spec, start_millis + offset, extreme=extreme
-                )
-                lines.extend(ev)
-                offset += 60_000
-        lines.sort(key=lambda pair: pair[0])
-        return [line for _, line in lines]
 
 
 # ----------------------------------------------------------------------

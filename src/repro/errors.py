@@ -135,12 +135,10 @@ class OperatorError(LogLensError):
 
 
 class QuarantinedRecordError(OperatorError):
-    """A record exhausted its retry budget and was quarantined.
+    """A record exhausted its retry budget in a context with no
+    ``dead_letter`` sink to quarantine it to.
 
-    Raised to the caller only when the active
-    :class:`~repro.streaming.retry.RetryPolicy` is configured with
-    ``on_exhaust="raise"``; in the default ``"quarantine"`` mode the
-    record is routed to the dead-letter sink instead and the batch
+    A context with a sink routes the record there instead and the batch
     continues.  ``record`` is the poison record the failing operator
     received.
     """

@@ -239,19 +239,18 @@ class Histogram:
                 if cumulative + bucket_count < target:
                     cumulative += bucket_count
                     continue
-                # Interpolate inside this bucket.
-                lower = self._bounds[idx - 1] if idx > 0 else (
-                    self._min if self._min is not None else 0.0
-                )
+                # Interpolate inside this bucket, then clamp into the
+                # observed range: a bucket's bounds can lie outside it.
+                lower = self._bounds[idx - 1] if idx > 0 else self._min
                 if idx < len(self._bounds):
                     upper = self._bounds[idx]
                 else:
-                    # +Inf overflow bucket: cap at the observed maximum.
-                    upper = self._max if self._max is not None else lower
+                    upper = self._max  # +Inf overflow bucket
                 lower = min(lower, upper)
-                fraction = (target - cumulative) / bucket_count
-                return lower + (upper - lower) * min(1.0, fraction)
-            return self._max if self._max is not None else 0.0
+                fraction = min(1.0, (target - cumulative) / bucket_count)
+                estimate = min(lower + (upper - lower) * fraction, upper)
+                return min(max(estimate, self._min), self._max)
+            return self._max
 
     def reset(self) -> None:
         with self._lock:

@@ -32,7 +32,7 @@ from .grok import CompiledGrok, Field, GrokPattern, Literal
 from .hierarchy import HierarchyDiscoverer, HierarchyLevel, PatternHierarchy
 from .index import PatternIndex
 from .logmine import LogCluster, PatternDiscoverer, join_datatypes, log_distance
-from .matcher import is_matched, is_matched_simple
+from .matcher import is_matched_simple
 from .parser import FastLogParser, ParsedLog, PatternModel
 from .quality import PatternQualityReport, evaluate_pattern_model
 from .suggest import suggest_pattern, suggest_pattern_from_examples
@@ -75,7 +75,6 @@ __all__ = [
     "PatternDiscoverer",
     "join_datatypes",
     "log_distance",
-    "is_matched",
     "is_matched_simple",
     "FastLogParser",
     "ParsedLog",

@@ -10,9 +10,9 @@ solves this with a bottom-up dynamic program over the boolean table::
                                                   or isCovered(l_i, p_j)
     T[i][j] = T[i-1][j] or T[i][j-1]              if p_j == ANYDATA
 
-:func:`is_matched` is a faithful implementation; :func:`is_matched_simple`
-is the wildcard-free fast path used when the pattern-signature contains no
-``ANYDATA``.
+:func:`is_matched_tokens` is a faithful implementation over pre-split
+signatures; :func:`is_matched_simple` is the wildcard-free fast path it
+takes when the pattern-signature contains no ``ANYDATA``.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import List, Optional, Sequence
 
 from .datatypes import DEFAULT_REGISTRY, DatatypeRegistry
 
-__all__ = ["is_matched", "is_matched_simple", "is_matched_tokens"]
+__all__ = ["is_matched_simple", "is_matched_tokens"]
 
 _WILDCARD = "ANYDATA"
 
@@ -41,32 +41,19 @@ def is_matched_simple(
     return True
 
 
-def is_matched(
-    log_signature: str,
-    pattern_signature: str,
-    registry: Optional[DatatypeRegistry] = None,
-) -> bool:
-    """Can ``log_signature`` be parsed by ``pattern_signature``?
-
-    This is the paper's Algorithm 1 (``isMatched``), including the
-    ``ANYDATA`` wildcard handling via dynamic programming.  Signatures are
-    whitespace-joined datatype names.
-    """
-    return is_matched_tokens(
-        log_signature.split(), pattern_signature.split(), registry
-    )
-
-
 def is_matched_tokens(
     L: Sequence[str],
     P: Sequence[str],
     registry: Optional[DatatypeRegistry] = None,
 ) -> bool:
-    """Algorithm 1 over pre-split signatures.
+    """Can log-signature ``L`` be parsed by pattern-signature ``P``?
 
-    The pattern index compares one log-signature against many
-    pattern-signatures; keeping both sides pre-split avoids re-splitting
-    the pattern signature on every comparison (see
+    This is the paper's Algorithm 1 (``isMatched``), including the
+    ``ANYDATA`` wildcard handling via dynamic programming, over
+    signatures split into datatype names.  The pattern index compares
+    one log-signature against many pattern-signatures; keeping both
+    sides pre-split avoids re-splitting the pattern signature on every
+    comparison (see
     :meth:`~repro.parsing.grok.GrokPattern.signature_tokens`).
     """
     registry = registry if registry is not None else DEFAULT_REGISTRY

@@ -108,39 +108,6 @@ class PatternModel:
         ]
         return cls(patterns, version=data.get("version", 1), registry=registry)
 
-    def to_logstash_config(self) -> str:
-        """Render the pattern set as a Logstash grok filter config.
-
-        The paper's Table IV feeds the same discovered patterns to
-        Logstash; this export makes that experiment literally runnable
-        against a real Logstash install.  Custom datatypes are emitted as
-        ``pattern_definitions`` so the config is self-contained.
-        """
-        definitions = []
-        seen = set()
-        for pattern in self.patterns:
-            for element in pattern.fields:
-                name = element.datatype
-                if name in seen or name not in self.registry:
-                    continue
-                seen.add(name)
-                definitions.append(
-                    '      "%s" => "%s"'
-                    % (name, self.registry[name].pattern.replace("\\", "\\\\"))
-                )
-        matches = ",\n".join(
-            '      "%s"' % p.to_string().replace('"', '\\"')
-            for p in self.patterns
-        )
-        return (
-            "filter {\n"
-            "  grok {\n"
-            "    pattern_definitions => {\n%s\n    }\n"
-            "    match => { \"message\" => [\n%s\n    ] }\n"
-            "  }\n"
-            "}\n" % ("\n".join(definitions), matches)
-        )
-
 
 class FastLogParser:
     """Index-accelerated GROK parser; unparseable logs become anomalies.

@@ -44,27 +44,10 @@ class PatternQualityReport:
         return self.parsed_logs / self.total_logs if self.total_logs else 1.0
 
     @property
-    def pattern_count(self) -> int:
-        return len(self.usage) + len(self.unused_patterns) - len(
-            [p for p in self.usage if self.usage[p] == 0]
-        )
-
-    @property
     def compression_ratio(self) -> float:
         """Parsed logs per used pattern (higher = tighter model)."""
         used = sum(1 for count in self.usage.values() if count > 0)
         return self.parsed_logs / used if used else 0.0
-
-    @property
-    def dominant_pattern_share(self) -> float:
-        """Share of parsed logs taken by the busiest pattern.
-
-        A share near 1.0 with many patterns flags an over-general
-        wildcard pattern swallowing the stream.
-        """
-        if not self.parsed_logs:
-            return 0.0
-        return max(self.usage.values(), default=0) / self.parsed_logs
 
     def summary(self) -> str:
         return (

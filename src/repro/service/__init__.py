@@ -31,7 +31,7 @@ from .model_controller import (
     ModelBinding,
     ModelController,
 )
-from .replay import ModelComparison, ReplayOutcome, compare_models, replay
+from .replay import ReplayOutcome, replay
 from .model_manager import ModelManager, PATTERN_MODEL, SEQUENCE_MODEL
 from .storage import AnomalyStorage, LogStorage, ModelStorage
 
@@ -64,9 +64,7 @@ __all__ = [
     "ControlOp",
     "ModelBinding",
     "ModelController",
-    "ModelComparison",
     "ReplayOutcome",
-    "compare_models",
     "replay",
     "ModelManager",
     "PATTERN_MODEL",

@@ -6,11 +6,11 @@ present anomalies to the users", lets users "view anomalies and take
 actions to rebuild or edit models", and supports "complex analysis by
 issuing ad-hoc queries".
 
-This module is that back-end: a query surface over the three stores plus
-render helpers producing the dashboard's data structures (anomaly feed,
-per-type/severity histograms, timelines, model summaries) as plain
-JSON-ready dicts — the part of a dashboard a library can own; any
-front-end can paint them.
+This module is that back-end: a query surface over the three stores
+producing the dashboard's data structures (anomaly feed, per-type
+histogram, timeline, model summary, the archived logs around an
+anomaly) as plain JSON-ready values — the part of a dashboard a library
+can own; any front-end can paint them — plus a terminal rendering.
 """
 
 from __future__ import annotations
@@ -115,21 +115,6 @@ class Dashboard:
             Counter(d["type"] for d in self.anomaly_storage.all())
         )
 
-    def counts_by_severity(self) -> Dict[int, int]:
-        return dict(
-            Counter(
-                d.get("severity", 0) for d in self.anomaly_storage.all()
-            )
-        )
-
-    def counts_by_source(self) -> Dict[str, int]:
-        return dict(
-            Counter(
-                d.get("source") or "unknown"
-                for d in self.anomaly_storage.all()
-            )
-        )
-
     def timeline(self, bucket_millis: int = 60_000) -> List[Tuple[int, int]]:
         """(bucket start, anomaly count) pairs — the Figure-6 histogram."""
         if bucket_millis <= 0:
@@ -184,20 +169,6 @@ class Dashboard:
         return summary
 
     # ------------------------------------------------------------------
-    # Metrics panel (the aggregate observability snapshot)
-    # ------------------------------------------------------------------
-    def metrics_panel(self) -> Dict[str, Any]:
-        """Snapshot of the attached :class:`~repro.obs.MetricsRegistry`.
-
-        Parse-latency quantiles, index hit counters, engine batch
-        latency, bus consumer lag, heartbeat sweep metrics — everything
-        the instrumented layers report, as one JSON-safe dict.
-        """
-        if self.metrics is None:
-            raise RuntimeError("dashboard has no metrics registry attached")
-        return self.metrics.to_dict()
-
-    # ------------------------------------------------------------------
     # Drill-down
     # ------------------------------------------------------------------
     def context_logs(
@@ -213,52 +184,6 @@ class Dashboard:
         return self.log_storage.time_range(
             source, ts - window_millis, ts + window_millis
         )
-
-    # ------------------------------------------------------------------
-    # HTML rendering (the standalone Kibana stand-in)
-    # ------------------------------------------------------------------
-    def render_html(
-        self, feed_limit: int = 25, bucket_millis: int = 60_000
-    ) -> str:
-        """A self-contained HTML page: counters, timeline, anomaly feed.
-
-        No external assets; write it to a file and open it in a browser.
-        """
-        import html as _html
-
-        by_type = self.counts_by_type()
-        total = sum(by_type.values())
-        type_rows = "".join(
-            "<tr><td>%s</td><td>%d</td></tr>"
-            % (_html.escape(kind), count)
-            for kind, count in sorted(by_type.items())
-        )
-        timeline = self.timeline(bucket_millis=bucket_millis)
-        peak = max((count for _, count in timeline), default=1)
-        bars = "".join(
-            '<div class="bar" style="height:%dpx" title="%d @ %d"></div>'
-            % (max(2, int(60 * count / peak)), count, bucket)
-            for bucket, count in timeline
-        )
-        severity_class = {0: "info", 1: "warn", 2: "error", 3: "critical"}
-        feed_rows = "".join(
-            '<tr class="%s"><td>%s</td><td>%s</td><td>%s</td>'
-            "<td>%s</td></tr>"
-            % (
-                severity_class.get(doc.get("severity", 1), "warn"),
-                doc.get("timestamp_millis"),
-                _html.escape(str(doc.get("source") or "-")),
-                _html.escape(doc["type"]),
-                _html.escape(doc.get("reason", "")),
-            )
-            for doc in self.anomaly_feed(limit=feed_limit)
-        )
-        return _HTML_TEMPLATE % {
-            "total": total,
-            "type_rows": type_rows,
-            "bars": bars,
-            "feed_rows": feed_rows,
-        }
 
     # ------------------------------------------------------------------
     # Text rendering (terminal dashboard)
@@ -289,44 +214,3 @@ class Dashboard:
             lines.append(render_table(self.metrics.to_dict()))
         return "\n".join(lines)
 
-
-_HTML_TEMPLATE = """<!DOCTYPE html>
-<html>
-<head>
-<meta charset="utf-8">
-<title>LogLens dashboard</title>
-<style>
-  body { font-family: system-ui, sans-serif; margin: 2rem; color: #222; }
-  h1 { font-size: 1.4rem; }
-  .panel { margin-bottom: 2rem; }
-  table { border-collapse: collapse; width: 100%%; }
-  th, td { text-align: left; padding: 4px 10px;
-           border-bottom: 1px solid #ddd; font-size: 0.9rem; }
-  .timeline { display: flex; align-items: flex-end; gap: 2px;
-              height: 64px; }
-  .bar { width: 8px; background: #4a78c2; }
-  tr.warn td { color: #8a6d00; }
-  tr.error td { color: #a33; }
-  tr.critical td { color: #fff; background: #a33; }
-</style>
-</head>
-<body>
-<h1>LogLens dashboard &mdash; %(total)d anomalies</h1>
-<div class="panel">
-  <h2>By type</h2>
-  <table><tr><th>type</th><th>count</th></tr>%(type_rows)s</table>
-</div>
-<div class="panel">
-  <h2>Timeline</h2>
-  <div class="timeline">%(bars)s</div>
-</div>
-<div class="panel">
-  <h2>Recent anomalies</h2>
-  <table>
-    <tr><th>time</th><th>source</th><th>type</th><th>reason</th></tr>
-    %(feed_rows)s
-  </table>
-</div>
-</body>
-</html>
-"""

@@ -9,11 +9,10 @@ automation ("rebuild every midnight from the last seven days").
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from ..parsing.editing import PatternSetEditor
 from ..parsing.parser import PatternModel
-from ..parsing.quality import PatternQualityReport, evaluate_pattern_model
 from ..sequence.model import SequenceModel
 from .model_builder import BuiltModels, ModelBuilder
 from .model_controller import ModelController
@@ -114,47 +113,6 @@ class ModelManager:
         if publish and self.controller is not None:
             self.publish(name, version)
         return version
-
-    # ------------------------------------------------------------------
-    # Drift checks
-    # ------------------------------------------------------------------
-    def quality_report(
-        self,
-        sample_logs: List[str],
-        name: str = PATTERN_MODEL,
-    ) -> PatternQualityReport:
-        """How well the latest pattern model fits a recent log sample."""
-        model = PatternModel.from_dict(self.storage.get(name))
-        return evaluate_pattern_model(
-            model, sample_logs, tokenizer=self.builder.tokenizer
-        )
-
-    def rebuild_if_drifted(
-        self,
-        log_storage: LogStorage,
-        source: str,
-        min_coverage: float = 0.95,
-        sample_size: int = 1000,
-        window_millis: Optional[Tuple[int, int]] = None,
-        publish: bool = True,
-    ) -> Optional[BuiltModels]:
-        """Rebuild only when the deployed model no longer fits the stream.
-
-        Samples the most recent archived logs of ``source``; when pattern
-        coverage falls below ``min_coverage`` (new formats appeared — the
-        data-drift signal of Section II-A), triggers :meth:`rebuild` and
-        returns the new models; otherwise returns ``None``.
-        """
-        recent = log_storage.by_source(source)[-sample_size:]
-        if not recent:
-            return None
-        report = self.quality_report(recent)
-        if report.coverage >= min_coverage:
-            return None
-        return self.rebuild(
-            log_storage, source, window_millis=window_millis,
-            publish=publish,
-        )
 
     # ------------------------------------------------------------------
     # Relearning automation (data drift)

@@ -1,28 +1,24 @@
-"""What-if replay: validate a candidate model against archived logs.
+"""Replay: run archived logs through a model pair, offline.
 
 Section II-B: stored logs "can also be used for future log replaying to
-perform further analysis".  The highest-value replay in practice is
-*staging validation*: before publishing a rebuilt or hand-edited model to
-the live pipeline, replay recent archived traffic against both the
-current and the candidate models and compare what each would have
-reported.  A candidate that floods the dashboard (or goes silent) is
-caught before it ships.
+perform further analysis".  :func:`replay` runs a list of raw logs (for
+example ``LogStorage.by_source``) through a pattern and sequence model
+pair outside the live pipeline and reports what it would have found.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..core.anomaly import Anomaly
 from ..parsing.parser import FastLogParser, ParsedLog, PatternModel
 from ..parsing.tokenizer import Tokenizer
 from ..sequence.detector import LogSequenceDetector
 from ..sequence.model import SequenceModel
-from .storage import LogStorage
 
-__all__ = ["ReplayOutcome", "ModelComparison", "replay", "compare_models"]
+__all__ = ["ReplayOutcome", "replay"]
 
 
 @dataclass
@@ -40,10 +36,6 @@ class ReplayOutcome:
     @property
     def counts_by_type(self) -> Dict[str, int]:
         return dict(Counter(a.type.value for a in self.anomalies))
-
-    @property
-    def parse_coverage(self) -> float:
-        return self.parsed / self.logs_replayed if self.logs_replayed else 1.0
 
 
 def replay(
@@ -72,78 +64,4 @@ def replay(
         anomalies.extend(detector.flush())
     return ReplayOutcome(
         logs_replayed=len(raw_logs), parsed=parsed, anomalies=anomalies
-    )
-
-
-@dataclass
-class ModelComparison:
-    """Side-by-side replay of current vs. candidate models."""
-
-    current: ReplayOutcome
-    candidate: ReplayOutcome
-    #: Candidate anomaly-count change as a fraction of the replayed
-    #: stream (positive = the candidate reports more).
-    @property
-    def anomaly_delta(self) -> int:
-        return self.candidate.anomaly_count - self.current.anomaly_count
-
-    @property
-    def coverage_delta(self) -> float:
-        return (
-            self.candidate.parse_coverage - self.current.parse_coverage
-        )
-
-    def verdict(
-        self,
-        max_extra_anomaly_fraction: float = 0.05,
-        min_coverage: float = 0.95,
-    ) -> Tuple[bool, str]:
-        """Ship/hold recommendation with a reason.
-
-        Holds when the candidate's parse coverage is poor or when it
-        would report substantially more anomalies than the current model
-        over the same (presumed mostly normal) traffic.
-        """
-        if self.candidate.parse_coverage < min_coverage:
-            return False, (
-                "candidate parse coverage %.3f below %.2f"
-                % (self.candidate.parse_coverage, min_coverage)
-            )
-        budget = max(
-            1,
-            int(
-                self.candidate.logs_replayed * max_extra_anomaly_fraction
-            ),
-        )
-        if self.anomaly_delta > budget:
-            return False, (
-                "candidate reports %d more anomalies than current "
-                "(budget %d)" % (self.anomaly_delta, budget)
-            )
-        return True, "candidate within budget"
-
-
-def compare_models(
-    log_storage: LogStorage,
-    source: str,
-    current: Tuple[PatternModel, SequenceModel],
-    candidate: Tuple[PatternModel, SequenceModel],
-    sample_size: int = 2000,
-    tokenizer: Optional[Tokenizer] = None,
-) -> ModelComparison:
-    """Replay recent archived traffic against both model pairs.
-
-    Raises
-    ------
-    ValueError
-        When the archive holds no logs for ``source``.
-    """
-    raws = log_storage.by_source(source)[-sample_size:]
-    if not raws:
-        raise ValueError("no archived logs for source %r" % source)
-    return ModelComparison(
-        current=replay(raws, current[0], current[1], tokenizer=tokenizer),
-        candidate=replay(
-            raws, candidate[0], candidate[1], tokenizer=tokenizer
-        ),
     )

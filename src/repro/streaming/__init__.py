@@ -21,7 +21,6 @@ from .engine import (
     Collector,
     DStream,
     EngineMetrics,
-    QuarantineStore,
     StreamingContext,
     WorkerContext,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "Collector",
     "DStream",
     "EngineMetrics",
-    "QuarantineStore",
     "QuarantinedRecord",
     "RetryPolicy",
     "StreamingContext",

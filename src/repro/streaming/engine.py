@@ -29,10 +29,12 @@ operator invocation can run under a
 re-execute with exponential backoff (deterministic jitter hook,
 injectable clock), and records that still fail are *quarantined*:
 wrapped as :class:`~repro.streaming.retry.QuarantinedRecord` with
-failure metadata, and handed to the context's dead-letter sink, or kept
-on the context when it has none.  The batch always completes; sibling
-branches and other records are unaffected.  Sinks are driver callbacks,
-not operators: each is called once per non-empty bucket, never retried.
+failure metadata, and handed to the context's dead-letter sink.  The
+batch then completes; sibling branches and other records are unaffected.
+A context without a sink fails the batch with
+:class:`~repro.errors.QuarantinedRecordError` instead.  Sinks are driver
+callbacks, not operators: each is called once per non-empty bucket,
+never retried.
 A :class:`~repro.faults.FaultPlan` may be installed to inject failures at
 every operator site and at broadcast pulls (see ``docs/FAULT_TOLERANCE.md``).
 """
@@ -74,7 +76,6 @@ __all__ = [
     "DStream",
     "Collector",
     "CollectedRecords",
-    "QuarantineStore",
     "BatchMetrics",
     "EngineMetrics",
     "StreamingContext",
@@ -192,34 +193,6 @@ class CollectedRecords(Sequence):
         return "CollectedRecords(%r)" % (self._collector.snapshot(),)
 
 
-class QuarantineStore:
-    """Thread-safe store of records quarantined during batches by a
-    context that has no ``dead_letter`` sink."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._records: List[QuarantinedRecord] = []
-
-    def add(self, record: QuarantinedRecord) -> None:
-        with self._lock:
-            self._records.append(record)
-
-    def snapshot(self) -> List[QuarantinedRecord]:
-        with self._lock:
-            return list(self._records)
-
-    def drain(self) -> List[QuarantinedRecord]:
-        """Return everything quarantined so far and empty the store."""
-        with self._lock:
-            out = self._records
-            self._records = []
-            return out
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._records)
-
-
 class DStream:
     """A (discretised) stream: a node in the operator graph.
 
@@ -327,18 +300,18 @@ class StreamingContext:
         process — operator functions must be picklable; see
         ``docs/PARALLELISM.md``.
     retry_policy:
-        Re-execute failing operator calls per this policy; records that
-        exhaust it are quarantined instead of aborting the batch.  Sinks
-        are never retried.  With the default ``None`` (and no
-        ``dead_letter`` sink) or ``on_exhaust="raise"``, a failure stops
-        its partition; the others still run, then the lowest-numbered
-        partition's exception propagates from :meth:`run_batch`.
+        Re-execute failing operator calls per this policy.  Sinks are
+        never retried.  A failure stops its partition when there is no
+        policy (the default ``None``, without a ``dead_letter`` sink) or
+        when a record exhausts the policy in a context without a sink
+        (:class:`~repro.errors.QuarantinedRecordError`); the other
+        partitions still run, then the lowest-numbered partition's
+        exception propagates from :meth:`run_batch`.
     dead_letter:
-        Callable receiving each :class:`QuarantinedRecord` (the service
-        wires this to the bus's dead-letter topic).  Providing a sink
-        without a policy enables quarantine with zero retries.  A
-        context without a sink keeps its quarantined records in
-        :attr:`quarantine` instead.
+        Callable receiving each :class:`QuarantinedRecord` that
+        exhausted the policy (the service wires this to the bus's
+        dead-letter topic); the batch then continues.  Providing a sink
+        without a policy enables quarantine with zero retries.
     fault_plan:
         Optional :class:`~repro.faults.FaultPlan`; installs injection
         sites at every operator invocation (``operator:<kind>:<id>``)
@@ -387,7 +360,6 @@ class StreamingContext:
         self._fault_plan = fault_plan
         if fault_plan is not None:
             self.broadcast_manager.fault_plan = fault_plan
-        self.quarantine = QuarantineStore()
         self._retries_total = self.obs.counter("engine.retries_total")
         self._quarantined_total = self.obs.counter(
             "engine.quarantined_total"
@@ -398,7 +370,8 @@ class StreamingContext:
         # Execution plane: the graph walk (shared by the driver and
         # worker processes) plus the backend that schedules it.
         self._executor = PartitionExecutor(
-            self._roots, self.retry_policy, self._fault_plan
+            self._roots, self.retry_policy, self._fault_plan,
+            quarantines=dead_letter is not None,
         )
         self._backend = resolve_backend(execution)
         self._backend.attach(self)
@@ -535,8 +508,6 @@ class StreamingContext:
         if outcome.quarantined:
             self.metrics.quarantined += len(outcome.quarantined)
             self._quarantined_total.inc(len(outcome.quarantined))
-            # One home per record: the sink, or the context's store.
-            keep = self._dead_letter or self.quarantine.add
             for quarantined in outcome.quarantined:
-                keep(quarantined)
+                self._dead_letter(quarantined)
         return error

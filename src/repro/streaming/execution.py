@@ -112,7 +112,10 @@ class PartitionExecutor:
 
     This is the engine's execution core — fault injection at
     ``operator:<kind>:<node_id>`` sites, the retry loop with measured
-    per-attempt timeouts, and quarantine on exhaustion — factored out of
+    per-attempt timeouts, and what a record that exhausts the policy
+    does: with ``quarantines`` (the context has a ``dead_letter`` sink)
+    it goes to :attr:`PartitionOutcome.quarantined`, otherwise it
+    raises :class:`~repro.errors.QuarantinedRecordError` — factored out of
     :class:`~repro.streaming.engine.StreamingContext` so the driver and
     worker processes run the identical code path.
 
@@ -151,10 +154,12 @@ class PartitionExecutor:
         roots: List[Any],
         retry_policy: Optional[RetryPolicy],
         fault_plan: Optional[Any],
+        quarantines: bool,
     ) -> None:
         self.roots = roots
         self.retry_policy = retry_policy
         self.fault_plan = fault_plan
+        self.quarantines = quarantines
         self._outcome: Optional[PartitionOutcome] = None
 
     # ------------------------------------------------------------------
@@ -325,7 +330,7 @@ class PartitionExecutor:
     ) -> bool:
         """Attempt ``attempt`` raised the retryable ``exc``: back off
         before the next one, or, with the budget spent, quarantine the
-        record (True) or fail fast."""
+        record (True) or fail the partition."""
         policy = self.retry_policy
         if attempt >= policy.max_attempts:
             self._exhausted(node, record, worker, attempt, exc)
@@ -345,8 +350,9 @@ class PartitionExecutor:
         attempts: int,
         exc: BaseException,
     ) -> None:
-        """Retry budget spent: quarantine the record (or fail fast)."""
-        if self.retry_policy.on_exhaust == "raise":
+        """Retry budget spent: quarantine the record, or raise when
+        there is no sink to quarantine it to."""
+        if not self.quarantines:
             raise QuarantinedRecordError(
                 "record failed %d attempt(s) at operator %s#%d: %s"
                 % (attempts, node.kind, node.node_id, exc),
@@ -436,6 +442,7 @@ class _WorkerInit:
     graph: List[Any]
     retry_policy: Optional[RetryPolicy]
     fault_plan: Optional[Any]
+    quarantines: bool
     broadcast_values: Dict[int, Any]
 
 
@@ -562,6 +569,7 @@ class ProcessBackend(ExecutionBackend):
                 graph=spec,
                 retry_policy=ctx.retry_policy,
                 fault_plan=ctx._fault_plan,
+                quarantines=ctx._executor.quarantines,
                 broadcast_values=values,
             )
             self._send(partition_id, ("init", init))
@@ -763,6 +771,7 @@ class _WorkerProcessState:
             _graph_from_spec(init.graph, self.emitted),
             init.retry_policy,
             init.fault_plan,
+            init.quarantines,
         )
 
     def pack_emits(self) -> bytes:

@@ -25,7 +25,7 @@ The :class:`RetryPolicy` is deliberately deterministic:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Optional, Tuple
 
 from ..faults.clock import SystemClock
 from .records import StreamRecord
@@ -53,12 +53,6 @@ class RetryPolicy:
         An attempt whose measured duration exceeds this budget counts as
         a failure even if it returned a value (cooperative timeout; see
         module docstring).
-    on_exhaust:
-        ``"quarantine"`` (default): route the record to the quarantine
-        store / dead-letter sink and continue the batch.
-        ``"raise"``: propagate a
-        :class:`~repro.errors.QuarantinedRecordError` to the
-        ``run_batch`` caller (fail-fast mode).
     retryable:
         Exception classes worth retrying; anything else propagates
         immediately.
@@ -74,18 +68,12 @@ class RetryPolicy:
     max_delay_seconds: float = 5.0
     jitter: Optional[Callable[[int, float], float]] = None
     per_attempt_timeout_seconds: Optional[float] = None
-    on_exhaust: str = "quarantine"
     retryable: Tuple[type, ...] = (Exception,)
     clock: Any = field(default_factory=SystemClock)
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
-        if self.on_exhaust not in ("quarantine", "raise"):
-            raise ValueError(
-                "on_exhaust must be 'quarantine' or 'raise'; got %r"
-                % (self.on_exhaust,)
-            )
 
     def delay_for(self, attempt: int) -> float:
         """Backoff delay after the ``attempt``-th failure (1-based)."""
@@ -122,18 +110,3 @@ class QuarantinedRecord:
     kind: str
     partition_id: int
     attempts: int
-
-    def to_payload(self) -> Dict[str, Any]:
-        """The dead-letter envelope body (value + failure metadata)."""
-        return {
-            "value": self.record.value,
-            "key": self.record.key,
-            "source": self.record.source,
-            "timestamp_millis": self.record.timestamp_millis,
-            "error": self.error,
-            "error_type": self.error_type,
-            "node_id": self.node_id,
-            "operator_kind": self.kind,
-            "partition_id": self.partition_id,
-            "attempts": self.attempts,
-        }

@@ -191,7 +191,9 @@ class TestAlertsHistory:
             ["alerts", "history", "--storage",
              str(tmp_path / "nope.db")]
         ) == 2
-        assert "existing sqlite" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: no such database file: %s\n" % (tmp_path / "nope.db")
+        )
 
     @staticmethod
     def _schema(path):
@@ -226,6 +228,29 @@ class TestAlertsHistory:
         assert main(["alerts", "history", "--storage", str(db_path)]) == 0
         assert "3 event(s) shown of 3" in capsys.readouterr().err
         assert self._schema(db_path) == before
+
+
+class TestReadOnlyDatabaseCommands:
+    """``query`` and ``alerts history`` refuse a database they cannot
+    read with the same single error line."""
+
+    @pytest.mark.parametrize(
+        "command", ["query", "alerts history"], ids=["query", "history"]
+    )
+    @pytest.mark.parametrize("storage", ["missing", "memory"])
+    def test_one_error_line(self, tmp_path, capsys, command, storage):
+        argv = ["query", "SELECT 1"] if command == "query" else (
+            ["alerts", "history"]
+        )
+        missing = tmp_path / "nope.db"
+        spec = str(missing) if storage == "missing" else "memory"
+        assert main(argv + ["--storage", spec]) == 2
+        expected = (
+            "no such database file: %s" % missing
+            if storage == "missing"
+            else "'%s' needs a sqlite database, got 'memory'" % command
+        )
+        assert capsys.readouterr().err == "error: %s\n" % expected
 
 
 class TestConfigFlagOnServiceCommands:

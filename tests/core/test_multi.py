@@ -103,14 +103,3 @@ class TestUnknownSources:
         old = multi.lens_for("web")
         multi.fit_source("web", app_logs(4))
         assert multi.lens_for("web") is not old
-
-
-class TestPersistence:
-    def test_save_load_roundtrip(self, multi, tmp_path):
-        written = multi.save_all(tmp_path)
-        assert sorted(p.stem for p in written) == ["db", "web"]
-        restored = MultiSourceLogLens()
-        assert restored.load_all(tmp_path) == ["db", "web"]
-        line = "2016/05/09 22:00:01 db BEGIN txn rl-1 isolation high"
-        end = "2016/05/09 22:00:05 db COMMIT txn rl-1 rows 1111111"
-        assert restored.detect("db", [line, end]) == []

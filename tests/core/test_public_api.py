@@ -28,7 +28,7 @@ _EXPECTED = {
         "CANONICAL_FORMAT", "GrokPattern", "Literal", "Field",
         "CompiledGrok", "PatternDiscoverer", "LogCluster",
         "HierarchyDiscoverer", "PatternHierarchy", "PatternIndex",
-        "FastLogParser", "PatternModel", "ParsedLog", "is_matched",
+        "FastLogParser", "PatternModel", "ParsedLog",
         "assign_field_ids", "heuristic_rename", "PatternSetEditor",
         "rename_field", "specialize_field", "generalize_literal",
         "set_field_datatype", "merge_into_anydata", "LineAssembler",
@@ -45,7 +45,7 @@ _EXPECTED = {
         "StreamingContext", "DStream", "Collector", "StreamRecord",
         "heartbeat_record", "BroadcastManager", "BroadcastVariable",
         "BlockManager", "StateMap", "EngineMetrics", "BatchMetrics",
-        "CollectedRecords", "QuarantineStore", "QuarantinedRecord",
+        "CollectedRecords", "QuarantinedRecord",
         "RetryPolicy",
     ],
     "repro.obs": [
@@ -59,8 +59,7 @@ _EXPECTED = {
         "ModelStorage", "AnomalyStorage", "HeartbeatController",
         "ModelBuilder", "ModelManager", "ModelController",
         "Dashboard", "AdHocQuery", "SimulatedScheduler",
-        "RelearnAutomation", "replay", "compare_models",
-        "ModelComparison", "ReplayOutcome", "ServiceReport",
+        "RelearnAutomation", "replay", "ReplayOutcome", "ServiceReport",
         "QuarantineReport", "StepReport", "dead_letter_topic",
         "ServiceConfig",
     ],

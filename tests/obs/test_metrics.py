@@ -4,6 +4,7 @@ import json
 import threading
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.obs import (
     Counter,
@@ -86,6 +87,33 @@ class TestHistogram:
         h.observe(50.0)
         h.observe(70.0)
         assert h.quantile(0.99) <= 70.0
+
+    @given(
+        values=st.lists(
+            st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=40
+        ),
+        buckets=st.one_of(
+            st.none(),
+            st.lists(
+                st.floats(min_value=-1e6, max_value=1e6),
+                min_size=1, max_size=8,
+            ),
+        ),
+        qs=st.lists(
+            st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=6
+        ),
+    )
+    # Nine 6 us and one 7 us: the 10 us bucket bound once gave p50 8 us.
+    @example(values=[6e-6] * 9 + [7e-6], buckets=None, qs=[0.5, 0.95])
+    @settings(max_examples=300, deadline=None)
+    def test_quantile_within_observed_range_and_monotone(
+        self, values, buckets, qs
+    ):
+        h = Histogram(buckets=buckets)
+        h.observe_many(values)
+        estimates = [h.quantile(q) for q in sorted(qs)]
+        assert all(min(values) <= e <= max(values) for e in estimates)
+        assert estimates == sorted(estimates)
 
     def test_quantile_range_validated(self):
         with pytest.raises(ValueError):

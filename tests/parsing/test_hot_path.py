@@ -196,7 +196,7 @@ class TestDispatchTableEquivalence:
             assert fast.fields == slow.fields
 
     def test_candidate_groups_match_brute_force(self):
-        from repro.parsing.matcher import is_matched
+        from repro.parsing.matcher import is_matched_tokens
 
         model = _model()
         index = PatternIndex(model.patterns, model.registry)
@@ -206,7 +206,10 @@ class TestDispatchTableEquivalence:
             expected = [
                 p
                 for p in model.patterns
-                if is_matched(log.signature, p.signature(), model.registry)
+                if is_matched_tokens(
+                    log.signature.split(), p.signature().split(),
+                    model.registry,
+                )
             ]
             expected.sort(key=GrokPattern.generality_key)
             assert index.candidate_group(log) == expected

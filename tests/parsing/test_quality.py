@@ -46,19 +46,10 @@ class TestQualityReport:
         )
         assert report.compression_ratio == 10.0
 
-    def test_dominant_pattern_share(self):
-        m = model("%{ANYDATA:all}", "exact match")
-        report = evaluate_pattern_model(
-            m, ["anything %d goes" % i for i in range(9)] + ["exact match"]
-        )
-        # The index prefers the most specific pattern for 'exact match'.
-        assert report.dominant_pattern_share == 0.9
-
     def test_empty_sample(self):
         report = evaluate_pattern_model(model("%{WORD:w}"), [])
         assert report.coverage == 1.0
         assert report.compression_ratio == 0.0
-        assert report.dominant_pattern_share == 0.0
 
     def test_max_examples_cap(self):
         m = model("nothing %{NUMBER:n}")

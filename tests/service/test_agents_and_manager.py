@@ -6,7 +6,7 @@ from contextlib import contextmanager
 import pytest
 
 from repro.core.config import LogLensConfig
-from repro.faults import FaultPlan, ManualClock
+from repro.faults import FaultInjected, FaultPlan, ManualClock
 from repro.obs import MetricsRegistry
 from repro.parsing.timestamps import TimestampDetector
 from repro.parsing.tokenizer import Tokenizer
@@ -238,13 +238,17 @@ class TestNoLineLost:
 
     STEPS = 6
 
-    @pytest.mark.parametrize("on_exhaust", ["quarantine", "raise"])
-    def test_poisoned_lines_are_archived(self, storage_spec, on_exhaust):
+    @pytest.mark.parametrize("outcome", ["quarantine", "raise"])
+    def test_poisoned_lines_are_archived(self, storage_spec, outcome):
         plan = FaultPlan().poison(
             "operator:flat_map:*", lambda r: "POISON" in r.value
         )
+        # The poison raises FaultInjected: retried and quarantined, or,
+        # outside ``retryable``, failing the step.
         policy = RetryPolicy.no_wait(
-            max_attempts=2, on_exhaust=on_exhaust, clock=ManualClock()
+            max_attempts=2,
+            retryable=(Exception,) if outcome == "quarantine" else (),
+            clock=ManualClock(),
         )
         ingested = []
         poisoned = []
@@ -264,8 +268,8 @@ class TestNoLineLost:
                     poisoned.append(poison)
                 service.ingest(lines, source="app")
                 ingested += lines
-                if i % 2 and on_exhaust == "raise":
-                    with pytest.raises(Exception):
+                if i % 2 and outcome == "raise":
+                    with pytest.raises(FaultInjected):
                         service.step()
                 else:
                     service.step()
@@ -273,7 +277,7 @@ class TestNoLineLost:
                 assert service.log_storage.by_source("app") == ingested
             timed = service.log_storage.time_range("app", 0, 2 ** 62)
             assert not set(poisoned) & set(timed)
-            if on_exhaust == "quarantine":
+            if outcome == "quarantine":
                 assert service.quarantined_total() == len(poisoned)
                 assert sorted(timed) == sorted(
                     line

@@ -80,12 +80,6 @@ class TestPanels:
             "missing_end": 2, "unparsed_log": 1, "duration_violation": 1
         }
 
-    def test_counts_by_severity(self, dashboard):
-        assert dashboard.counts_by_severity() == {1: 1, 2: 2, 3: 1}
-
-    def test_counts_by_source(self, dashboard):
-        assert dashboard.counts_by_source() == {"s1": 3, "s2": 1}
-
     def test_timeline_buckets(self, dashboard):
         timeline = dashboard.timeline(bucket_millis=60_000)
         assert timeline == [(0, 2), (60_000, 2)]
@@ -143,40 +137,3 @@ class TestModelPanelAndDrilldown:
         dash = Dashboard(AnomalyStorage(), log_storage=LogStorage())
         assert dash.context_logs({"source": "s", "timestamp_millis": None}) \
             == []
-
-
-class TestHtmlRender:
-    def test_contains_panels_and_counts(self, dashboard):
-        html = dashboard.render_html()
-        assert html.startswith("<!DOCTYPE html>")
-        assert "4 anomalies" in html
-        assert "missing_end" in html
-        assert html.count('class="bar"') == len(
-            dashboard.timeline(bucket_millis=60_000)
-        )
-
-    def test_escapes_hostile_content(self):
-        from repro.service.storage import AnomalyStorage
-
-        storage = AnomalyStorage()
-        storage.store({
-            "type": "unparsed_log",
-            "source": "<script>alert(1)</script>",
-            "timestamp_millis": 1,
-            "severity": 1,
-            "logs": [],
-            "reason": "<img src=x onerror=alert(1)>",
-        })
-        html = Dashboard(storage).render_html()
-        assert "<script>alert(1)</script>" not in html
-        assert "&lt;script&gt;" in html
-
-    def test_empty_storage_renders(self):
-        from repro.service.storage import AnomalyStorage
-
-        html = Dashboard(AnomalyStorage()).render_html()
-        assert "0 anomalies" in html
-
-    def test_severity_classes(self, dashboard):
-        html = dashboard.render_html()
-        assert 'class="error"' in html or 'class="critical"' in html

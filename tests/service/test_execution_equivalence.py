@@ -10,8 +10,8 @@ execution config.
 import pytest
 
 from repro.bench.workloads import service_workload
-from repro.errors import ExecutionError, QuarantinedRecordError
-from repro.faults import FaultPlan
+from repro.errors import ExecutionError
+from repro.faults import FaultInjected, FaultPlan
 from repro.obs import MetricsRegistry
 from repro.service import LogLensService, ServiceConfig
 from repro.service.loglens_service import PARSE_STAGE
@@ -206,9 +206,9 @@ class TestFailingStep:
     def observe(cls, execution):
         service = make_service(
             execution,
-            retry_policy=RetryPolicy.no_wait(
-                max_attempts=2, on_exhaust="raise"
-            ),
+            # The poison's FaultInjected is outside ``retryable``: it
+            # fails the step instead of going to the dead-letter topic.
+            retry_policy=RetryPolicy.no_wait(max_attempts=2, retryable=()),
             fault_plan=FaultPlan().poison(
                 "operator:flat_map:*", _poisoned_line
             ),
@@ -230,7 +230,7 @@ class TestFailingStep:
                 source=poisoned_source,
             )
             cls.ingest_step(service, 11)
-            with pytest.raises(QuarantinedRecordError):
+            with pytest.raises(FaultInjected):
                 service.step()
             cls.ingest_step(service, 12)
             after = service.step()

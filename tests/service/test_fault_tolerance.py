@@ -257,8 +257,6 @@ class TestStateKeptOnce:
             assert service.step().quarantined == 3
             drained += len(service.drain_dead_letters())
         assert drained == 60
-        assert len(service.parse_ctx.quarantine) == 0
-        assert len(service.seq_ctx.quarantine) == 0
         report = service.report(include_metrics=False)
         assert report.quarantine.quarantined == 60
         assert report.quarantine.dead_letter_depth == 0

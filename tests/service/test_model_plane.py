@@ -195,44 +195,3 @@ class TestModelManager:
         built = manager.rebuild(log_storage, "src", publish=False)
         assert len(built.pattern_model) == 3
         assert manager.storage.latest_version(PATTERN_MODEL) == 1
-
-
-class TestDriftTriggeredRebuild:
-    def _manager_with_logs(self):
-        from repro.service.storage import LogStorage
-
-        manager = ModelManager(ModelStorage())
-        manager.register_built(ModelBuilder().build(training_lines()))
-        log_storage = LogStorage()
-        return manager, log_storage
-
-    def test_no_rebuild_when_coverage_high(self):
-        manager, logs = self._manager_with_logs()
-        for line in training_lines(4):
-            logs.store(line, "src")
-        assert manager.rebuild_if_drifted(
-            logs, "src", publish=False
-        ) is None
-        assert manager.storage.latest_version(PATTERN_MODEL) == 1
-
-    def test_rebuild_when_new_formats_appear(self):
-        manager, logs = self._manager_with_logs()
-        for line in training_lines(2):
-            logs.store(line, "src")
-        for i in range(10):  # drifted majority: a brand-new format
-            logs.store(
-                "2016/05/09 12:00:%02d reactor-v2 pulse %d mega" % (i, i),
-                "src",
-            )
-        built = manager.rebuild_if_drifted(logs, "src", publish=False)
-        assert built is not None
-        assert manager.storage.latest_version(PATTERN_MODEL) == 2
-
-    def test_empty_archive_is_noop(self):
-        manager, logs = self._manager_with_logs()
-        assert manager.rebuild_if_drifted(logs, "src") is None
-
-    def test_quality_report_direct(self):
-        manager, _ = self._manager_with_logs()
-        report = manager.quality_report(training_lines(2))
-        assert report.coverage == 1.0

@@ -146,7 +146,7 @@ def test_each_step_writes_its_anomalies_in_one_batch(storage, tmp_path):
 
 @pytest.mark.parametrize("storage", ["memory", "sqlite"])
 def test_a_raising_parse_stage_loses_no_staged_doc(storage, tmp_path):
-    from repro.faults import FaultPlan, ManualClock
+    from repro.faults import FaultInjected, FaultPlan, ManualClock
     from repro.streaming.retry import RetryPolicy
 
     plan = FaultPlan().poison(
@@ -156,8 +156,10 @@ def test_a_raising_parse_stage_loses_no_staged_doc(storage, tmp_path):
         storage,
         tmp_path,
         num_partitions=1,
+        # The poison's FaultInjected is outside ``retryable``: it fails
+        # the step instead of going to the dead-letter topic.
         retry_policy=RetryPolicy.no_wait(
-            max_attempts=2, on_exhaust="raise", clock=ManualClock()
+            max_attempts=2, retryable=(), clock=ManualClock()
         ),
         fault_plan=plan,
     )
@@ -167,7 +169,7 @@ def test_a_raising_parse_stage_loses_no_staged_doc(storage, tmp_path):
     ]
     try:
         service.ingest(staged + ["POISON line"], source="app")
-        with pytest.raises(Exception):
+        with pytest.raises(FaultInjected):
             service.step()
         docs = service.anomaly_storage.all()
         assert [d["logs"] for d in docs] == [[raw] for raw in staged]

@@ -4,8 +4,11 @@ Sinks are driver callbacks: they are never retried, quarantined or
 fault-injected.  When a partition fails, every other partition of the
 batch still runs and is absorbed in partition order; only then does the
 lowest-numbered partition's exception leave ``run_batch``.  The next
-batch starts clean on both backends.  Operators live at module level so
-``spawn`` worker processes can unpickle them by import.
+batch starts clean on both backends.  A record that exhausts the retry
+policy goes to the context's ``dead_letter`` sink and the batch goes on;
+without a sink it fails the batch with ``QuarantinedRecordError``.
+Operators live at module level so ``spawn`` worker processes can
+unpickle them by import.
 """
 
 from functools import partial
@@ -96,7 +99,6 @@ class TestRaisingSink:
             assert calls == [failing] + [r.value for r in buckets[1]]
             assert ctx.retries_total == 0
             assert ctx.quarantined_total == 0
-            assert len(ctx.quarantine) == 0
             assert plan.injected_total() == 0
             assert not [
                 site for site in plan.snapshot()["sites"]
@@ -130,13 +132,12 @@ class TestFailingBatch:
         return raised
 
     def test_on_exhaust_raise(self, execution):
+        """No ``dead_letter`` sink: the exhausted record fails the batch."""
         registry = MetricsRegistry()
         ctx = make_ctx(
             execution,
             metrics=registry,
-            retry_policy=RetryPolicy.no_wait(
-                max_attempts=2, on_exhaust="raise"
-            ),
+            retry_policy=RetryPolicy.no_wait(max_attempts=2),
             fault_plan=FaultPlan().poison("operator:map:*", is_poison),
         )
         out = ctx.source().map(identity).collector()
@@ -164,6 +165,52 @@ class TestFailingBatch:
             assert ctx.retries_total == ctx.metrics.retries == 0
         finally:
             ctx.shutdown()
+
+
+@pytest.mark.parametrize("execution", BACKENDS)
+@pytest.mark.parametrize("with_sink", [False, True])
+def test_exhaustion_rule(execution, with_sink):
+    """A record that exhausts the policy goes to the sink once and the
+    bucket goes on; with no sink it fails the batch after exactly
+    ``max_attempts`` attempts."""
+    captured = []
+    ctx = make_ctx(
+        execution,
+        retry_policy=RetryPolicy.no_wait(max_attempts=3),
+        dead_letter=captured.append if with_sink else None,
+    )
+    out = ctx.source().map(boom_on_poison).collector()
+    records, buckets = batch(ctx, "e")
+    # Poison partition 0's first two records; the rest of its bucket
+    # comes after them.
+    victims = {buckets[0][0].key, buckets[0][1].key}
+    records = [
+        StreamRecord(value=POISON, key=r.key) if r.key in victims else r
+        for r in records
+    ]
+    clean = [r.value for r in records if r.value != POISON]
+    try:
+        if with_sink:
+            ctx.run_batch(records)
+            assert sorted(r.value for r in out.clear()) == sorted(clean)
+            assert sorted(q.record.key for q in captured) == sorted(victims)
+            assert {q.attempts for q in captured} == {3}
+            assert ctx.quarantined_total == 2
+            assert ctx.retries_total == 4
+        else:
+            with pytest.raises(QuarantinedRecordError) as info:
+                ctx.run_batch(records)
+            assert info.value.attempts == 3
+            assert info.value.record.key == buckets[0][0].key
+            assert info.value.partition_id == 0
+            assert ctx.retries_total == 2
+            assert ctx.quarantined_total == 0
+            # Partition 0 stopped at its first record; partition 1 ran.
+            assert sorted(r.value for r in out.clear()) == sorted(
+                r.value for r in buckets[1]
+            )
+    finally:
+        ctx.shutdown()
 
 
 def driver_value_on_worker(bv, worker):

@@ -74,16 +74,16 @@ def state_value(node_id, key, worker):
     return worker.state_for(node_id).get(key)
 
 
-def make_ctx(execution, max_attempts, on_exhaust):
+def make_ctx(execution, max_attempts, dead_letter=None):
     return StreamingContext(
         num_partitions=1,
         metrics=MetricsRegistry(),
         retry_policy=RetryPolicy(
             max_attempts=max_attempts,
             base_delay_seconds=0.01,
-            on_exhaust=on_exhaust,
             clock=ManualClock(),
         ),
+        dead_letter=dead_letter,
         execution=execution,
     )
 
@@ -98,7 +98,7 @@ def run_failing(ctx, exc_type):
 @pytest.mark.parametrize("execution", BACKENDS)
 def test_failing_node_after_upstream_and_before_a_sibling(execution):
     """source -> Tally -> [fail_on_v1 -> collector, collector]."""
-    ctx = make_ctx(execution, max_attempts=2, on_exhaust="raise")
+    ctx = make_ctx(execution, max_attempts=2)
     tallied = ctx.source().map_with_state(Tally())
     failing_branch = tallied.map(fail_on_v1).collector()
     sibling_branch = tallied.collector()
@@ -119,7 +119,7 @@ def test_failing_node_after_upstream_and_before_a_sibling(execution):
         # sibling branch after it got nothing.
         assert [r.value for r in failing_branch.clear()] == ["v0"]
         assert sibling_branch.clear() == []
-        assert len(ctx.quarantine) == 0
+        assert ctx.quarantined_total == 0
     finally:
         ctx.shutdown()
 
@@ -129,7 +129,8 @@ def test_raising_sink_keeps_upstream_quarantines_of_later_records(
     execution,
 ):
     """source -> quarantine_v3 -> sink raising on v1."""
-    ctx = make_ctx(execution, max_attempts=1, on_exhaust="quarantine")
+    captured = []
+    ctx = make_ctx(execution, max_attempts=1, dead_letter=captured.append)
     delivered = []
 
     def sink(records):
@@ -144,7 +145,7 @@ def test_raising_sink_keeps_upstream_quarantines_of_later_records(
         assert delivered == ["v0"]
         # v3 comes after the failing sink call, yet the operator above
         # the sink already ran it: its quarantine is kept.
-        assert [q.record.value for q in ctx.quarantine.snapshot()] == ["v3"]
+        assert [q.record.value for q in captured] == ["v3"]
         assert ctx.quarantined_total == 1
     finally:
         ctx.shutdown()
@@ -209,13 +210,14 @@ class FlakyBind:
 
 @pytest.mark.parametrize("execution", BACKENDS)
 def test_failing_bind_is_retried_as_part_of_a_record_call(execution):
-    ctx = make_ctx(execution, max_attempts=2, on_exhaust="quarantine")
+    captured = []
+    ctx = make_ctx(execution, max_attempts=2, dead_letter=captured.append)
     out = ctx.source().flat_map(FlakyBind()).collector()
     try:
         ctx.run_batch([StreamRecord(v, key="k") for v in VALUES[:3]])
         # v0's two attempts each bind and fail: v0 is quarantined.  v1
         # binds again and succeeds; v2 reuses that bind.
-        assert [q.record.value for q in ctx.quarantine.snapshot()] == ["v0"]
+        assert [q.record.value for q in captured] == ["v0"]
         assert ctx.retries_total == 1
         assert [r.value for r in out.clear()] == ["v1", "v2"]
         assert ctx.call_partition(0, bind_count) == 3

@@ -30,7 +30,6 @@ class TestTransientFailuresHealed:
         assert sorted(r.value for r in out) == [0, 1, 2, 3, 4]
         assert ctx.retries_total == 2
         assert ctx.quarantined_total == 0
-        assert len(ctx.quarantine) == 0
 
     def test_retry_counters_flow_to_registry_and_batch_metrics(self):
         registry = MetricsRegistry()
@@ -68,8 +67,10 @@ class TestQuarantine:
         plan = FaultPlan().poison(
             "operator:map:*", lambda r: r.value == "bad"
         )
+        captured = []
         ctx = make_ctx(
             retry_policy=RetryPolicy.no_wait(max_attempts=3),
+            dead_letter=captured.append,
             fault_plan=plan,
         )
         out = ctx.source().map(lambda r, w: r).collector().view()
@@ -81,7 +82,7 @@ class TestQuarantine:
         assert sorted(r.value for r in out) == ["ok-1", "ok-2"]
         assert batch.quarantined == 1
         assert ctx.quarantined_total == 1
-        (q,) = ctx.quarantine.snapshot()
+        (q,) = captured
         assert q.record.value == "bad"
         assert q.record.source == "app"
         assert q.attempts == 3  # the full retry budget was spent
@@ -116,11 +117,10 @@ class TestQuarantine:
         assert seen[0].error_type == "RuntimeError"
 
     def test_on_exhaust_raise_propagates_from_run_batch(self):
+        """No ``dead_letter`` sink: the exhausted record fails the batch."""
         plan = FaultPlan().poison("operator:map:*", lambda r: True)
         ctx = make_ctx(
-            retry_policy=RetryPolicy.no_wait(
-                max_attempts=2, on_exhaust="raise"
-            ),
+            retry_policy=RetryPolicy.no_wait(max_attempts=2),
             fault_plan=plan,
         )
         ctx.source().map(lambda r, w: r).collector().view()
@@ -135,8 +135,10 @@ class TestQuarantine:
         plan = FaultPlan().poison(
             "operator:map:1", lambda r: r.value == 1
         )
+        captured = []
         ctx = make_ctx(
             retry_policy=RetryPolicy.no_wait(max_attempts=1),
+            dead_letter=captured.append,
             fault_plan=plan,
         )
         src = ctx.source()
@@ -146,6 +148,7 @@ class TestQuarantine:
         assert sorted(r.value for r in failing) == [0, 2]
         assert sorted(r.value for r in healthy) == [0, 1, 2]
         assert ctx.quarantined_total == 1
+        assert [q.record.value for q in captured] == [1]
 
 
 class TestStatefulAndBroadcastUnderFaults:
@@ -236,16 +239,18 @@ class TestTimeouts:
         plan = FaultPlan(clock=clock).slow_first(
             "operator:map:*", 5, seconds=10.0
         )
+        captured = []
         ctx = make_ctx(
             retry_policy=RetryPolicy.no_wait(
                 max_attempts=2, per_attempt_timeout_seconds=1.0,
                 clock=clock,
             ),
+            dead_letter=captured.append,
             fault_plan=plan,
         )
         ctx.source().map(lambda r, w: r).collector().view()
         ctx.run_batch(records(1))
-        (q,) = ctx.quarantine.snapshot()
+        (q,) = captured
         assert q.error_type == "OperatorError"
         assert "per-attempt budget" in q.error
 

@@ -214,6 +214,7 @@ class TestFaultEquivalence:
     def run(execution, plan_factory, key=None):
         clock = ManualClock()
         plan = plan_factory(clock)
+        captured = []
         ctx = StreamingContext(
             num_partitions=3,
             metrics=MetricsRegistry(),
@@ -221,6 +222,7 @@ class TestFaultEquivalence:
             retry_policy=RetryPolicy(
                 max_attempts=3, base_delay_seconds=0.25, clock=clock
             ),
+            dead_letter=captured.append,
             fault_plan=plan,
         )
         out = ctx.source().map(double).collector()
@@ -234,7 +236,7 @@ class TestFaultEquivalence:
             ctx.quarantined_total,
             [
                 (q.record.value, q.attempts, q.error_type, q.kind)
-                for q in ctx.quarantine.snapshot()
+                for q in captured
             ],
             clock.total_slept,
             plan.injected_total(),
@@ -265,15 +267,15 @@ class TestFaultEquivalence:
         assert serial[4] == pytest.approx(0.25 + 0.5)  # backoff ladder
 
     def test_on_exhaust_raise_propagates_with_metadata(self):
+        """No ``dead_letter`` sink: the exhausted record's error crosses
+        the pipe with its metadata."""
         clock = ManualClock()
         plan = FaultPlan(clock=clock).poison("operator:map:*", poison_seven)
         ctx = StreamingContext(
             num_partitions=2,
             metrics=MetricsRegistry(),
             execution="processes",
-            retry_policy=RetryPolicy.no_wait(
-                max_attempts=2, on_exhaust="raise"
-            ),
+            retry_policy=RetryPolicy.no_wait(max_attempts=2),
             fault_plan=plan,
         )
         ctx.source().map(double).collector()

@@ -137,12 +137,13 @@ SCENARIOS = [
     ("after", [(0, "ok"), (1, "ok")]),
 ]
 
+#: ``(max_attempts, with a dead_letter sink)``; ``None`` is no policy.
 POLICIES = [
     None,
-    (1, "quarantine"),
-    (1, "raise"),
-    (3, "quarantine"),
-    (3, "raise"),
+    (1, True),
+    (1, False),
+    (3, True),
+    (3, False),
 ]
 
 
@@ -162,19 +163,23 @@ def run_graph(execution, policy_args, fault_plan, count_invokes=False):
     each branch into a sink; returns everything observable."""
     clock = ManualClock()
     policy = None
+    captured = []
+    dead_letter = None
     if policy_args is not None:
-        max_attempts, on_exhaust = policy_args
+        max_attempts, with_sink = policy_args
         policy = RetryPolicy(
             max_attempts=max_attempts,
             base_delay_seconds=0.01,
-            on_exhaust=on_exhaust,
             retryable=(Transient,),
             clock=clock,
         )
+        if with_sink:
+            dead_letter = captured.append
     ctx = StreamingContext(
         num_partitions=NUM_PARTITIONS,
         metrics=MetricsRegistry(),
         retry_policy=policy,
+        dead_letter=dead_letter,
         fault_plan=fault_plan,
         execution=execution,
     )
@@ -215,7 +220,7 @@ def run_graph(execution, policy_args, fault_plan, count_invokes=False):
         quarantine = [
             (q.record.value, q.error, q.error_type, q.node_id, q.kind,
              q.partition_id, q.attempts)
-            for q in ctx.quarantine.snapshot()
+            for q in captured
         ]
         totals = (ctx.metrics.retries, ctx.metrics.quarantined)
     finally:
@@ -247,12 +252,12 @@ def test_fast_loop_matches_the_per_record_path(execution, policy_args):
     if policy_args is None:
         assert raised == {"Transient", "Fatal"}
     else:
-        max_attempts, on_exhaust = policy_args
+        max_attempts, with_sink = policy_args
         assert "Fatal" in raised
-        if on_exhaust == "raise":
-            assert "QuarantinedRecordError" in raised
-        else:
+        if with_sink:
             assert fast["quarantine"]
+        else:
+            assert "QuarantinedRecordError" in raised
         retries, _ = fast["totals"]
         assert (retries > 0) == (max_attempts > 1)
         assert len(fast["backoffs"]) == retries

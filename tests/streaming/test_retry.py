@@ -1,9 +1,9 @@
-"""Unit tests for RetryPolicy backoff math and QuarantinedRecord."""
+"""Unit tests for RetryPolicy backoff math."""
 
 import pytest
 
 from repro.faults import ManualClock
-from repro.streaming import QuarantinedRecord, RetryPolicy, StreamRecord
+from repro.streaming import RetryPolicy
 
 
 class TestBackoffSchedule:
@@ -57,36 +57,7 @@ class TestValidation:
         with pytest.raises(ValueError):
             RetryPolicy(max_attempts=0)
 
-    def test_rejects_unknown_on_exhaust(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(on_exhaust="explode")
-
     def test_accepts_injected_clock(self):
         clock = ManualClock()
         policy = RetryPolicy(clock=clock)
         assert policy.clock is clock
-
-
-class TestQuarantinedRecord:
-    def test_payload_carries_value_and_failure_metadata(self):
-        record = StreamRecord(
-            value={"raw": "x"}, key="k", source="app",
-            timestamp_millis=123,
-        )
-        q = QuarantinedRecord(
-            record=record, error="boom", error_type="RuntimeError",
-            node_id=4, kind="flat_map", partition_id=1, attempts=3,
-        )
-        payload = q.to_payload()
-        assert payload == {
-            "value": {"raw": "x"},
-            "key": "k",
-            "source": "app",
-            "timestamp_millis": 123,
-            "error": "boom",
-            "error_type": "RuntimeError",
-            "node_id": 4,
-            "operator_kind": "flat_map",
-            "partition_id": 1,
-            "attempts": 3,
-        }

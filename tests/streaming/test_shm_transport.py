@@ -106,6 +106,7 @@ def run_faulted(execution, plan_factory, n=20):
     """Distinct keys: matching records deliberately span partitions."""
     clock = ManualClock()
     plan = plan_factory(clock)
+    captured = []
     ctx = StreamingContext(
         num_partitions=3,
         metrics=MetricsRegistry(),
@@ -113,6 +114,7 @@ def run_faulted(execution, plan_factory, n=20):
         retry_policy=RetryPolicy(
             max_attempts=3, base_delay_seconds=0.25, clock=clock
         ),
+        dead_letter=captured.append,
         fault_plan=plan,
     )
     out = ctx.source().map(double).collector()
@@ -123,7 +125,7 @@ def run_faulted(execution, plan_factory, n=20):
         ctx.quarantined_total,
         [
             (q.record.value, q.attempts, q.error_type)
-            for q in ctx.quarantine.snapshot()
+            for q in captured
         ],
         clock.total_slept,
         plan.injected_total(),
