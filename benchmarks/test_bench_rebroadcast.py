@@ -91,8 +91,13 @@ def test_swap_cost_scales_with_model_size(benchmark, n_patterns):
 
 
 def test_update_overhead_summary():
-    from repro.bench import measure
+    """Paired measurement: each pair runs one plain batch and one batch
+    with a pending update back to back, alternating which goes first, so
+    both sides of a pair see the same machine state."""
+    import statistics
+    import time
 
+    pairs = 24
     registry = MetricsRegistry()
     ctx = StreamingContext(num_partitions=4, metrics=registry)
     model = _make_model(500)
@@ -102,29 +107,59 @@ def test_update_overhead_summary():
     )
     records = _batch(2000)
 
-    plain = measure(
-        lambda: ctx.run_batch(records), repeats=10, warmup=1
-    ).median
+    def plain():
+        ctx.run_batch(records)
 
     def swap_and_run():
         ctx.rebroadcast(bv, model)
         ctx.run_batch(records)
 
+    def timed(fn):
+        started = time.perf_counter()
+        fn()
+        return time.perf_counter() - started
+
+    plain()  # warm-up: fills every worker's block cache
     swaps = registry.histogram("engine.rebroadcast_apply_seconds")
     swaps.reset()
-    with_update = measure(swap_and_run, repeats=10, warmup=0).median
-    assert swaps.count == 10
+    plain_times, update_times, swap_costs = [], [], []
 
-    overhead = (with_update - plain) / plain * 100 if plain else 0.0
+    def run_update():
+        before = swaps.sum
+        update_times.append(timed(swap_and_run))
+        swap_costs.append(swaps.sum - before)
+
+    for i in range(pairs):
+        if i % 2:
+            run_update()
+            plain_times.append(timed(plain))
+        else:
+            plain_times.append(timed(plain))
+            run_update()
+    # Every batch times its swap phase, the plain ones included.
+    assert swaps.count == 2 * pairs
+
+    overheads = [
+        (u - p) / p * 100 for p, u in zip(plain_times, update_times)
+    ]
+    overhead = statistics.median(overheads)
+    q1, median_plain, q3 = statistics.quantiles(plain_times, n=4)
+    spread = (q3 - q1) / median_plain * 100
+    verdict = "within noise" if abs(overhead) < spread else "above noise"
     report(
-        "Section V-A — model update overhead",
+        "Section V-A — model update overhead (%d paired runs)" % pairs,
         {
-            "batch latency": "%.2f ms" % (plain * 1e3),
-            "batch latency w/ update": "%.2f ms" % (with_update * 1e3),
-            "overhead": "%.1f%% (paper: negligible)" % overhead,
+            "batch latency": "%.2f ms median" % (median_plain * 1e3),
+            "batch latency w/ update": "%.2f ms median"
+            % (statistics.median(update_times) * 1e3),
+            "overhead": "%+.1f%% median per pair; plain runs' own "
+            "quartile spread %.1f%%: %s (paper: negligible)"
+            % (overhead, spread, verdict),
             "swap": "%.1f us mean, %.1f us max (paper: the only "
             "blocking operation)"
-            % (swaps.mean * 1e6, swaps.to_dict()["max"] * 1e6),
+            % (
+                statistics.mean(swap_costs) * 1e6, max(swap_costs) * 1e6
+            ),
         },
     )
-    assert ctx.metrics.model_updates == 10
+    assert ctx.metrics.model_updates == pairs

@@ -72,11 +72,7 @@ def _read_lines(path: str) -> List[str]:
 
 
 def _make_lens(args: argparse.Namespace) -> LogLens:
-    config = LogLensConfig(
-        max_dist=args.max_dist,
-        heartbeats_enabled=not getattr(args, "no_heartbeat", False),
-    )
-    return LogLens(config)
+    return LogLens(LogLensConfig(max_dist=args.max_dist))
 
 
 def _fit_or_load(args: argparse.Namespace, lens: LogLens) -> int:
@@ -195,9 +191,10 @@ def _build_service(args: argparse.Namespace, lens: LogLens, **kwargs):
     A config file, when given, is the service construction surface
     (storage, execution, ingest limits, alert rules and sinks); explicit
     command-line flags override individual file values.  Without a
-    file, flags apply on top of the lens-derived defaults.  The config
-    file and the storage are opened before any training, so a bad file
-    or a refused database costs no fit.
+    file, flags apply on top of the default service config.  Either
+    way the service parses with the lens's tokenizer.  The config file
+    and the storage are opened before any training, so a bad file or a
+    refused database costs no fit.
 
     Returns ``(service, 0)``, or ``(None, status)`` when no model could
     be had.

@@ -1,24 +1,24 @@
-"""Configuration facade bundling every tuning knob of LogLens.
+"""Configuration of LogLens' model builder.
 
-One :class:`LogLensConfig` object describes a full deployment: the
-preprocessing front-end (delimiters, split rules, timestamp formats),
-pattern discovery (clustering distance, token scores), sequence learning
-(ID discovery supports, duration slack), and the runtime (partitions,
-heartbeat cadence, expiry).  Factory methods materialise configured
-components so the facade (:class:`~repro.core.pipeline.LogLens`) and the
-service share one source of truth.
+One :class:`LogLensConfig` object describes how models are built: the
+preprocessing front-end's user extensions (split rules, datatypes,
+timestamp formats) and pattern discovery's clustering distance.  Every
+other parsing and learning parameter takes its component's own default.
+Factory methods materialise configured components so the facade
+(:class:`~repro.core.pipeline.LogLens`) and the service share one source
+of truth.  What runs the models (partitions, heartbeats, storage, ...)
+lives in :class:`~repro.service.config.ServiceConfig`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from ..parsing.datatypes import DEFAULT_REGISTRY, Datatype, DatatypeRegistry
 from ..parsing.logmine import PatternDiscoverer
 from ..parsing.timestamps import TimestampDetector
 from ..parsing.tokenizer import SplitRule, Tokenizer
-from ..sequence.id_discovery import IdFieldDiscovery
 from ..sequence.learner import SequenceModelLearner
 
 __all__ = ["CustomDatatype", "LogLensConfig"]
@@ -41,48 +41,16 @@ class CustomDatatype:
 
 @dataclass
 class LogLensConfig:
-    """All LogLens knobs with paper-faithful defaults."""
+    """The model builder's settings, with paper-faithful defaults."""
 
-    # ------------------------------------------------------------ parsing
-    #: Delimiter characters; ``None`` means all whitespace.
-    delimiters: Optional[str] = None
     #: Regex split-rule sources (capture groups become sub-tokens).
     split_rules: List[str] = field(default_factory=list)
     #: Extra datatypes beyond Table I's defaults.
     custom_datatypes: List[CustomDatatype] = field(default_factory=list)
     #: Extra SimpleDateFormat timestamp formats beyond the built-in 89.
     extra_timestamp_formats: List[str] = field(default_factory=list)
-    #: Timestamp optimisations (Section VI-A ablation switches).
-    timestamp_cache: bool = True
-    timestamp_filter: bool = True
-
-    # ---------------------------------------------------------- discovery
     #: LogMine clustering threshold.
     max_dist: float = 0.3
-    #: Token scores (identical / same-datatype).
-    k1: float = 1.0
-    k2: float = 0.5
-    #: Apply the ``key = value`` field renaming heuristics.
-    rename_heuristics: bool = True
-
-    # ----------------------------------------------------------- sequence
-    #: ID discovery: minimum distinct ID values evidencing a field group.
-    id_min_support: int = 2
-    #: ID discovery: minimum patterns an ID field must link.
-    id_min_patterns: int = 2
-    #: ID discovery: values on more logs than this are not identifiers.
-    id_max_logs_per_content: int = 100
-    #: Minimum training events per automaton.
-    min_events: int = 2
-    #: Fractional widening of learned duration bounds.
-    duration_slack: float = 0.0
-
-    # ------------------------------------------------------------ runtime
-    num_partitions: int = 4
-    heartbeat_period_steps: int = 1
-    heartbeats_enabled: bool = True
-    expiry_factor: float = 2.0
-    min_expiry_millis: int = 1000
 
     # ------------------------------------------------------------------
     # Factories
@@ -107,39 +75,20 @@ class LogLensConfig:
             )
         return registry
 
-    def make_timestamp_detector(self) -> TimestampDetector:
-        detector = TimestampDetector(
-            use_cache=self.timestamp_cache,
-            use_filter=self.timestamp_filter,
-        )
+    def make_tokenizer(self) -> Tokenizer:
+        detector = TimestampDetector()
         for sdf in self.extra_timestamp_formats:
             detector.add_format(sdf)
-        return detector
-
-    def make_tokenizer(self) -> Tokenizer:
         return Tokenizer(
-            delimiters=self.delimiters,
             split_rules=[SplitRule(src) for src in self.split_rules],
             registry=self.make_registry(),
-            timestamp_detector=self.make_timestamp_detector(),
+            timestamp_detector=detector,
         )
 
     def make_discoverer(self) -> PatternDiscoverer:
         return PatternDiscoverer(
-            max_dist=self.max_dist,
-            k1=self.k1,
-            k2=self.k2,
-            registry=self.make_registry(),
-            rename_heuristics=self.rename_heuristics,
+            max_dist=self.max_dist, registry=self.make_registry()
         )
 
     def make_learner(self) -> SequenceModelLearner:
-        return SequenceModelLearner(
-            discovery=IdFieldDiscovery(
-                min_support=self.id_min_support,
-                min_patterns=self.id_min_patterns,
-                max_logs_per_content=self.id_max_logs_per_content,
-            ),
-            min_events=self.min_events,
-            duration_slack=self.duration_slack,
-        )
+        return SequenceModelLearner()

@@ -113,11 +113,7 @@ class LogLens:
         reproduce the "without heartbeat" ablation of Figure 5.
         """
         parser = self._make_parser()
-        detector = LogSequenceDetector(
-            self.sequence_model,
-            expiry_factor=self.config.expiry_factor,
-            min_expiry_millis=self.config.min_expiry_millis,
-        )
+        detector = LogSequenceDetector(self.sequence_model)
         anomalies: List[Anomaly] = []
         for raw in logs:
             result = parser.parse(raw, source=source)
@@ -149,27 +145,24 @@ class LogLens:
     ) -> LogLensService:
         """A wired service with no models yet; needs no fitted lens.
 
-        Builds a :class:`~repro.service.config.ServiceConfig` from this
-        facade's :class:`~repro.core.config.LogLensConfig`; extra
-        keyword arguments override individual config fields (e.g.
-        ``retry_policy=`` / ``fault_plan=`` for chaos configurations,
-        ``storage=`` for persistence, ``ingest=`` for front-door
-        limits), or pass a complete ``config=`` to take full control.
-        Opening the service opens its storage, so a refused database
-        is reported before any model is fitted.
+        The service parses with this facade's tokenizer and trains with
+        its model builder, unless ``config`` (a
+        :class:`~repro.service.config.ServiceConfig`, default settings
+        when omitted) names its own.  Extra keyword arguments override
+        individual config fields (e.g. ``retry_policy=`` /
+        ``fault_plan=`` for chaos configurations, ``storage=`` for
+        persistence, ``ingest=`` for front-door limits).  Opening the
+        service opens its storage, so a refused database is reported
+        before any model is fitted.
         """
-        if config is None:
-            config = ServiceConfig(
-                num_partitions=self.config.num_partitions,
-                tokenizer_factory=self.config.make_tokenizer,
-                builder=self._builder,
-                heartbeat_period_steps=self.config.heartbeat_period_steps,
-                expiry_factor=self.config.expiry_factor,
-                min_expiry_millis=self.config.min_expiry_millis,
-                heartbeats_enabled=self.config.heartbeats_enabled,
+        config = config if config is not None else ServiceConfig()
+        if config.tokenizer_factory is None:
+            service_kwargs.setdefault(
+                "tokenizer_factory", self.config.make_tokenizer
             )
-        if service_kwargs:
-            config = config.replace(**service_kwargs)
+        if config.builder is None:
+            service_kwargs.setdefault("builder", self._builder)
+        config = config.replace(**service_kwargs)
         return LogLensService(config=config)
 
     def publish_to(self, service: LogLensService) -> LogLensService:

@@ -25,12 +25,7 @@ from .loglens_service import (
     StepReport,
 )
 from .model_builder import BuiltModels, ModelBuilder
-from .model_controller import (
-    ControlInstruction,
-    ControlOp,
-    ModelBinding,
-    ModelController,
-)
+from .model_controller import ModelBinding, ModelController
 from .replay import ReplayOutcome, replay
 from .model_manager import ModelManager, PATTERN_MODEL, SEQUENCE_MODEL
 from .storage import AnomalyStorage, LogStorage, ModelStorage
@@ -60,8 +55,6 @@ __all__ = [
     "dead_letter_topic",
     "BuiltModels",
     "ModelBuilder",
-    "ControlInstruction",
-    "ControlOp",
     "ModelBinding",
     "ModelController",
     "ReplayOutcome",

@@ -12,10 +12,9 @@ immutable facts a running system can report; derive variants with
 
 Declarative config files
 ------------------------
-:meth:`ServiceConfig.from_file` / :meth:`ServiceConfig.to_file` read and
-write the file form — TOML (stdlib ``tomllib``, Python 3.11+) or JSON
-(every version; also the fallback content format where ``tomllib`` is
-unavailable)::
+:meth:`ServiceConfig.from_file` reads the file form — TOML (stdlib
+``tomllib``, Python 3.11+) or JSON (every version; also the fallback
+content format where ``tomllib`` is unavailable)::
 
     [service]
     num_partitions = 8
@@ -121,14 +120,8 @@ class AlertsConfig:
         }
 
 
-#: Top-level config-file sections and the loader for each.
-_SERVICE_KEYS = (
-    "num_partitions",
-    "heartbeat_period_steps",
-    "expiry_factor",
-    "min_expiry_millis",
-    "heartbeats_enabled",
-)
+#: The ``[service]`` table's keys, and the top-level config-file sections.
+_SERVICE_KEYS = ("num_partitions", "heartbeats_enabled")
 _CONFIG_SECTIONS = ("service", "storage", "execution", "ingest", "alerts")
 
 
@@ -153,15 +146,15 @@ class ServiceConfig:
         Worker count for both streaming stages.
     tokenizer_factory:
         Builds one tokenizer per parser worker; defaults to plain
-        :class:`~repro.parsing.tokenizer.Tokenizer`.
+        :class:`~repro.parsing.tokenizer.Tokenizer`, or to the lens's
+        tokenizer when :meth:`~repro.core.pipeline.LogLens.open_service`
+        builds the service.
     builder:
-        Model builder used for training and relearn automation.
-    heartbeat_period_steps:
-        Emit heartbeats every N service steps.
-    expiry_factor / min_expiry_millis:
-        Passed to every partition's sequence detector.
+        Model builder used for training and relearn automation; the
+        lens's when ``open_service`` builds the service.
     heartbeats_enabled:
-        The Figure 5 ablation switch.
+        The Figure 5 ablation switch: when false, no step emits
+        heartbeats, so open events wait for the final flush.
     metrics:
         Observability registry; defaults to the process-global one.
     retry_policy:
@@ -189,9 +182,6 @@ class ServiceConfig:
     num_partitions: int = 4
     tokenizer_factory: Optional[Callable[[], Tokenizer]] = None
     builder: Optional[ModelBuilder] = None
-    heartbeat_period_steps: int = 1
-    expiry_factor: float = 2.0
-    min_expiry_millis: int = 1000
     heartbeats_enabled: bool = True
     metrics: Optional[MetricsRegistry] = None
     retry_policy: Optional[RetryPolicy] = None
@@ -297,67 +287,6 @@ class ServiceConfig:
         except (TypeError, ValueError) as exc:
             raise ConfigFileError("%s: %s" % (source, exc))
 
-    def to_mapping(self) -> Dict[str, Any]:
-        """The nested file form of this config (see :meth:`to_file`).
-
-        Only file-representable fields are exported: runtime objects
-        (``tokenizer_factory``, ``builder``, ``metrics``,
-        ``retry_policy``, ``fault_plan``) have no declarative spelling
-        and are omitted.  Sink *instances* (as opposed to declarative
-        :class:`~repro.alerts.sinks.SinkSpec` entries) cannot be
-        exported and raise :class:`~repro.errors.ConfigFileError`.
-        """
-        storage = self.storage
-        if isinstance(storage, StorageConfig):
-            storage = storage.describe()
-        out: Dict[str, Any] = {
-            "service": {
-                "num_partitions": self.num_partitions,
-                "heartbeat_period_steps": self.heartbeat_period_steps,
-                "expiry_factor": self.expiry_factor,
-                "min_expiry_millis": self.min_expiry_millis,
-                "heartbeats_enabled": self.heartbeats_enabled,
-            },
-            "storage": {"spec": storage or "memory"},
-            "execution": {"backend": self.execution},
-            "ingest": {
-                f.name: getattr(self.ingest, f.name)
-                for f in fields(IngestLimits)
-            },
-        }
-        if self.alerts.rules or self.alerts.sinks:
-            sinks = []
-            for sink in self.alerts.sinks:
-                if not isinstance(sink, SinkSpec):
-                    raise ConfigFileError(
-                        "sink %r is a live instance, not a SinkSpec; "
-                        "only declarative sink specs can be written to "
-                        "a config file" % (getattr(sink, "name", sink),)
-                    )
-                sinks.append(sink.to_dict())
-            alerts: Dict[str, Any] = {}
-            if self.alerts.rules:
-                alerts["rules"] = [
-                    rule.to_dict() for rule in self.alerts.rules
-                ]
-            if sinks:
-                alerts["sinks"] = sinks
-            out["alerts"] = alerts
-        return out
-
-    def to_file(self, path: Union[str, Path]) -> None:
-        """Write the declarative form: ``.json`` as JSON, else TOML.
-
-        Round-trips with :meth:`from_file` for every
-        file-representable field (see :meth:`to_mapping`).
-        """
-        path = Path(path)
-        data = self.to_mapping()
-        if path.suffix.lower() == ".json":
-            path.write_text(json.dumps(data, indent=2, sort_keys=True))
-        else:
-            path.write_text(_render_toml(data))
-
     def describe(self) -> Dict[str, Any]:
         """JSON-safe summary of the effective config (for reports/logs).
 
@@ -367,9 +296,6 @@ class ServiceConfig:
         return {
             "num_partitions": self.num_partitions,
             "execution": self.execution,
-            "heartbeat_period_steps": self.heartbeat_period_steps,
-            "expiry_factor": self.expiry_factor,
-            "min_expiry_millis": self.min_expiry_millis,
             "heartbeats_enabled": self.heartbeats_enabled,
             "storage": (
                 self.storage.describe()
@@ -391,9 +317,7 @@ class ServiceConfig:
 
 
 # ----------------------------------------------------------------------
-# TOML support.  Parsing uses stdlib ``tomllib`` (3.11+); rendering is a
-# small writer covering exactly the subset ``to_mapping`` emits (scalar
-# tables plus arrays of tables with scalar / flat-string-dict values).
+# TOML parsing uses stdlib ``tomllib`` (3.11+).
 # ----------------------------------------------------------------------
 def _parse_toml_text(text: str, path: Path) -> Any:
     try:
@@ -415,43 +339,3 @@ def _parse_toml_text(text: str, path: Path) -> Any:
         raise ConfigFileError(
             "config file %s is not valid TOML: %s" % (path, exc)
         )
-
-
-def _toml_scalar(value: Any) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, float)):
-        return repr(value)
-    if isinstance(value, str):
-        return json.dumps(value)  # JSON string quoting is valid TOML
-    if isinstance(value, Mapping):
-        items = ", ".join(
-            "%s = %s" % (k, _toml_scalar(v)) for k, v in value.items()
-        )
-        return "{ %s }" % items
-    raise ConfigFileError(
-        "cannot render %r (%s) as TOML" % (value, type(value).__name__)
-    )
-
-
-def _render_toml(data: Mapping[str, Any]) -> str:
-    lines: List[str] = []
-    for section, body in data.items():
-        arrays = {
-            k: v for k, v in body.items() if isinstance(v, list)
-        }
-        scalars = {k: v for k, v in body.items() if k not in arrays}
-        if scalars:
-            lines.append("[%s]" % section)
-            for key, value in scalars.items():
-                lines.append("%s = %s" % (key, _toml_scalar(value)))
-            lines.append("")
-        for key, entries in arrays.items():
-            for entry in entries:
-                lines.append("[[%s.%s]]" % (section, key))
-                for entry_key, value in entry.items():
-                    lines.append(
-                        "%s = %s" % (entry_key, _toml_scalar(value))
-                    )
-                lines.append("")
-    return "\n".join(lines)

@@ -34,7 +34,6 @@ class SourceClock:
     mean_gap: float = 0.0
     observed: int = 0
     silent_ticks: int = 0
-    active: bool = True
 
 
 class HeartbeatController:
@@ -131,19 +130,10 @@ class HeartbeatController:
         clock.last_timestamp = last
         clock.mean_gap = mean_gap
 
-    def deactivate(self, source: str) -> None:
-        """Stop heartbeating for a source whose agent went away."""
-        clock = self._clocks.get(source)
-        if clock is not None:
-            clock.active = False
-
-    def activate(self, source: str) -> None:
-        clock = self._clocks.setdefault(source, SourceClock())
-        clock.active = True
-
     # ------------------------------------------------------------------
     def tick(self) -> List[StreamRecord]:
-        """One controller period: emit a heartbeat per active source.
+        """One controller period: emit a heartbeat per source whose log
+        time is known.
 
         Every successive silent tick advances the extrapolated timestamp
         by another estimated gap, so log time keeps progressing even while
@@ -152,7 +142,7 @@ class HeartbeatController:
         started = time.perf_counter()
         out: List[StreamRecord] = []
         for source, clock in self._clocks.items():
-            if not clock.active or clock.last_timestamp is None:
+            if clock.last_timestamp is None:
                 continue
             clock.silent_ticks += 1
             try:
@@ -163,9 +153,7 @@ class HeartbeatController:
                 self._m_emit_errors.inc()
         self._m_sweep_seconds.observe(time.perf_counter() - started)
         self._m_beats.inc(len(out))
-        self._m_active_sources.set(
-            sum(1 for c in self._clocks.values() if c.active)
-        )
+        self._m_active_sources.set(len(self._clocks))
         return out
 
     def _emit(self, source: str, clock: SourceClock) -> StreamRecord:
@@ -204,7 +192,6 @@ class HeartbeatController:
                 "mean_gap": clock.mean_gap,
                 "observed": clock.observed,
                 "silent_ticks": clock.silent_ticks,
-                "active": clock.active,
             }
             for source, clock in self._clocks.items()
         }
@@ -217,7 +204,6 @@ class HeartbeatController:
                 mean_gap=entry.get("mean_gap", 0.0),
                 observed=entry.get("observed", 0),
                 silent_ticks=entry.get("silent_ticks", 0),
-                active=entry.get("active", True),
             )
             for source, entry in snapshot.items()
         }

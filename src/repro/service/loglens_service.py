@@ -157,16 +157,8 @@ class ParseOperator:
 class SequenceOperator:
     """Stateful sequence stage: one detector per partition in state."""
 
-    def __init__(
-        self,
-        sequence_bv: Any,
-        expiry_factor: float,
-        min_expiry_millis: int,
-        metrics: Any,
-    ) -> None:
+    def __init__(self, sequence_bv: Any, metrics: Any) -> None:
         self.sequence_bv = sequence_bv
-        self.expiry_factor = expiry_factor
-        self.min_expiry_millis = min_expiry_millis
         self._bind_metrics(metrics)
 
     def _bind_metrics(self, metrics: Any) -> None:
@@ -186,16 +178,10 @@ class SequenceOperator:
             self._m_partition_sweep = None
 
     def __getstate__(self) -> Dict[str, Any]:
-        return {
-            "sequence_bv": self.sequence_bv,
-            "expiry_factor": self.expiry_factor,
-            "min_expiry_millis": self.min_expiry_millis,
-        }
+        return {"sequence_bv": self.sequence_bv}
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
         self.sequence_bv = state["sequence_bv"]
-        self.expiry_factor = state["expiry_factor"]
-        self.min_expiry_millis = state["min_expiry_millis"]
         self._bind_metrics(None)
 
     def bind(
@@ -206,11 +192,7 @@ class SequenceOperator:
         model = self.sequence_bv.get_value(worker.block_manager)
         detector: Optional[LogSequenceDetector] = state.get("_detector")
         if detector is None:
-            detector = LogSequenceDetector(
-                model,
-                expiry_factor=self.expiry_factor,
-                min_expiry_millis=self.min_expiry_millis,
-            )
+            detector = LogSequenceDetector(model)
             state.put("_detector", detector)
         elif detector.model is not model:
             # Zero-downtime update: swap rules, keep surviving open events.
@@ -308,17 +290,10 @@ def _partition_restore_detector(
     node_id: int,
     snapshot: Dict[str, Any],
     sequence_bv: Any,
-    expiry_factor: float,
-    min_expiry_millis: int,
     worker: WorkerContext,
 ) -> None:
     model: SequenceModel = sequence_bv.get_value(worker.block_manager)
-    detector = LogSequenceDetector.restore(
-        snapshot,
-        model,
-        expiry_factor=expiry_factor,
-        min_expiry_millis=min_expiry_millis,
-    )
+    detector = LogSequenceDetector.restore(snapshot, model)
     worker.state_for(node_id).put("_detector", detector)
 
 
@@ -432,8 +407,8 @@ class LogLensService:
         service = LogLensService(config=ServiceConfig(num_partitions=8))
 
     See :class:`~repro.service.config.ServiceConfig` for every knob
-    (partitions, heartbeat cadence, expiry, metrics, retry, faults,
-    storage, network-ingestion limits, and alerting) — or build one
+    (partitions, the heartbeat switch, metrics, retry, faults, storage,
+    network-ingestion limits, and alerting) — or build one
     from a declarative file with ``ServiceConfig.from_file``.
 
     Storage note: when a persistent database already holds model
@@ -450,11 +425,6 @@ class LogLensService:
         self.config = config
         num_partitions = config.num_partitions
         self.tokenizer_factory = config.tokenizer_factory or Tokenizer
-        self.heartbeat_period_steps = max(
-            1, config.heartbeat_period_steps
-        )
-        self.expiry_factor = config.expiry_factor
-        self.min_expiry_millis = config.min_expiry_millis
         self.heartbeats_enabled = config.heartbeats_enabled
         #: One registry spans every layer of this service (bus, parsing,
         #: engine, heartbeat); snapshot it with :meth:`report`.
@@ -537,7 +507,6 @@ class LogLensService:
                 context=self.parse_ctx,
                 variable=self._pattern_bv,
                 deserialize=PatternModel.from_dict,
-                empty=lambda: PatternModel([]),
             ),
         )
         self.model_controller.bind(
@@ -546,7 +515,6 @@ class LogLensService:
                 context=self.seq_ctx,
                 variable=self._sequence_bv,
                 deserialize=SequenceModel.from_dict,
-                empty=lambda: SequenceModel([]),
             ),
         )
         self.model_manager = ModelManager(
@@ -599,10 +567,7 @@ class LogLensService:
             self._pattern_bv, self.tokenizer_factory, self.metrics
         )
         self._sequence_operator = SequenceOperator(
-            self._sequence_bv,
-            self.expiry_factor,
-            self.min_expiry_millis,
-            self.metrics,
+            self._sequence_bv, self.metrics
         )
         parse_src = self.parse_ctx.source()
         parse_src.flat_map(self._parse_operator).sink(self._route_parsed)
@@ -806,10 +771,7 @@ class LogLensService:
             self.heartbeat_controller.observe_records(parsed_records)
 
             heartbeats: List[StreamRecord] = []
-            if (
-                self.heartbeats_enabled
-                and self._steps % self.heartbeat_period_steps == 0
-            ):
+            if self.heartbeats_enabled:
                 heartbeats = self.heartbeat_controller.tick()
 
             seq_metrics = self.seq_ctx.run_batch(parsed_records + heartbeats)
@@ -824,10 +786,7 @@ class LogLensService:
         # rules configured this is one tuple check — nothing on the hot
         # path.
         alert_events = 0
-        if (
-            self.alert_evaluator.rules
-            and self._steps % self.heartbeat_period_steps == 0
-        ):
+        if self.alert_evaluator.rules:
             alert_events = len(
                 self.alert_evaluator.evaluate(self.log_time_now())
             )
@@ -990,8 +949,6 @@ class LogLensService:
                     self._seq_state_node_id,
                     snapshot,
                     self._sequence_bv,
-                    self.expiry_factor,
-                    self.min_expiry_millis,
                 ),
             )
 

@@ -10,7 +10,6 @@ from repro.service.sqlite_store import SQLiteDatabase
 CONFIG_TOML = """
 [service]
 num_partitions = 2
-heartbeat_period_steps = 1
 
 [storage]
 spec = "%(storage)s"

@@ -11,7 +11,6 @@ from repro.cli import main
 GOOD_TOML = """
 [service]
 num_partitions = 2
-heartbeat_period_steps = 1
 
 [[alerts.rules]]
 name = "unparsed-burst"

@@ -6,6 +6,7 @@ from repro.core.anomaly import AnomalyType
 from repro.core.config import LogLensConfig
 from repro.core.pipeline import LogLens
 from repro.parsing.parser import ParsedLog
+from repro.service.config import ServiceConfig
 
 
 def event_lines(eid, minute, finish=True):
@@ -129,6 +130,25 @@ class TestToService:
         service.final_flush()
         assert service.anomaly_storage.count() == 1
 
+    @pytest.mark.parametrize("explicit_config", [False, True])
+    def test_service_parses_with_the_lens_tokenizer(self, explicit_config):
+        """A ServiceConfig without its own tokenizer gets the lens's,
+        so split rules reach the service either way."""
+        lens = LogLens(LogLensConfig(split_rules=[r"([0-9]+)(KB)"]))
+        lens.fit(["used %dKB of disk" % i for i in range(20)])
+        if explicit_config:
+            service = lens.publish_to(lens.open_service(ServiceConfig()))
+        else:
+            service = lens.to_service()
+        try:
+            held_out = ["used %dKB of disk" % i for i in range(50, 60)]
+            service.ingest(held_out, source="disk")
+            service.run_until_drained()
+            assert service.anomaly_storage.by_type("unparsed_log") == []
+            assert service.anomaly_storage.count() == 0
+        finally:
+            service.close()
+
 
 class TestConfig:
     def test_factories(self):
@@ -144,12 +164,6 @@ class TestConfig:
         assert config.make_discoverer().max_dist == 0.2
         learner = config.make_learner()
         assert learner.min_events == 2
-
-    def test_timestamp_switches(self):
-        config = LogLensConfig(timestamp_cache=False, timestamp_filter=False)
-        detector = config.make_timestamp_detector()
-        assert not detector.use_cache
-        assert not detector.use_filter
 
     def test_config_flows_into_lens(self):
         config = LogLensConfig(max_dist=0.0)

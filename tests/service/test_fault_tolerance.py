@@ -274,4 +274,6 @@ class TestStateKeptOnce:
             )
         controller = service.model_controller
         assert list(vars(controller)) == ["_bindings"]
-        assert controller.targets() == ["pattern_model", "sequence_model"]
+        assert sorted(controller._bindings) == [
+            "pattern_model", "sequence_model",
+        ]

@@ -74,15 +74,6 @@ class TestSources:
         assert sorted(r.source for r in records) == ["a", "b"]
         assert hb.sources() == ["a", "b"]
 
-    def test_deactivate_stops_heartbeats(self):
-        """Heartbeats only flow while the agent is active (paper)."""
-        hb = HeartbeatController()
-        hb.observe("a", 1_000)
-        hb.deactivate("a")
-        assert hb.tick() == []
-        hb.activate("a")
-        assert len(hb.tick()) == 1
-
     def test_estimated_time(self):
         hb = HeartbeatController(ewma_alpha=1.0)
         assert hb.estimated_time("unknown") is None

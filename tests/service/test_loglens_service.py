@@ -205,14 +205,6 @@ class TestLiveModelUpdate:
 
 
 class TestHeartbeatCadence:
-    def test_heartbeats_only_every_n_steps(self):
-        service = trained_service(heartbeat_period_steps=3)
-        service.ingest(event_lines("fl-c", 5), source="app")
-        reports = [service.step() for _ in range(6)]
-        hb_steps = [i for i, r in enumerate(reports, 1) if r.heartbeats]
-        # Heartbeats fire on steps 3 and 6 only (after a source is known).
-        assert hb_steps == [3, 6]
-
     def test_stats_keys_stable(self):
         service = trained_service()
         assert list(service.report(include_metrics=False).to_dict()) == [

@@ -5,12 +5,7 @@ import pytest
 from repro.parsing.parser import PatternModel
 from repro.sequence.model import SequenceModel
 from repro.service.model_builder import ModelBuilder
-from repro.service.model_controller import (
-    ControlInstruction,
-    ControlOp,
-    ModelBinding,
-    ModelController,
-)
+from repro.service.model_controller import ModelBinding, ModelController
 from repro.service.model_manager import (
     ModelManager,
     PATTERN_MODEL,
@@ -88,7 +83,6 @@ class TestModelController:
                 context=ctx,
                 variable=bv,
                 deserialize=PatternModel.from_dict,
-                empty=lambda: PatternModel([]),
             ),
         )
         return controller, ctx, bv
@@ -104,8 +98,9 @@ class TestModelController:
         assert len(bv.get_value()) == 1
 
     def test_delete_installs_empty_model(self):
+        """A deletion reaches the detectors as a new, empty version."""
         controller, ctx, bv = self._controller()
-        controller.delete("pattern_model")
+        controller.update("pattern_model", PatternModel([]).to_dict())
         ctx.run_batch([])
         assert len(bv.get_value()) == 0
 
@@ -114,20 +109,12 @@ class TestModelController:
         with pytest.raises(KeyError):
             controller.update("nope", {})
 
-    def test_update_without_payload_raises(self):
-        controller, _, _ = self._controller()
-        with pytest.raises(ValueError):
-            controller.handle(
-                ControlInstruction(ControlOp.UPDATE, "pattern_model", None)
-            )
-
     def test_double_bind_raises(self):
         controller, ctx, bv = self._controller()
         with pytest.raises(ValueError):
             controller.bind(
                 "pattern_model",
-                ModelBinding(ctx, bv, PatternModel.from_dict,
-                             lambda: PatternModel([])),
+                ModelBinding(ctx, bv, PatternModel.from_dict),
             )
 
     def test_delete_keeps_no_history(self):
@@ -139,14 +126,10 @@ class TestModelController:
         )
         for _ in range(3):
             controller.update("pattern_model", model.to_dict())
-        controller.delete("pattern_model")
+        controller.update("pattern_model", PatternModel([]).to_dict())
         ctx.run_batch([])
         assert len(bv.get_value()) == 0
         assert list(vars(controller)) == ["_bindings"]
-
-    def test_targets(self):
-        controller, _, _ = self._controller()
-        assert controller.targets() == ["pattern_model"]
 
 
 class TestModelManager:

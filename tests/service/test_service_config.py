@@ -38,12 +38,12 @@ class TestFrozenSemantics:
             config.num_partitions = 99
 
     def test_replace_derives_a_variant(self):
-        base = ServiceConfig(num_partitions=2)
+        base = ServiceConfig(num_partitions=2, heartbeats_enabled=False)
         variant = base.replace(num_partitions=8)
         assert base.num_partitions == 2
         assert variant.num_partitions == 8
         # Untouched fields carry over.
-        assert variant.heartbeat_period_steps == base.heartbeat_period_steps
+        assert variant.heartbeats_enabled is False
 
     def test_one_config_builds_many_services(self):
         config = ServiceConfig(

@@ -88,9 +88,7 @@ def _scripted_lines(i):
 
 @pytest.mark.parametrize("storage", ["memory", "sqlite"])
 def test_each_step_writes_its_anomalies_in_one_batch(storage, tmp_path):
-    # Heartbeats on even steps only, so the odd 13th step leaves its
-    # event open for final_flush.
-    service = _service(storage, tmp_path, heartbeat_period_steps=2)
+    service = _service(storage, tmp_path)
     storage = service.anomaly_storage
     backend = storage._table
     expired_seen = False
@@ -124,9 +122,11 @@ def test_each_step_writes_its_anomalies_in_one_batch(storage, tmp_path):
                 expired_seen = expired_seen or bool(middle)
 
             # The event left open is judged by final_flush, which takes
-            # the same one-batch write.
+            # the same one-batch write.  It comes from a new source, whose
+            # heartbeat extrapolates from its own 2 s gap: the step's tick
+            # stays inside the event's expiry window.
             service.ingest(
-                event_lines("wp-open", 40, finish=False), source="app"
+                event_lines("wp-open", 40, finish=False), source="app-2"
             )
             service.step()
             assert service.open_event_count() > 0

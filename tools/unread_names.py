@@ -16,9 +16,20 @@ The script prints one line per unread name and then the total.  With
 ``--max N`` it exits 1 when the total exceeds ``N``, so a new public
 name whose only reader is a test has to come with a stated reason.
 
+``--fields`` audits options instead: each field of the config classes
+(``LogLensConfig``, ``ServiceConfig``, ``IngestLimits``,
+``AlertsConfig``) that no file under those directories sets.  A field
+counts as set where its name, as a word, is followed by ``=`` (a keyword
+argument or a config-file key) or stands quoted before ``:`` or ``]``
+(a JSON or dict key), outside its own class.  Each unset field is
+reported as set by tests only, or by nothing at all.  ``--max-fields N``
+exits 1 when more than ``N`` fields are unset, so a new option that
+only a test turns has to come with a stated reason.
+
 Run from the repository root::
 
     python3 tools/unread_names.py [--max N]
+    python3 tools/unread_names.py --fields [--max-fields N]
 
 Standard library only.
 """
@@ -31,11 +42,15 @@ import re
 import sys
 from collections import Counter
 from pathlib import Path
-from typing import Dict, Iterator, List, NamedTuple, Set, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Set, Tuple
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "repro"
 READER_DIRS = ("src", "examples", "benchmarks", "perf")
+TEST_DIR = "tests"
+CONFIG_CLASSES = (
+    "LogLensConfig", "ServiceConfig", "IngestLimits", "AlertsConfig",
+)
 WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
@@ -161,13 +176,103 @@ def unread(found: List[Candidate]) -> List[Candidate]:
     return out
 
 
+class ConfigField(NamedTuple):
+    path: Path
+    line: int
+    name: str  # "Owner.field"
+    owner_span: Tuple[int, int]
+
+
+def config_fields() -> Iterator[ConfigField]:
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if not (
+                isinstance(node, ast.ClassDef)
+                and node.name in CONFIG_CLASSES
+            ):
+                continue
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(
+                    item.target, ast.Name
+                ):
+                    yield ConfigField(
+                        path, item.lineno,
+                        "%s.%s" % (node.name, item.target.id),
+                        (node.lineno, node.end_lineno),
+                    )
+
+
+def _setter(word: str) -> "re.Pattern[str]":
+    """``word =`` (a keyword argument or config-file key, not ``==``),
+    or ``"word":`` / ``["word"]`` (a JSON or dict key)."""
+    return re.compile(
+        r"(?<![\w.])%s\s*=(?!=)|[\"']%s[\"']\s*[:\]]" % (word, word)
+    )
+
+
+def _sets(field: ConfigField, texts: Dict[Path, List[str]]) -> bool:
+    setter = _setter(field.name.rsplit(".", 1)[-1])
+    for path, lines in texts.items():
+        if path == field.path:
+            start, end = field.owner_span
+            lines = lines[:start - 1] + lines[end:]
+        if any(setter.search(line) for line in lines):
+            return True
+    return False
+
+
+def unset_fields() -> List[Tuple[ConfigField, str]]:
+    """Each config field no reader file sets, with who does set it."""
+    readers = {path: _reader_text(path) for path in reader_files()}
+    tests = {
+        path: _reader_text(path)
+        for path in sorted((ROOT / TEST_DIR).rglob("*.py"))
+    }
+    out = []
+    for field in config_fields():
+        if not _sets(field, readers):
+            out.append(
+                (field, "by tests only" if _sets(field, tests) else "nowhere")
+            )
+    return out
+
+
+def _fields_main(bound: Optional[int]) -> int:
+    found = unset_fields()
+    for field, setters in found:
+        print("%s:%d: %s (set %s)" % (
+            field.path.relative_to(ROOT), field.line, field.name, setters,
+        ))
+    print("%d config field(s) that no file outside tests/ sets" % len(found))
+    if bound is not None and len(found) > bound:
+        print(
+            "more than --max-fields %d: give each new option a setter "
+            "outside tests, or raise the bound with a stated reason"
+            % bound,
+            file=sys.stderr,
+        )
+        return 1
+    return 0
+
+
 def main(argv: List[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument(
         "--max", type=int, default=None,
         help="exit 1 when more than this many names are unread",
     )
+    parser.add_argument(
+        "--fields", action="store_true",
+        help="audit config fields instead of public names",
+    )
+    parser.add_argument(
+        "--max-fields", type=int, default=None,
+        help="with --fields, exit 1 when more than this many are unset",
+    )
     args = parser.parse_args(argv)
+    if args.fields:
+        return _fields_main(args.max_fields)
     found = [
         cand
         for path in sorted(PACKAGE.rglob("*.py"))
