@@ -4,11 +4,12 @@ LogLens is pitched as an operational real-time analysis system, but
 detection alone leaves anomalies parked in storage.  This package adds
 the control loop on top: declarative :class:`AlertRule` objects
 (configured programmatically or through ``[[alerts.rules]]`` tables in
-a ``ServiceConfig`` file) are evaluated on the service's heartbeat
-cycle by an :class:`AlertEvaluator`, walk an OK → PENDING → FIRING →
-RESOLVED lifecycle with cooldown and deduplication, are recorded in an
-append-only :class:`AlertHistory` (a keyed document table in memory
-or SQLite, like the anomaly store), and are delivered
+a ``ServiceConfig`` file) count the anomalies in a sliding log-time
+window, are evaluated on the service's heartbeat cycle by an
+:class:`AlertEvaluator`, walk an OK → FIRING → RESOLVED → OK lifecycle
+that pages once per episode, are recorded in an append-only
+:class:`AlertHistory` (a keyed document table in memory or SQLite,
+like the anomaly store), and are delivered
 through pluggable :class:`AlertSink` implementations with retry and
 dead-lettering.  See ``docs/ALERTING.md``.
 """
@@ -19,7 +20,6 @@ from .rules import (
     CONDITIONS,
     FIRING,
     OK,
-    PENDING,
     RESOLVED,
     AlertEvent,
     AlertRule,
@@ -46,7 +46,6 @@ __all__ = [
     "FIRING",
     "LogSink",
     "OK",
-    "PENDING",
     "RESOLVED",
     "SinkSpec",
     "WebhookSink",

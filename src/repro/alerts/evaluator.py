@@ -2,22 +2,16 @@
 
 Runs on the service's heartbeat cycle (``LogLensService.step`` calls
 :meth:`AlertEvaluator.evaluate` with the extrapolated log-time "now"),
-evaluates every rule against the obs registry and the anomaly store,
-and walks each rule through ``OK → PENDING → FIRING → RESOLVED``:
+evaluates every rule against the anomaly store, and walks each rule
+through ``OK → FIRING → RESOLVED → OK``:
 
-* **OK → PENDING** — the first breached evaluation;
-* **PENDING → FIRING** — ``pending_ticks`` consecutive breaches *and*
-  neither a cooldown nor a dedup suppression holds (a ``firing`` event
-  is recorded and delivered);
+* **OK → FIRING** — the first breached evaluation (a ``firing`` event
+  is recorded and delivered); a rule already FIRING emits nothing more
+  until it resolves, so an episode pages once;
 * **FIRING → RESOLVED** — the first non-breached evaluation (a
-  ``resolved`` event is recorded and delivered; the resolve timestamp
-  starts the cooldown);
-* **RESOLVED → OK** — the following quiet evaluation (no event).
-
-Suppression keeps a breached rule parked in PENDING (counted in
-``alerts.suppressed``): a per-rule cooldown after a resolve, and a
-deduplication key shared across rules — while any rule with the same
-key is FIRING, the others never double-page.
+  ``resolved`` event is recorded and delivered);
+* **RESOLVED → OK** — the following quiet evaluation (no event); a
+  breach from RESOLVED fires again.
 
 Delivery: every event is appended to the
 :class:`~repro.alerts.history.AlertHistory` *first* (the durable
@@ -29,11 +23,11 @@ and — when the retry budget is exhausted — dead-lettered to the
 (history + delivered-or-dead-lettered) and never double-delivered to a
 sink that accepted it (retries happen only after a raised failure).
 
-Anomaly-rate signals reuse the anomaly table's time index
+Rules read the anomaly table's time index
 (:meth:`~repro.service.storage.AnomalyStorage.in_window` is a bisect
 slice in memory and an indexed range on SQLite, not a scan), so
-evaluation stays off the hot path — the
-``alert_eval`` bench case holds this to the 25% CI gate.
+evaluation stays off the hot path; ``perf/run.py``'s ``durable``
+workload reports its share as ``step.alert_ms`` under ``--trace 1``.
 """
 
 from __future__ import annotations
@@ -43,15 +37,7 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from ..obs import get_registry
 from .history import AlertHistory
-from .rules import (
-    FIRING,
-    OK,
-    PENDING,
-    RESOLVED,
-    AlertEvent,
-    AlertRule,
-    compare,
-)
+from .rules import FIRING, OK, RESOLVED, AlertEvent, AlertRule, compare
 from .sinks import build_sink
 
 __all__ = ["ALERTS_TOPIC", "AlertEvaluator"]
@@ -59,18 +45,6 @@ __all__ = ["ALERTS_TOPIC", "AlertEvaluator"]
 #: Dead-letter origin for exhausted alert deliveries
 #: (envelopes land on ``loglens.alerts.deadletter``).
 ALERTS_TOPIC = "loglens.alerts"
-
-
-class _RuleState:
-    """Mutable lifecycle state of one rule."""
-
-    __slots__ = ("state", "streak", "last_resolved_at", "fired")
-
-    def __init__(self) -> None:
-        self.state = OK
-        self.streak = 0  # consecutive breached evaluations
-        self.last_resolved_at: Optional[int] = None
-        self.fired = 0
 
 
 class AlertEvaluator:
@@ -120,15 +94,14 @@ class AlertEvaluator:
             )
         self._retry = retry_policy
         self._fault_plan = fault_plan
-        self._states: Dict[str, _RuleState] = {
-            rule.name: _RuleState() for rule in self.rules
+        self._states: Dict[str, str] = {
+            rule.name: OK for rule in self.rules
         }
         self._last_evaluated_at: Optional[int] = None
 
         # Exact local totals (report surface; survive a NullRegistry).
         self.fired_total = 0
         self.resolved_total = 0
-        self.suppressed_total = 0
         self.delivered_total = 0
         self.dead_lettered_total = 0
 
@@ -136,7 +109,6 @@ class AlertEvaluator:
         self._m_evaluations = obs.counter("alerts.evaluations")
         self._m_fired = obs.counter("alerts.fired")
         self._m_resolved = obs.counter("alerts.resolved")
-        self._m_suppressed = obs.counter("alerts.suppressed")
         self._m_delivered = obs.counter("alerts.delivered")
         self._m_delivery_errors = obs.counter("alerts.delivery_errors")
         self._m_dead_lettered = obs.counter("alerts.dead_lettered")
@@ -148,15 +120,12 @@ class AlertEvaluator:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def state_of(self, rule_name: str) -> str:
-        return self._states[rule_name].state
-
     def firing(self) -> List[str]:
         """Names of rules currently in the FIRING state, rule order."""
         return [
             rule.name
             for rule in self.rules
-            if self._states[rule.name].state == FIRING
+            if self._states[rule.name] == FIRING
         ]
 
     # ------------------------------------------------------------------
@@ -168,15 +137,15 @@ class AlertEvaluator:
         """One evaluation pass over every rule at log time ``now``.
 
         ``now_millis=None`` (no source has produced a timestamped log
-        yet) skips time-windowed anomaly-rate rules; metric rules still
-        evaluate (their events are stamped with time 0).
+        yet) evaluates no rule: every window is in log time.
         """
         started = _time.perf_counter()
         events: List[AlertEvent] = []
-        for rule in self.rules:
-            event = self._evaluate_rule(rule, now_millis)
-            if event is not None:
-                events.append(event)
+        if now_millis is not None and self.anomaly_storage is not None:
+            for rule in self.rules:
+                event = self._evaluate_rule(rule, now_millis)
+                if event is not None:
+                    events.append(event)
         if now_millis is not None:
             self._last_evaluated_at = now_millis
         self._m_evaluations.inc()
@@ -188,42 +157,27 @@ class AlertEvaluator:
         return events
 
     def _evaluate_rule(
-        self, rule: AlertRule, now_millis: Optional[int]
+        self, rule: AlertRule, now_millis: int
     ) -> Optional[AlertEvent]:
-        breached_value = self._signal(rule, now_millis)
-        if breached_value is None:
-            return None  # signal not evaluable this pass
-        breached, value = breached_value
+        count = self._anomaly_count(rule, now_millis)
+        if rule.condition == "stale":
+            breached = count == 0
+        else:
+            breached = compare(float(count), rule.condition, rule.threshold)
         state = self._states[rule.name]
-        event_time = now_millis if now_millis is not None else 0
-
         if breached:
-            state.streak += 1
-            if state.state == FIRING:
+            if state == FIRING:
                 return None  # ongoing alert: one fire per episode
-            if state.state in (OK, RESOLVED):
-                state.state = PENDING
-            if state.streak < rule.pending_ticks:
-                return None
-            if not self._may_fire(rule, now_millis):
-                self.suppressed_total += 1
-                self._m_suppressed.inc()
-                return None
-            state.state = FIRING
-            state.fired += 1
+            self._states[rule.name] = FIRING
             self.fired_total += 1
             self._m_fired.inc()
-            return self._event(rule, FIRING, value, event_time)
-
-        state.streak = 0
-        if state.state == FIRING:
-            state.state = RESOLVED
-            state.last_resolved_at = event_time
+            return self._event(rule, FIRING, float(count), now_millis)
+        if state == FIRING:
+            self._states[rule.name] = RESOLVED
             self.resolved_total += 1
             self._m_resolved.inc()
-            return self._event(rule, RESOLVED, value, event_time)
-        if state.state in (PENDING, RESOLVED):
-            state.state = OK
+            return self._event(rule, RESOLVED, float(count), now_millis)
+        self._states[rule.name] = OK
         return None
 
     def _event(
@@ -238,55 +192,6 @@ class AlertEvaluator:
             signal=rule.signal,
             timestamp_millis=when,
             window_millis=rule.window_millis,
-            dedup_key=rule.dedup,
-        )
-
-    def _may_fire(
-        self, rule: AlertRule, now_millis: Optional[int]
-    ) -> bool:
-        """Cooldown + dedup gate on the PENDING → FIRING transition."""
-        state = self._states[rule.name]
-        if (
-            rule.cooldown_millis
-            and state.last_resolved_at is not None
-            and now_millis is not None
-            and now_millis - state.last_resolved_at < rule.cooldown_millis
-        ):
-            return False
-        for other in self.rules:
-            if other.name == rule.name:
-                continue
-            if (
-                other.dedup == rule.dedup
-                and self._states[other.name].state == FIRING
-            ):
-                return False
-        return True
-
-    # ------------------------------------------------------------------
-    # Signals
-    # ------------------------------------------------------------------
-    def _signal(
-        self, rule: AlertRule, now_millis: Optional[int]
-    ):
-        """``(breached, value)`` for one rule, or None if unevaluable."""
-        if rule.is_metric:
-            value = self._metric_value(rule)
-            if rule.condition == "absent":
-                return (value is None, value if value is not None else 0.0)
-            if value is None:
-                return (False, 0.0)
-            return (
-                compare(value, rule.condition, rule.threshold), value
-            )
-        if now_millis is None or self.anomaly_storage is None:
-            return None
-        count = self._anomaly_count(rule, now_millis)
-        if rule.condition == "stale":
-            return (count == 0, float(count))
-        return (
-            compare(float(count), rule.condition, rule.threshold),
-            float(count),
         )
 
     def _anomaly_count(self, rule: AlertRule, now_millis: int) -> int:
@@ -294,65 +199,9 @@ class AlertEvaluator:
         docs = self.anomaly_storage.in_window(
             now_millis - rule.window_millis, now_millis
         )
-        count = 0
-        for doc in docs:
-            if rule.source is not None and doc.get("source") != rule.source:
-                continue
-            if (
-                rule.anomaly_type is not None
-                and doc.get("type") != rule.anomaly_type
-            ):
-                continue
-            if rule.min_severity is not None:
-                severity = doc.get("severity")
-                if severity is None or severity < rule.min_severity:
-                    continue
-            count += 1
-        return count
-
-    def _metric_value(self, rule: AlertRule) -> Optional[float]:
-        """Aggregate a metric family across matching label sets.
-
-        Counters and gauges sum across series; histogram statistics
-        take ``count``/``sum`` summed, ``mean`` recomputed from the
-        summed totals, and order statistics (min/max/p50/p95/p99) as
-        the worst case (max) across series.  Returns None when no
-        series matches (the ``absent`` condition).
-        """
-        series = self._metrics.family(rule.metric_family)
-        wanted = dict(rule.metric_labels)
-        stat = rule.metric_stat
-        total = 0.0
-        total_count = 0
-        worst: Optional[float] = None
-        matched = False
-        for labels, metric in series:
-            if any(labels.get(k) != v for k, v in wanted.items()):
-                continue
-            matched = True
-            snapshot = metric.to_dict()
-            if snapshot["type"] in ("counter", "gauge"):
-                total += float(snapshot["value"])
-                continue
-            # Histogram series.
-            if stat in ("count", "sum"):
-                total += float(snapshot[stat])
-            elif stat in ("value", "mean"):
-                total += float(snapshot["sum"])
-                total_count += int(snapshot["count"])
-            else:  # min/max/p50/p95/p99 — worst case across series
-                candidate = snapshot[stat]
-                if candidate is None:
-                    continue
-                if worst is None or candidate > worst:
-                    worst = float(candidate)
-        if not matched:
-            return None
-        if worst is not None:
-            return worst
-        if total_count:
-            return total / total_count
-        return total
+        if rule.anomaly_type is None:
+            return len(docs)
+        return sum(1 for doc in docs if doc.get("type") == rule.anomaly_type)
 
     # ------------------------------------------------------------------
     # Delivery
@@ -423,17 +272,7 @@ class AlertEvaluator:
                 % (rule_name,
                    ", ".join(r.name for r in self.rules) or "(none)")
             )
-        event = AlertEvent(
-            rule=rule.name,
-            state="test",
-            value=0.0,
-            threshold=rule.threshold,
-            condition=rule.condition,
-            signal=rule.signal,
-            timestamp_millis=now_millis,
-            window_millis=rule.window_millis,
-            dedup_key=rule.dedup,
-        )
+        event = self._event(rule, "test", 0.0, now_millis)
         self.history.append(event.to_dict())
         self._deliver(event)
         return event
@@ -447,12 +286,10 @@ class AlertEvaluator:
             "rules": len(self.rules),
             "firing": self.firing(),
             "states": {
-                rule.name: self._states[rule.name].state
-                for rule in self.rules
+                rule.name: self._states[rule.name] for rule in self.rules
             },
             "fired": self.fired_total,
             "resolved": self.resolved_total,
-            "suppressed": self.suppressed_total,
             "delivered": self.delivered_total,
             "dead_lettered": self.dead_lettered_total,
             "history": self.history.count(),

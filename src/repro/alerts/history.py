@@ -6,7 +6,7 @@ fired when" even if every sink is down.  The events live in the
 ``alerts`` document table (:func:`~repro.service.storage.document_table`,
 keys ``rule`` and ``state``): in memory by default, or in the ``alerts``
 table of the service's SQLite database when running on ``sqlite:PATH``
-storage — the same time-index query surface in both cases.
+storage, where ``loglens alerts history`` reads it back.
 """
 
 from __future__ import annotations
@@ -40,26 +40,5 @@ class AlertHistory:
         """Every recorded event, in append order."""
         return self._table.all()
 
-    def for_rule(self, rule_name: str) -> List[Dict[str, Any]]:
-        return self._table.where("rule", rule_name)
-
-    def by_state(self, state: str) -> List[Dict[str, Any]]:
-        return self._table.where("state", state)
-
-    def in_window(
-        self, start_millis: int, end_millis: int
-    ) -> List[Dict[str, Any]]:
-        """Events inside [start, end], in timestamp order."""
-        return self._table.in_window(start_millis, end_millis)
-
-    def last(self, n: int = 10) -> List[Dict[str, Any]]:
-        """The most recent ``n`` events, oldest first."""
-        docs = self._table.all()
-        return docs[-n:] if n < len(docs) else docs
-
     def count(self) -> int:
         return self._table.count()
-
-    def clear(self) -> None:
-        """Drop every recorded event; ``_id`` keeps counting."""
-        self._table.clear()

@@ -2,47 +2,35 @@
 
 An :class:`AlertRule` names a *signal*, a *condition*, and a sliding
 time *window*, and the :class:`~repro.alerts.evaluator.AlertEvaluator`
-walks each rule through the lifecycle ``OK → PENDING → FIRING →
-RESOLVED`` on the service's heartbeat cycle.
+walks each rule through the lifecycle ``OK → FIRING → RESOLVED → OK``
+on the service's heartbeat cycle.
 
-Signal grammar
---------------
-* ``"anomaly_rate"`` — the number of anomalies stored in the sliding
-  window ``[now - window_millis, now]`` (log time, extrapolated by the
-  heartbeat controller), optionally filtered by ``source``,
-  ``anomaly_type``, and ``min_severity``.
-* ``"metric:<family>"`` / ``"metric:<family>:<stat>"`` — a family from
-  the obs :class:`~repro.obs.metrics.MetricsRegistry`, aggregated
-  across label sets (filtered by ``metric_labels`` subset match).
-  ``<stat>`` selects a histogram statistic (``count``, ``sum``,
-  ``mean``, ``min``, ``max``, ``p50``, ``p95``, ``p99``); counters and
-  gauges use their ``value``.
+Signal
+------
+``"anomaly_rate"`` — the number of anomalies stored in the sliding
+window ``[now - window_millis, now]`` (log time, extrapolated by the
+heartbeat controller), optionally filtered by ``anomaly_type``.  It is
+the only signal.
 
 Condition grammar
 -----------------
 ``>``, ``>=``, ``<``, ``<=``, ``==`` compare the signal value against
-``threshold``.  Two special conditions take no threshold:
-
-* ``absent`` (metric signals only) — fires while the metric family has
-  no matching series at all;
-* ``stale`` (anomaly-rate signals only) — fires while no matching
-  anomaly has a timestamp inside the window (a detector or source that
-  went quiet).
+``threshold``.  ``stale`` takes no threshold: it fires while no
+matching anomaly has a timestamp inside the window (a detector or
+source that went quiet).
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, fields
-from typing import Any, Dict, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, Mapping, Optional
 
 __all__ = [
     "OK",
-    "PENDING",
     "FIRING",
     "RESOLVED",
     "CONDITIONS",
-    "HISTOGRAM_STATS",
     "AlertRule",
     "AlertEvent",
     "compare",
@@ -50,7 +38,6 @@ __all__ = [
 
 #: Lifecycle states of a rule (also the ``state`` of history documents).
 OK = "ok"
-PENDING = "pending"
 FIRING = "firing"
 RESOLVED = "resolved"
 
@@ -63,16 +50,11 @@ _COMPARATORS = {
 }
 
 #: Every condition an :class:`AlertRule` accepts.
-CONDITIONS = tuple(_COMPARATORS) + ("absent", "stale")
-
-#: Histogram statistics a ``metric:<family>:<stat>`` signal may select.
-HISTOGRAM_STATS = (
-    "value", "count", "sum", "mean", "min", "max", "p50", "p95", "p99",
-)
+CONDITIONS = tuple(_COMPARATORS) + ("stale",)
 
 
 def compare(value: float, condition: str, threshold: float) -> bool:
-    """Apply one of the comparison conditions (not absent/stale)."""
+    """Apply one of the comparison conditions (not stale)."""
     try:
         comparator = _COMPARATORS[condition]
     except KeyError:
@@ -90,31 +72,16 @@ class AlertRule:
     Parameters
     ----------
     name:
-        Unique rule name (the history/dedup identity).
+        Unique rule name (the history identity).
     signal:
-        ``"anomaly_rate"`` or ``"metric:<family>[:<stat>]"``.
+        ``"anomaly_rate"``, the only signal.
     condition / threshold:
-        ``value <condition> threshold`` breaches the rule; ``absent``
-        and ``stale`` ignore the threshold.
+        ``value <condition> threshold`` breaches the rule; ``stale``
+        ignores the threshold.
     window_millis:
-        Sliding window width for anomaly-rate signals (log time).
-    source / anomaly_type / min_severity:
-        Anomaly filters (exact source, exact ``type`` field, minimum
-        integer severity).
-    metric_labels:
-        Label subset a metric series must carry to count toward the
-        aggregate (mapping or tuple of pairs; stored sorted).
-    pending_ticks:
-        Consecutive breached evaluations required before firing
-        (``1`` fires on the first breach).
-    cooldown_millis:
-        After a resolve, the rule may not re-fire until this much log
-        time has passed (it holds in PENDING and the evaluator counts a
-        suppression).
-    dedup_key:
-        Rules sharing a dedup key never fire concurrently — while one
-        is FIRING the others hold in PENDING.  Defaults to ``name``
-        (every rule its own key).
+        Sliding window width (log time).
+    anomaly_type:
+        Count only anomalies whose ``type`` field equals this.
     """
 
     name: str
@@ -122,106 +89,25 @@ class AlertRule:
     condition: str = ">"
     threshold: float = 0.0
     window_millis: int = 60_000
-    source: Optional[str] = None
     anomaly_type: Optional[str] = None
-    min_severity: Optional[int] = None
-    metric_labels: Union[
-        Mapping[str, str], Tuple[Tuple[str, str], ...]
-    ] = ()
-    pending_ticks: int = 1
-    cooldown_millis: int = 0
-    dedup_key: Optional[str] = None
 
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("alert rule needs a non-empty name")
-        if isinstance(self.metric_labels, Mapping):
-            object.__setattr__(
-                self,
-                "metric_labels",
-                tuple(sorted(
-                    (str(k), str(v))
-                    for k, v in self.metric_labels.items()
-                )),
-            )
-        else:
-            object.__setattr__(
-                self,
-                "metric_labels",
-                tuple(sorted(
-                    (str(k), str(v)) for k, v in self.metric_labels
-                )),
-            )
         if self.condition not in CONDITIONS:
             raise ValueError(
                 "rule %r: unknown condition %r; valid conditions: %s"
                 % (self.name, self.condition, ", ".join(CONDITIONS))
             )
         if self.signal != "anomaly_rate":
-            if not self.signal.startswith("metric:"):
-                raise ValueError(
-                    "rule %r: signal must be 'anomaly_rate' or "
-                    "'metric:<family>[:<stat>]'; got %r"
-                    % (self.name, self.signal)
-                )
-            if not self.metric_family:
-                raise ValueError(
-                    "rule %r: metric signal names no family (%r)"
-                    % (self.name, self.signal)
-                )
-            if self.metric_stat not in HISTOGRAM_STATS:
-                raise ValueError(
-                    "rule %r: unknown metric stat %r; valid stats: %s"
-                    % (self.name, self.metric_stat,
-                       ", ".join(HISTOGRAM_STATS))
-                )
-        if self.condition == "absent" and not self.is_metric:
             raise ValueError(
-                "rule %r: 'absent' applies to metric signals only "
-                "(use 'stale' for anomaly_rate)" % self.name
-            )
-        if self.condition == "stale" and self.is_metric:
-            raise ValueError(
-                "rule %r: 'stale' applies to anomaly_rate signals only "
-                "(use 'absent' for metrics)" % self.name
+                "rule %r: signal must be 'anomaly_rate'; got %r"
+                % (self.name, self.signal)
             )
         if self.window_millis <= 0:
             raise ValueError(
                 "rule %r: window_millis must be > 0" % self.name
             )
-        if self.pending_ticks < 1:
-            raise ValueError(
-                "rule %r: pending_ticks must be >= 1" % self.name
-            )
-        if self.cooldown_millis < 0:
-            raise ValueError(
-                "rule %r: cooldown_millis must be >= 0" % self.name
-            )
-
-    # ------------------------------------------------------------------
-    @property
-    def is_metric(self) -> bool:
-        return self.signal.startswith("metric:")
-
-    @property
-    def metric_family(self) -> Optional[str]:
-        """The metric family a ``metric:`` signal names (else None)."""
-        if not self.is_metric:
-            return None
-        return self.signal.split(":", 2)[1]
-
-    @property
-    def metric_stat(self) -> Optional[str]:
-        """The selected statistic of a ``metric:`` signal (else None)."""
-        if not self.is_metric:
-            return None
-        parts = self.signal.split(":", 2)
-        return parts[2] if len(parts) == 3 else "value"
-
-    @property
-    def dedup(self) -> str:
-        """The effective deduplication key (``dedup_key`` or name)."""
-        return self.dedup_key if self.dedup_key is not None else self.name
 
     # ------------------------------------------------------------------
     @classmethod
@@ -245,26 +131,16 @@ class AlertRule:
         return cls(**dict(data))
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON/TOML-safe export; omits unset optional fields."""
+        """JSON/TOML-safe export; omits an unset ``anomaly_type``."""
         out: Dict[str, Any] = {
             "name": self.name,
             "signal": self.signal,
             "condition": self.condition,
             "threshold": self.threshold,
             "window_millis": self.window_millis,
-            "pending_ticks": self.pending_ticks,
-            "cooldown_millis": self.cooldown_millis,
         }
-        if self.source is not None:
-            out["source"] = self.source
         if self.anomaly_type is not None:
             out["anomaly_type"] = self.anomaly_type
-        if self.min_severity is not None:
-            out["min_severity"] = self.min_severity
-        if self.metric_labels:
-            out["metric_labels"] = dict(self.metric_labels)
-        if self.dedup_key is not None:
-            out["dedup_key"] = self.dedup_key
         return out
 
 
@@ -285,7 +161,6 @@ class AlertEvent:
     signal: str
     timestamp_millis: int
     window_millis: int
-    dedup_key: str
 
     def to_dict(self) -> Dict[str, Any]:
         """The alert-history document / sink payload."""
@@ -298,19 +173,4 @@ class AlertEvent:
             "signal": self.signal,
             "timestamp_millis": self.timestamp_millis,
             "window_millis": self.window_millis,
-            "dedup_key": self.dedup_key,
         }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "AlertEvent":
-        return cls(
-            rule=data["rule"],
-            state=data["state"],
-            value=data["value"],
-            threshold=data["threshold"],
-            condition=data["condition"],
-            signal=data["signal"],
-            timestamp_millis=data["timestamp_millis"],
-            window_millis=data["window_millis"],
-            dedup_key=data["dedup_key"],
-        )

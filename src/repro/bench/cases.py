@@ -46,8 +46,8 @@ Primary cases (each emits one ``BENCH_<case>.json``):
     heartbeat mechanism pays at scale.
 ``alert_eval``
     :class:`~repro.alerts.AlertEvaluator` ticks: a rule population
-    (windowed anomaly-rate rules across sources/severities, mixed
-    conditions, cooldowns, pending counts) evaluated over a seeded
+    (windowed anomaly-rate rules, some filtered by anomaly type, mixed
+    conditions) evaluated over a seeded
     anomaly archive as log-time advances — the per-heartbeat cost the
     alerting control plane adds to ``LogLensService.step``.
 ``bus_roundtrip``
@@ -618,11 +618,7 @@ def _alert_cases(params: Dict[str, Any]) -> List[BenchCase]:
                 condition=(">", ">=", "<", "stale")[r % 4],
                 threshold=float(5 + (r * 13) % 40),
                 window_millis=10_000 + (r % 5) * 10_000,
-                source=sources[r % len(sources)] if r % 2 else None,
                 anomaly_type=types[r % len(types)] if r % 3 == 0 else None,
-                min_severity=r % 5 if r % 4 == 0 else None,
-                pending_ticks=1 + r % 3,
-                cooldown_millis=(r % 4) * 5_000,
             ))
         return (storage, tuple(rules))
 

@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
@@ -989,12 +990,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if service.alert_evaluator.rules:
         section = service.alert_evaluator.report_section()
         print(
-            "alerts: %d fired, %d resolved, %d suppressed, "
+            "alerts: %d fired, %d resolved, "
             "%d delivered, %d dead-lettered"
             % (
                 section["fired"],
                 section["resolved"],
-                section["suppressed"],
                 section["delivered"],
                 section["dead_lettered"],
             ),
@@ -1217,16 +1217,14 @@ def _cmd_alerts(args: argparse.Namespace) -> int:
         else:
             for rule in config.alerts.rules:
                 print(
-                    "%-24s %s %s %g (window %dms, pending %d, "
-                    "cooldown %dms)"
+                    "%-24s %s %s %g (window %dms, type %s)"
                     % (
                         rule.name,
                         rule.signal,
                         rule.condition,
                         rule.threshold,
                         rule.window_millis,
-                        rule.pending_ticks,
-                        rule.cooldown_millis,
+                        rule.anomaly_type or "any",
                     )
                 )
             for sink in sinks:
@@ -1351,7 +1349,16 @@ _COMMANDS = {
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        status = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # The reader of stdout went away (``loglens ... | head``). Point
+        # stdout at devnull so the flush at exit cannot raise again, and
+        # exit non-zero with nothing on stderr (Python's SIGPIPE recipe).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     except (ConfigFileError, StorageLayoutError) as exc:
         # A bad config file or an old-layout database: the message names
         # the file and what is wrong with it, so no traceback.

@@ -367,24 +367,6 @@ class MetricsRegistry:
         with self._lock:
             return self._metrics.get(key)
 
-    def family(
-        self, name: str
-    ) -> List[Tuple[Dict[str, str], _Metric]]:
-        """Every ``(labels, metric)`` series registered under ``name``.
-
-        The aggregation surface the alert evaluator reads: one family
-        may span many label sets (per-topic counters, per-partition
-        gauges), and a rule matches a label *subset* across them.
-        Returns an empty list for unregistered names.
-        """
-        with self._lock:
-            return [
-                (dict(label_key), metric)
-                for (metric_name, label_key), metric
-                in self._metrics.items()
-                if metric_name == name
-            ]
-
     def to_dict(self) -> Dict[str, List[Dict[str, Any]]]:
         """JSON-safe snapshot: ``{name: [{"labels": {...}, ...}, ...]}``.
 
@@ -506,11 +488,6 @@ class NullRegistry(MetricsRegistry):
 
     def get(self, name: str, **labels: str) -> Optional[_Metric]:
         return None
-
-    def family(
-        self, name: str
-    ) -> List[Tuple[Dict[str, str], _Metric]]:
-        return []
 
     def to_dict(self) -> Dict[str, List[Dict[str, Any]]]:
         return {}

@@ -34,7 +34,6 @@ content format where ``tomllib`` is unavailable)::
     condition = ">"
     threshold = 5
     window_millis = 60000
-    cooldown_millis = 120000
 
     [[alerts.sinks]]
     type = "webhook"

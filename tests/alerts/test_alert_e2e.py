@@ -1,5 +1,6 @@
 """End-to-end: a config *file* drives a service whose alert fires,
-cools down, and resolves on real log traffic — on both storage planes.
+holds while firing, and resolves on real log traffic — on both storage
+planes.
 """
 
 from repro.alerts import FIRING, OK, RESOLVED, AlertHistory, CollectingSink
@@ -53,12 +54,18 @@ def service_from_file(tmp_path, storage):
     return service
 
 
+def rule_state(service):
+    return service.alert_evaluator.report_section()["states"][
+        "unparsed-burst"
+    ]
+
+
 def run_alert_episode(service):
-    """Drive fire → suppress-while-firing → resolve; return the sink."""
+    """Drive fire → hold-while-firing → resolve; return the sink."""
     evaluator = service.alert_evaluator
     (sink,) = evaluator.sinks
     assert isinstance(sink, CollectingSink)
-    assert evaluator.state_of("unparsed-burst") == OK
+    assert rule_state(service) == OK
 
     # A garbage line inside otherwise-normal traffic: the unparsed_log
     # anomaly is stamped with extrapolated log time and the rule fires
@@ -68,20 +75,20 @@ def run_alert_episode(service):
         source="app",
     )
     service.run_until_drained()
-    assert evaluator.state_of("unparsed-burst") == FIRING
+    assert rule_state(service) == FIRING
     assert [e.state for e in sink.events] == [FIRING]
 
     # More traffic while still inside the window: one fire per episode.
     service.ingest(event_lines("fl-ok2", 31), source="app")
     service.run_until_drained()
-    assert evaluator.state_of("unparsed-burst") == FIRING
+    assert rule_state(service) == FIRING
     assert len(sink.events) == 1
 
     # Ten minutes later the 2-minute window is clean: resolves (and
     # further quiet evaluations within the same drain settle back to OK).
     service.ingest(event_lines("fl-late", 40), source="app")
     service.run_until_drained()
-    assert evaluator.state_of("unparsed-burst") in (RESOLVED, OK)
+    assert rule_state(service) in (RESOLVED, OK)
     assert [e.state for e in sink.events] == [FIRING, RESOLVED]
     return sink
 
@@ -100,7 +107,7 @@ class TestMemoryStorage:
             assert section["states"]["unparsed-burst"] in (RESOLVED, OK)
             assert section["firing"] == []
             assert section["history"] == 2
-            history = service.alert_history.for_rule("unparsed-burst")
+            history = service.alert_history.all()
             assert [e["state"] for e in history] == [FIRING, RESOLVED]
             # Event timestamps are log time, not wall time: both fall
             # on 2016/05/09 and the resolve is later than the fire.

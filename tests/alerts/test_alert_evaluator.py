@@ -1,7 +1,7 @@
 """AlertEvaluator lifecycle semantics, proved against a brute-force oracle.
 
 The evaluator computes windowed counts through the anomaly store's time
-index and walks a state machine with pending/cooldown/dedup gates.  The
+index and walks the OK → FIRING → RESOLVED → OK state machine.  The
 oracle here recomputes every tick by brute force over the raw documents
 and replays the documented lifecycle independently — any divergence is
 a windowing, filtering, or state bug.
@@ -15,14 +15,13 @@ import pytest
 from repro.alerts import (
     FIRING,
     OK,
-    PENDING,
     RESOLVED,
     AlertEvaluator,
     AlertRule,
     CollectingSink,
 )
 from repro.alerts.rules import compare
-from repro.obs import MetricsRegistry, NullRegistry
+from repro.obs import NullRegistry
 from repro.service.storage import AnomalyStorage
 
 
@@ -44,6 +43,10 @@ def evaluator_for(rule_or_rules, docs=(), **kwargs):
     return AlertEvaluator(rules, **kwargs)
 
 
+def state_of(evaluator, name):
+    return evaluator.report_section()["states"][name]
+
+
 def doc(ts, source="app", type_="missing_end", severity=3):
     return {
         "type": type_,
@@ -58,18 +61,12 @@ def doc(ts, source="app", type_="missing_end", severity=3):
 # The brute-force oracle
 # ----------------------------------------------------------------------
 def _matches(rule, d):
-    if rule.source is not None and d["source"] != rule.source:
-        return False
-    if rule.anomaly_type is not None and d["type"] != rule.anomaly_type:
-        return False
-    if rule.min_severity is not None and d["severity"] < rule.min_severity:
-        return False
-    return True
+    return rule.anomaly_type is None or d["type"] == rule.anomaly_type
 
 
 def oracle_run(rule, docs, ticks):
     """Replay the documented lifecycle with brute-force counting."""
-    state, streak, last_resolved = OK, 0, None
+    state = OK
     events = []
     for now in ticks:
         count = sum(
@@ -82,29 +79,15 @@ def oracle_run(rule, docs, ticks):
         else:
             breached = compare(float(count), rule.condition, rule.threshold)
         if breached:
-            streak += 1
             if state == FIRING:
                 continue
-            if state in (OK, RESOLVED):
-                state = PENDING
-            if streak < rule.pending_ticks:
-                continue
-            if (
-                rule.cooldown_millis
-                and last_resolved is not None
-                and now - last_resolved < rule.cooldown_millis
-            ):
-                continue  # suppressed: holds in PENDING
             state = FIRING
             events.append((FIRING, now, float(count)))
+        elif state == FIRING:
+            state = RESOLVED
+            events.append((RESOLVED, now, float(count)))
         else:
-            streak = 0
-            if state == FIRING:
-                state = RESOLVED
-                last_resolved = now
-                events.append((RESOLVED, now, float(count)))
-            elif state in (PENDING, RESOLVED):
-                state = OK
+            state = OK
     return state, events
 
 
@@ -125,11 +108,7 @@ _RULES = st.builds(
     condition=st.sampled_from([">", ">=", "<", "<=", "==", "stale"]),
     threshold=st.integers(min_value=0, max_value=5).map(float),
     window_millis=st.integers(min_value=500, max_value=8_000),
-    source=st.sampled_from([None, "app"]),
     anomaly_type=st.sampled_from([None, "missing_end"]),
-    min_severity=st.sampled_from([None, 2]),
-    pending_ticks=st.integers(min_value=1, max_value=3),
-    cooldown_millis=st.sampled_from([0, 1_000, 4_000]),
 )
 
 _TICKS = st.lists(
@@ -154,72 +133,38 @@ class TestOracleEquivalence:
                 )
         want_state, want_events = oracle_run(rule, docs, ticks)
         assert got == want_events
-        assert evaluator.state_of("prop") == want_state
+        assert state_of(evaluator, "prop") == want_state
         # Every emitted event reached both the history and the sink.
         assert len(sink.events) == len(got)
         assert evaluator.history.count() == len(got)
 
 
 class TestLifecycle:
-    def test_ok_pending_firing_resolved_ok(self):
+    def test_ok_firing_resolved_ok(self):
         rule = AlertRule(
-            name="r", condition=">=", threshold=1,
-            window_millis=1_000, pending_ticks=2,
+            name="r", condition=">=", threshold=1, window_millis=1_000,
         )
         evaluator = evaluator_for(rule, [doc(5_000)])
-        assert evaluator.evaluate(5_000) == []  # first breach: PENDING
-        assert evaluator.state_of("r") == PENDING
-        events = evaluator.evaluate(5_100)  # second breach: FIRING
+        assert evaluator.evaluate(4_000) == []  # nothing in window: OK
+        assert state_of(evaluator, "r") == OK
+        events = evaluator.evaluate(5_000)  # first breach: FIRING
         assert [e.state for e in events] == [FIRING]
         assert evaluator.firing() == ["r"]
         assert evaluator.evaluate(5_200) == []  # ongoing: one per episode
         events = evaluator.evaluate(9_000)  # window slid past: RESOLVED
         assert [e.state for e in events] == [RESOLVED]
         assert evaluator.evaluate(9_100) == []  # quiet: back to OK
-        assert evaluator.state_of("r") == OK
-
-    def test_cooldown_suppresses_then_releases(self):
-        rule = AlertRule(
-            name="r", condition=">=", threshold=1,
-            window_millis=2_000, cooldown_millis=5_000,
-        )
-        docs = [doc(1_000), doc(6_000), doc(9_500)]
-        evaluator = evaluator_for(rule, docs)
-        assert [e.state for e in evaluator.evaluate(1_000)] == [FIRING]
-        assert [e.state for e in evaluator.evaluate(4_000)] == [RESOLVED]
-        # Breach again inside the cooldown: suppressed, held in PENDING.
-        assert evaluator.evaluate(6_000) == []
-        assert evaluator.state_of("r") == PENDING
-        assert evaluator.suppressed_total == 1
-        # A breach after the cooldown expires (9500 - 4000 >= 5000): fires.
-        assert [e.state for e in evaluator.evaluate(9_500)] == [FIRING]
-
-    def test_dedup_key_blocks_concurrent_fire(self):
-        shared = dict(
-            condition=">=", threshold=1, window_millis=60_000,
-            dedup_key="pager",
-        )
-        rules = [
-            AlertRule(name="a", **shared),
-            AlertRule(name="b", **shared),
-        ]
-        evaluator = evaluator_for(rules, [doc(1_000)])
-        events = evaluator.evaluate(1_000)
-        # Rule order decides who wins the shared key.
-        assert [(e.rule, e.state) for e in events] == [("a", FIRING)]
-        assert evaluator.state_of("b") == PENDING
-        assert evaluator.suppressed_total == 1
+        assert state_of(evaluator, "r") == OK
 
     def test_none_now_skips_anomaly_rules(self):
         rule = AlertRule(name="r", condition=">=", threshold=0)
         evaluator = evaluator_for(rule, [doc(1_000)])
         assert evaluator.evaluate(None) == []
-        assert evaluator.state_of("r") == OK
+        assert state_of(evaluator, "r") == OK
 
     def test_stale_fires_when_source_goes_quiet(self):
         rule = AlertRule(
             name="quiet", condition="stale", window_millis=2_000,
-            source="db",
         )
         evaluator = evaluator_for(rule, [doc(1_000, source="db")])
         assert evaluator.evaluate(2_000) == []  # db active in window
@@ -229,55 +174,6 @@ class TestLifecycle:
     def test_duplicate_rule_names_rejected(self):
         with pytest.raises(ValueError, match="dup"):
             evaluator_for([AlertRule(name="dup"), AlertRule(name="dup")])
-
-
-class TestMetricSignals:
-    def test_counter_summed_across_series(self):
-        registry = MetricsRegistry()
-        registry.counter("errs", source="a").inc(3)
-        registry.counter("errs", source="b").inc(4)
-        rule = AlertRule(
-            name="m", signal="metric:errs", condition=">", threshold=6,
-        )
-        evaluator = AlertEvaluator([rule], metrics=registry)
-        events = evaluator.evaluate(None)  # metric rules need no log time
-        assert [e.state for e in events] == [FIRING]
-        assert events[0].value == 7.0
-        assert events[0].timestamp_millis == 0
-
-    def test_label_subset_filter(self):
-        registry = MetricsRegistry()
-        registry.counter("errs", source="a").inc(3)
-        registry.counter("errs", source="b").inc(4)
-        rule = AlertRule(
-            name="m", signal="metric:errs", condition=">", threshold=3,
-            metric_labels={"source": "b"},
-        )
-        evaluator = AlertEvaluator([rule], metrics=registry)
-        events = evaluator.evaluate(None)
-        assert events[0].value == 4.0
-
-    def test_histogram_mean_recomputed_from_summed_totals(self):
-        registry = MetricsRegistry()
-        registry.histogram("lat", w="1").observe(1.0)
-        registry.histogram("lat", w="2").observe(3.0)
-        rule = AlertRule(
-            name="m", signal="metric:lat:mean", condition=">=",
-            threshold=2.0,
-        )
-        evaluator = AlertEvaluator([rule], metrics=registry)
-        events = evaluator.evaluate(None)
-        assert events[0].value == 2.0  # (1+3)/2 across both series
-
-    def test_absent_fires_until_series_appears(self):
-        registry = MetricsRegistry()
-        rule = AlertRule(
-            name="m", signal="metric:missing", condition="absent",
-        )
-        evaluator = AlertEvaluator([rule], metrics=registry)
-        assert [e.state for e in evaluator.evaluate(None)] == [FIRING]
-        registry.counter("missing").inc()
-        assert [e.state for e in evaluator.evaluate(None)] == [RESOLVED]
 
 
 class TestReportSection:

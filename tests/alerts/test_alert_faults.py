@@ -206,7 +206,7 @@ class TestTestFire:
         (message,) = bus.drain_dead_letters(ALERTS_TOPIC)
         assert message.value["metadata"]["state"] == "test"
         # Lifecycle state is untouched by a synthetic test event.
-        assert evaluator.state_of("burst") == "ok"
+        assert evaluator.report_section()["states"]["burst"] == "ok"
 
     def test_dead_letter_topic_name_is_derived(self):
         assert dead_letter_topic(ALERTS_TOPIC) == (

@@ -17,7 +17,6 @@ def _event(i, rule, state):
         "signal": "anomaly_rate",
         "timestamp_millis": i * 1_000,
         "window_millis": 60_000,
-        "dedup_key": rule,
     }
 
 
@@ -56,35 +55,15 @@ class TestBackendParity:
         seed(history)
         assert strip_ids(history.all()) == EVENTS
 
-    def test_for_rule(self, history):
-        seed(history)
-        got = strip_ids(history.for_rule("burst"))
-        assert got == [e for e in EVENTS if e["rule"] == "burst"]
-
-    def test_by_state(self, history):
-        seed(history)
-        got = strip_ids(history.by_state("firing"))
-        assert got == [e for e in EVENTS if e["state"] == "firing"]
-
-    def test_in_window_is_inclusive(self, history):
-        seed(history)
-        got = strip_ids(history.in_window(2_000, 4_000))
-        assert got == EVENTS[1:4]
-
-    def test_last_returns_tail_oldest_first(self, history):
-        seed(history)
-        assert strip_ids(history.last(2)) == EVENTS[-2:]
-        assert strip_ids(history.last(100)) == EVENTS
-
     def test_count_and_clear(self, history):
-        seed(history)
-        assert history.count() == len(EVENTS)
-        history.clear()
+        # The history is append-only (AlertHistory.clear is deleted):
+        # the count only grows and ids keep counting.
         assert history.count() == 0
         assert history.all() == []
-        assert history.for_rule("burst") == [] and history.last(3) == []
-        # ids keep counting after a clear
+        seed(history)
+        assert history.count() == len(EVENTS)
         assert history.append(EVENTS[0]) == len(EVENTS)
+        assert history.count() == len(EVENTS) + 1
 
 
 class TestSQLiteDurability:

@@ -2,7 +2,10 @@
 shared ``--config`` flag on the service-building commands."""
 
 import json
+import os
 import sqlite3
+import subprocess
+import sys
 
 import pytest
 
@@ -95,6 +98,28 @@ class TestConfigShow:
         assert "hunter2" not in out
         assert "https://***@hooks.example.com/T/B" in out
 
+    def test_closed_pipe_exits_quietly(self, config_file):
+        """``loglens config show svc.toml | head -1``: the reader closes
+        stdout before the command writes; no traceback reaches stderr."""
+        read_end, write_end = os.pipe()
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.join(
+            os.path.dirname(__file__), "..", "..", "src"
+        )
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "config", "show",
+             str(config_file)],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            text=True,
+        )
+        os.close(write_end)
+        os.close(read_end)  # the reader is gone before the CLI has started
+        _, err = process.communicate(timeout=60)
+        assert err == ""
+        assert process.returncode != 0
+
 
 class TestAlertsList:
     def test_list_prints_rules_and_sinks(self, config_file, capsys):
@@ -159,7 +184,7 @@ class TestAlertsHistory:
                     "threshold": 1.0, "condition": ">",
                     "signal": "anomaly_rate",
                     "timestamp_millis": i * 1_000,
-                    "window_millis": 60_000, "dedup_key": rule,
+                    "window_millis": 60_000,
                 })
         finally:
             database.close()

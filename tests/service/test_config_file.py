@@ -28,13 +28,12 @@ name = "burst"
 condition = ">="
 threshold = 2.0
 window_millis = 30000
-source = "app"
+anomaly_type = "unparsed_log"
 
 [[alerts.rules]]
-name = "stale-db"
+name = "detector-quiet"
 condition = "stale"
 window_millis = 60000
-source = "db"
 
 [[alerts.sinks]]
 type = "webhook"
@@ -53,7 +52,8 @@ def full_config():
         alerts=AlertsConfig(
             rules=(
                 AlertRule(name="burst", condition=">=", threshold=2.0,
-                          window_millis=30_000, source="app"),
+                          window_millis=30_000,
+                          anomaly_type="unparsed_log"),
             ),
             sinks=(SinkSpec(type="webhook", url="https://h/x"),),
         ),
@@ -72,9 +72,9 @@ class TestFromFile:
         assert config.ingest.max_line_bytes == 65536
         assert config.ingest.batch_lines == 128
         assert [r.name for r in config.alerts.rules] == [
-            "burst", "stale-db",
+            "burst", "detector-quiet",
         ]
-        assert config.alerts.rules[0].source == "app"
+        assert config.alerts.rules[0].anomaly_type == "unparsed_log"
         assert [s.type for s in config.alerts.sinks] == [
             "webhook", "log",
         ]
@@ -122,6 +122,17 @@ class TestFromFile:
         )
         with pytest.raises(ConfigFileError, match="condition"):
             ServiceConfig.from_file(path)
+        # A lifecycle key an earlier rule grammar accepted.
+        path.write_text(
+            '[[alerts.rules]]\nname = "r"\ncooldown_millis = 120000\n'
+        )
+        with pytest.raises(ConfigFileError) as excinfo:
+            ServiceConfig.from_file(path)
+        message = str(excinfo.value)
+        assert "cooldown_millis" in message
+        for key in ("anomaly_type", "condition", "name", "signal",
+                    "threshold", "window_millis"):
+            assert key in message
 
     @pytest.mark.parametrize("name", ["gpu", "threads"])
     def test_bad_execution_backend_names_the_file(self, tmp_path, name):

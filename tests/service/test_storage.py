@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.alerts import AlertHistory
 from repro.obs import MetricsRegistry
 from repro.service.storage import (
     AnomalyStorage,
@@ -53,15 +52,6 @@ class TestDocumentStore:
         )
         assert len(table.in_window(0, 10)) == 1
         assert table.count() == 3
-
-    def test_limit(self):
-        """The one bounded read, ``AlertHistory.last``, keeps the newest
-        ``n`` documents of its table, oldest first."""
-        history = AlertHistory(MetricsRegistry())
-        for n in range(10):
-            history.append({"rule": "r", "state": "firing", "n": n})
-        assert [d["n"] for d in history.last(3)] == [7, 8, 9]
-        assert len(history.last(100)) == 10
 
     def test_count_and_clear(self):
         table = _table()

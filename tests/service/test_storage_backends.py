@@ -201,10 +201,6 @@ class Stores:
             "anomaly_window": anomalies.in_window(lo, hi),
             "anomaly_count": anomalies.count(),
             "alerts": alerts.all(),
-            "for_rule": [alerts.for_rule(r) for r in RULES + ["x"]],
-            "by_state": [alerts.by_state(s) for s in STATES + ["x"]],
-            "alert_window": alerts.in_window(lo, hi),
-            "last": [alerts.last(n) for n in (1, 3, 100)],
             "alert_count": alerts.count(),
             "gauges": self.gauges(),
         }
@@ -264,10 +260,6 @@ class Oracle:
             "anomaly_window": self.window(anomalies, lo, hi),
             "anomaly_count": len(anomalies),
             "alerts": alerts,
-            "for_rule": [where(alerts, "rule", r) for r in RULES + ["x"]],
-            "by_state": [where(alerts, "state", s) for s in STATES + ["x"]],
-            "alert_window": self.window(alerts, lo, hi),
-            "last": [alerts[-n:] for n in (1, 3, 100)],
             "alert_count": len(alerts),
             "gauges": [len(logs), len(anomalies), len(alerts)],
         }

@@ -18,7 +18,8 @@ name whose only reader is a test has to come with a stated reason.
 
 ``--fields`` audits options instead: each field of the config classes
 (``LogLensConfig``, ``ServiceConfig``, ``IngestLimits``,
-``AlertsConfig``) that no file under those directories sets.  A field
+``AlertsConfig``, ``AlertRule``, ``SinkSpec``) that no file under those
+directories sets.  A field
 counts as set where its name, as a word, is followed by ``=`` (a keyword
 argument or a config-file key) or stands quoted before ``:`` or ``]``
 (a JSON or dict key), outside its own class.  Each unset field is
@@ -50,6 +51,7 @@ READER_DIRS = ("src", "examples", "benchmarks", "perf")
 TEST_DIR = "tests"
 CONFIG_CLASSES = (
     "LogLensConfig", "ServiceConfig", "IngestLimits", "AlertsConfig",
+    "AlertRule", "SinkSpec",
 )
 WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
