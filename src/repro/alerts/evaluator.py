@@ -23,11 +23,13 @@ and — when the retry budget is exhausted — dead-lettered to the
 (history + delivered-or-dead-lettered) and never double-delivered to a
 sink that accepted it (retries happen only after a raised failure).
 
-Rules read the anomaly table's time index
-(:meth:`~repro.service.storage.AnomalyStorage.in_window` is a bisect
-slice in memory and an indexed range on SQLite, not a scan), so
-evaluation stays off the hot path; ``perf/run.py``'s ``durable``
-workload reports its share as ``step.alert_ms`` under ``--trace 1``.
+Each rule counts its window on the anomaly table's time index
+(:meth:`~repro.service.storage.AnomalyStorage.count_in_window` is the
+width of a bisect slice in memory and one ``COUNT(*)`` on the time
+index on SQLite) and reads no document back, so a step's alert cost
+follows the windows, not the size of the store; ``perf/run.py``'s
+``durable`` workload reports its share as ``step.alert_ms`` under
+``--trace 1``.
 """
 
 from __future__ import annotations
@@ -196,12 +198,9 @@ class AlertEvaluator:
 
     def _anomaly_count(self, rule: AlertRule, now_millis: int) -> int:
         """Matching anomalies inside the sliding window (time index)."""
-        docs = self.anomaly_storage.in_window(
-            now_millis - rule.window_millis, now_millis
+        return self.anomaly_storage.count_in_window(
+            now_millis - rule.window_millis, now_millis, rule.anomaly_type
         )
-        if rule.anomaly_type is None:
-            return len(docs)
-        return sum(1 for doc in docs if doc.get("type") == rule.anomaly_type)
 
     # ------------------------------------------------------------------
     # Delivery

@@ -383,6 +383,35 @@ class SQLiteDocumentTable:
             (start_millis, end_millis),
         )
 
+    def count_in_window(
+        self,
+        start_millis: int,
+        end_millis: int,
+        key: Optional[str] = None,
+        value: Any = None,
+    ) -> int:
+        """How many documents :meth:`in_window` returns, or how many of
+        them have ``key`` equal to ``value`` when ``key`` is given.
+
+        One ``COUNT(*)`` on the time index that decodes no ``_doc``.
+        The unary ``+`` keeps the key's own index out of the plan: on
+        that index the count would visit every document with the value
+        ever stored, so its cost would grow with the table instead of
+        the window.
+        """
+        sql = (
+            "SELECT COUNT(*) FROM %s WHERE timestamp_millis BETWEEN ? AND ?"
+            % self._table
+        )
+        params: List[Any] = [start_millis, end_millis]
+        if key is not None:
+            if key not in self._keys:
+                raise KeyError(key)
+            sql += " AND +%s IS ?" % _quote(key)
+            params.append(value)
+        with self._db.lock:
+            return self._db.execute(sql, params).fetchone()[0]
+
     def count(self) -> int:
         with self._db.lock:
             return self._count

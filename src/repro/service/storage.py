@@ -258,6 +258,26 @@ class MemoryDocumentTable:
             hi = bisect_right(self._times, end_millis)
             return self._timed[lo:hi]
 
+    def count_in_window(
+        self,
+        start_millis: int,
+        end_millis: int,
+        key: Optional[str] = None,
+        value: Any = None,
+    ) -> int:
+        """How many documents :meth:`in_window` returns, or how many of
+        them have ``key`` equal to ``value`` when ``key`` is given."""
+        if key is not None and key not in self._by_key:
+            raise KeyError(key)
+        with self._lock:
+            lo = bisect_left(self._times, start_millis)
+            hi = bisect_right(self._times, end_millis)
+            if key is None:
+                return max(0, hi - lo)
+            return sum(
+                1 for doc in self._timed[lo:hi] if doc.get(key) == value
+            )
+
     def count(self) -> int:
         with self._lock:
             return len(self._docs)
@@ -509,6 +529,20 @@ class AnomalyStorage:
     ) -> List[Dict[str, Any]]:
         """Anomalies within the window, in timestamp order."""
         return self._table.in_window(start_millis, end_millis)
+
+    def count_in_window(
+        self,
+        start_millis: int,
+        end_millis: int,
+        anomaly_type: Optional[str] = None,
+    ) -> int:
+        """How many anomalies :meth:`in_window` returns (only those of
+        ``anomaly_type`` when given), without reading them back."""
+        if anomaly_type is None:
+            return self._table.count_in_window(start_millis, end_millis)
+        return self._table.count_in_window(
+            start_millis, end_millis, "type", anomaly_type
+        )
 
     def count(self) -> int:
         return self._table.count()

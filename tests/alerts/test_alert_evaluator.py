@@ -7,6 +7,9 @@ and replays the documented lifecycle independently — any divergence is
 a windowing, filtering, or state bug.
 """
 
+import tempfile
+from pathlib import Path
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +25,7 @@ from repro.alerts import (
 )
 from repro.alerts.rules import compare
 from repro.obs import NullRegistry
+from repro.service.sqlite_store import SQLiteDatabase
 from repro.service.storage import AnomalyStorage
 
 
@@ -138,6 +142,35 @@ class TestOracleEquivalence:
         assert len(sink.events) == len(got)
         assert evaluator.history.count() == len(got)
 
+    @settings(max_examples=120, deadline=None)
+    @given(docs=_DOCS, rule=_RULES, ticks=_TICKS)
+    def test_windowed_lifecycle_matches_brute_force_on_sqlite(
+        self, docs, rule, ticks
+    ):
+        with tempfile.TemporaryDirectory() as tmp:
+            db = SQLiteDatabase(Path(tmp) / "anomalies.db")
+            try:
+                storage = AnomalyStorage(metrics=NullRegistry(), database=db)
+                storage.store_many(docs)
+                evaluator = evaluator_for(rule, anomaly_storage=storage)
+                got = [
+                    (event.state, event.timestamp_millis, event.value)
+                    for now in ticks
+                    for event in evaluator.evaluate(now)
+                ]
+            finally:
+                db.close()
+        assert (state_of(evaluator, "prop"), got) == oracle_run(
+            rule, docs, ticks
+        )
+
+
+class _CountOnlyStorage(AnomalyStorage):
+    """An anomaly store that refuses to hand its documents back."""
+
+    def in_window(self, start_millis, end_millis):
+        raise AssertionError("a rule counts its window; it reads no doc")
+
 
 class TestLifecycle:
     def test_ok_firing_resolved_ok(self):
@@ -155,6 +188,22 @@ class TestLifecycle:
         assert [e.state for e in events] == [RESOLVED]
         assert evaluator.evaluate(9_100) == []  # quiet: back to OK
         assert state_of(evaluator, "r") == OK
+
+    def test_walk_reads_no_document(self):
+        rules = [
+            AlertRule(name=name, condition=">=", threshold=1,
+                      window_millis=1_000, anomaly_type=anomaly_type)
+            for name, anomaly_type in [("any", None),
+                                       ("typed", "missing_end")]
+        ]
+        storage = _CountOnlyStorage(metrics=NullRegistry())
+        storage.store(doc(5_000))
+        evaluator = evaluator_for(rules, anomaly_storage=storage)
+        walk = []
+        for now in (4_000, 5_000, 9_000, 9_100):
+            evaluator.evaluate(now)
+            walk.append([state_of(evaluator, r.name) for r in rules])
+        assert walk == [[OK] * 2, [FIRING] * 2, [RESOLVED] * 2, [OK] * 2]
 
     def test_none_now_skips_anomaly_rules(self):
         rule = AlertRule(name="r", condition=">=", threshold=0)

@@ -8,6 +8,8 @@
 * seeded keyed-table workloads, awkward values (the accepted ones
   agree, the refused ones are refused alike), ``clear`` and the
   documented orders, compared table against table;
+* ``count_in_window`` against the window it counts, and the SQLite
+  query plan that keeps it on the time index;
 * old-layout databases are refused untouched;
 * the model journal's version history (including stable numbering
   across pruning) survives a restart;
@@ -22,7 +24,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.alerts import AlertHistory
@@ -86,8 +88,8 @@ def sqlite_db(tmp_path):
 
 
 #: The read and write surface each backend's tables offer.
-DOCUMENT_SURFACE = ("insert_many", "all", "where", "in_window", "count",
-                    "clear")
+DOCUMENT_SURFACE = ("insert_many", "all", "where", "in_window",
+                    "count_in_window", "count", "clear")
 LOG_SURFACE = ("store_batch", "by_source", "sources", "time_range", "count")
 
 
@@ -199,6 +201,9 @@ class Stores:
             "by_type": [anomalies.by_type(t) for t in TYPES + ["x"]],
             "anomaly_by_source": [anomalies.by_source(s) for s in keys],
             "anomaly_window": anomalies.in_window(lo, hi),
+            "anomaly_window_count": [
+                anomalies.count_in_window(lo, hi, t) for t in [None] + TYPES
+            ],
             "anomaly_count": anomalies.count(),
             "alerts": alerts.all(),
             "alert_count": alerts.count(),
@@ -258,6 +263,13 @@ class Oracle:
                 where(anomalies, "source", s) for s in keys
             ],
             "anomaly_window": self.window(anomalies, lo, hi),
+            "anomaly_window_count": [
+                sum(
+                    1 for d in self.window(anomalies, lo, hi)
+                    if t is None or d["type"] == t
+                )
+                for t in [None] + TYPES
+            ],
             "anomaly_count": len(anomalies),
             "alerts": alerts,
             "alert_count": len(alerts),
@@ -485,6 +497,12 @@ class TestBackendSurfaceEquivalence:
                 assert subject.in_window(lo, hi) == oracle.in_window(
                     lo, hi
                 ), (lo, hi)
+                for key, value in [(None, None)] + probes:
+                    assert subject.count_in_window(
+                        lo, hi, key, value
+                    ) == oracle.count_in_window(
+                        lo, hi, key, value
+                    ), (lo, hi, key, value)
             assert oracle.insert_many([{"n": 11}]) == subject.insert_many(
                 [{"n": 11}]
             ) == [len(self.AWKWARD)]
@@ -543,6 +561,77 @@ class TestBackendSurfaceEquivalence:
         assert [(d["timestamp_millis"], d["n"]) for d in hit] == [
             (10, 1), (10, 3), (20, 2), (30, 0),
         ]
+
+
+class TestCountInWindow:
+    """``count_in_window`` is the length of the window it counts, and on
+    SQLite it walks the time index."""
+
+    #: No filter, every drawn type, and a type that never occurs.
+    COUNTED = [None] + TYPES + ["never"]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        docs=st.lists(ANOMALY, max_size=30),
+        windows=st.lists(
+            st.tuples(st.integers(-1, 13), st.integers(-1, 13)),
+            min_size=1, max_size=4,
+        ),
+    )
+    @example(
+        # Ties on both edges, a doc without a time, out-of-order times.
+        docs=[
+            {"type": t, "source": "a", "timestamp_millis": ts,
+             "severity": 0, "reason": ""}
+            for t, ts in [(TYPES[0], 9), (TYPES[1], 5), (TYPES[0], None),
+                          (TYPES[0], 5), (TYPES[1], 3), (TYPES[1], 9)]
+        ],
+        windows=[(5, 9)],
+    )
+    def test_count_is_the_filtered_window_length(self, docs, windows):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "count.db"
+            db = SQLiteDatabase(path)
+            try:
+                for storage in (AnomalyStorage(MetricsRegistry()),
+                                AnomalyStorage(MetricsRegistry(), db)):
+                    storage.store_many(docs)
+                    self._check(storage, windows)
+                db.close()
+                db = SQLiteDatabase(path)
+                self._check(AnomalyStorage(MetricsRegistry(), db), windows)
+            finally:
+                db.close()
+
+    def _check(self, storage, windows):
+        for lo, hi in windows:
+            window = storage.in_window(lo, hi)
+            for t in self.COUNTED:
+                want = sum(1 for d in window if t is None or d["type"] == t)
+                assert storage.count_in_window(lo, hi, t) == want, (lo, hi, t)
+
+    @pytest.mark.parametrize("anomaly_type", [None, TYPES[0]])
+    def test_sqlite_count_walks_the_time_index(self, sqlite_db, anomaly_type):
+        storage = AnomalyStorage(MetricsRegistry(), sqlite_db)
+        storage.store_many(
+            {"type": TYPES[n % 2], "source": "a", "timestamp_millis": n}
+            for n in range(200)
+        )
+        statements = []
+        sqlite_db._conn.set_trace_callback(statements.append)
+        try:
+            count = storage.count_in_window(50, 99, anomaly_type)
+        finally:
+            sqlite_db._conn.set_trace_callback(None)
+        assert count == (50 if anomaly_type is None else 25)
+        (statement,) = statements  # one query, bound values expanded
+        plan = " ".join(
+            row[-1] for row in sqlite_db.execute(
+                "EXPLAIN QUERY PLAN " + statement
+            )
+        )
+        assert "anomalies_time" in plan, plan
+        assert "anomalies_type" not in plan, plan
 
 
 # ----------------------------------------------------------------------
