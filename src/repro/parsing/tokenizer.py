@@ -35,6 +35,12 @@ or another detector or registry) starts a new, empty memo.  It stops
 growing at 200,000 entries.  A detector with no gate
 (``use_filter=False``, the Section VI-A ablation) keeps the unfiltered
 work: ``identify`` on every token, then memoised inference.
+
+The loop can be resumed.  The parser's known-shape path
+(:mod:`repro.parsing.parser`) reads a line's leading token and its
+field tokens the way the loop would, with the same memo, gate and
+``lookup``; when it cannot finish a line it hands the loop the merged
+tokens and the datatypes it has, and the loop goes on from there.
 """
 
 from __future__ import annotations
@@ -327,7 +333,8 @@ class Tokenizer:
     def _tokenize(self, raw: str, tally: ParseTally) -> TokenizedLog:
         """:meth:`tokenize`, counting into the caller's ``tally``."""
         texts = self._apply_split_rules(self._split(raw))
-        datatypes, ts_millis = self._merge_timestamps(texts)
+        datatypes: List[str] = []
+        ts_millis = self._merge_timestamps(texts, datatypes, None)
         tally.logs += 1
         tally.tokens += len(texts)
         if ts_millis is not None:
@@ -355,18 +362,22 @@ class Tokenizer:
         return out
 
     def _merge_timestamps(
-        self, texts: List[str]
-    ) -> Tuple[List[str], Optional[int]]:
+        self,
+        texts: List[str],
+        datatypes: List[str],
+        ts_millis: Optional[int],
+    ) -> Optional[int]:
         """Merge timestamps in place and tag every token; one pass.
 
         ``texts`` (this call's own list) is edited in place: each
-        multi-token timestamp collapses into its canonical text.  Returns
-        the datatype list parallel to the edited ``texts``, and the event
-        time of the first timestamp.
+        multi-token timestamp collapses into its canonical text, and
+        ``datatypes`` grows to run parallel to it.  The pass starts at
+        token ``len(datatypes)``: a caller that has already tagged (and
+        merged) a prefix resumes here with the prefix's datatypes and
+        event time, and no token of the prefix is looked at again.
+        Returns the event time of the first timestamp.
         """
-        datatypes: List[str] = []
-        ts_millis: Optional[int] = None
-        i = 0
+        i = len(datatypes)
         n = len(texts)
         detector = self.timestamp_detector
         gate = detector.gate if detector is not None else None
@@ -413,7 +424,7 @@ class Tokenizer:
                             memo[text] = datatype
                 append(datatype)
                 i += 1
-            return datatypes, ts_millis
+            return ts_millis
         identify = detector.identify if detector is not None else None
         while i < n:
             text = texts[i]
@@ -435,4 +446,4 @@ class Tokenizer:
                     memo[text] = datatype
             append(datatype)
             i += 1
-        return datatypes, ts_millis
+        return ts_millis
